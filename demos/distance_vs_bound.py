@@ -8,8 +8,9 @@ bound columns are deterministic formula evaluations.  The estimated
 distance is a lower bound on the true distance (one fixed h instead of the
 supremum), so it should sit well below the certificates.
 
-Full-strength run (10000 trials per row) takes about 15 seconds; pass a
-smaller trial count as the first argument for a quick look.
+Each trial draws the mean of the n observations directly from its Gamma
+law, so the full-strength run (10000 trials per row) takes well under a
+second at every n; pass another trial count as the first argument.
 """
 
 import sys

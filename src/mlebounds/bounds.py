@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .models import (
     ExpFamilyModel,
     GeneralizedGammaParams,
@@ -166,8 +166,7 @@ class BoundInputs:
     h: TestFunction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", _require_int(self.n, "n"))
         for name in ("epsilon", "fisher", "q_prime_abs", "mse"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
@@ -217,8 +216,7 @@ def lemma_clt_bound(
     with K normal with variance sigma^2.  This is the building block behind
     the Stein term of every bound in this module.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n")
     for name, v in (("norm_h_prime", norm_h_prime), ("sigma", sigma)):
         if not (math.isfinite(v) and v > 0.0):
             raise DomainError(f"{name} must be positive, got {v!r}")
@@ -327,8 +325,7 @@ def gg_bound(n: int, params: GeneralizedGammaParams, h: TestFunction) -> BoundBr
 
     where M is the theta-free MSE factor.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n")
     d, p = params.d, params.p
     stein = h.norm_h_prime / math.sqrt(n) * (2.0 + (3.0 + 6.0 * p / d) ** 0.75)
     if d == 1.0 and p == 1.0:
@@ -351,8 +348,7 @@ def exp_canonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
 
     Requires n >= 3 (the MSE of 1/mean does not exist below that).
     """
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"n must be an integer >= 3 for the exp-canonical bound, got {n!r}")
+    n = _require_int(n, "n", 3, " for the exp-canonical bound")
     ratio = (n + 2) / ((n - 1) * (n - 2))
     stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
     tail = 8.0 * h.norm_h * ratio
@@ -366,8 +362,7 @@ def exp_noncanonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     The MLE is the sample mean itself (D is the identity), so only the
     Stein term survives: (2 + (12/e - 2)) ||h'|| / sqrt(n).
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n")
     stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
     return BoundBreakdown.from_terms(stein, 0.0, 0.0, "exp-noncanonical")
 
@@ -381,8 +376,7 @@ def ar_bound_exp_noncanonical(n: int, h: TestFunction) -> float:
     Always at least as large as :func:`exp_noncanonical_bound`; it is the
     comparison column of the bundled simulation table.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n")
     rootn = math.sqrt(n)
     return (
         EXP_STEIN_CONST * h.norm_h_prime / rootn

@@ -9,6 +9,7 @@ round-trip form.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -57,7 +58,14 @@ FORMULAS = (
 _MODEL_PARAM_FLAGS = ("d", "p", "alpha", "sigma", "mu")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves the parser unchanged (each call gets a fresh namespace),
+    so one instance serves every ``main`` call; it is not built at import
+    so that importing the package stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="mlebounds",
         description="Explicit normal-approximation bounds for MLEs, with a Monte Carlo check.",

@@ -93,9 +93,13 @@ class ExpFamilyModel:
     supplies it directly rather than having it reconstructed numerically).
 
     Optional closed forms (``d_inverse``, ``sup_d_second``) are used when
-    present; generic fallbacks cover the rest.  ``integration_window`` maps
-    theta0 to an interval of the data axis that carries essentially all of
-    the mass of moment integrands, for the quadrature oracles.
+    present; generic fallbacks cover the rest.  ``sample_tbar(theta0, n,
+    rng, size)`` draws ``size`` values of mean T over n observations
+    directly from the closed-form law of the sum of T; the simulation
+    harness samples through it, so models without it cannot be simulated.
+    ``integration_window`` maps theta0 to an interval of the data axis that
+    carries essentially all of the mass of moment integrands, for the
+    quadrature oracles.
     """
 
     name: str
@@ -114,6 +118,7 @@ class ExpFamilyModel:
     d_increasing: bool
     d_inverse: Callable | None = None
     sup_d_second: Callable | None = None
+    sample_tbar: Callable | None = None
     integration_window: Callable | None = None
     shape: Mapping[str, float] = field(default_factory=dict)
 
@@ -442,6 +447,8 @@ def exp_canonical_model() -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: -1.0 / t,
         sup_d_second=lambda t0, eps: 2.0 / (t0 - eps) ** 3,
+        # The sum of n exponential draws with rate theta is Gamma(n, scale 1/theta).
+        sample_tbar=lambda t0, n, rng, size: -rng.gamma(n, 1.0 / t0, size) / n,
         # The window starts just inside the open support: the density has a
         # positive limit at 0, so including the endpoint (where it is
         # defined as 0) would put a jump inside the quadrature panel.
@@ -472,6 +479,8 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        # The sum of n exponential draws with mean theta is Gamma(n, scale theta).
+        sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
         integration_window=lambda t0: (6e-12 * t0, 60.0 * t0),
     )
 
@@ -498,6 +507,7 @@ def laplace_scale_model() -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
         integration_window=lambda t0: (-60.0 * t0, 60.0 * t0),
     )
 
@@ -528,6 +538,7 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        sample_tbar=lambda t0, n, rng, size: rng.normal(t0, sigma / math.sqrt(n), size),
         integration_window=lambda t0: (t0 - 14.0 * sigma, t0 + 14.0 * sigma),
         shape={"sigma": float(sigma)},
     )
@@ -559,6 +570,9 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        # The sum of n draws of (x - mu)^2 is theta times a chi-square with
+        # n degrees of freedom: Gamma(n/2, scale 2 theta).
+        sample_tbar=lambda t0, n, rng, size: rng.gamma(0.5 * n, 2.0 * t0, size) / n,
         integration_window=lambda t0: (muf - 14.0 * math.sqrt(t0), muf + 14.0 * math.sqrt(t0)),
         shape={"mu": muf},
     )
@@ -606,6 +620,8 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
         sup_d_second=sup_d2,
+        # T = X^p is Gamma(d/p, scale theta^p), so the sum is Gamma(n d/p, scale theta^p).
+        sample_tbar=lambda t0, n, rng, size: rng.gamma(n * dv / pv, t0**pv, size) / n,
         integration_window=window,
         shape={"d": dv, "p": pv},
     )

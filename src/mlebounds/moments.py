@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .models import ExpFamilyModel, GeneralizedGammaParams, d_value, density
 from .special import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     integrate_interval,
     integrate_real_line,
-    log_gamma_diff,
+    log_gamma_shift,
     std_normal_pdf,
 )
 
@@ -120,8 +120,7 @@ def mse_exp_canonical(n: int, theta0: float) -> float:
     The MLE 1/mean(X) has closed-form mean squared error
     (n+2) theta0^2 / ((n-1)(n-2)); the second moment only exists for n >= 3.
     """
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"n must be an integer >= 3 for the canonical exponential MSE, got {n!r}")
+    n = _require_int(n, "n", 3, " for the canonical exponential MSE")
     if not (math.isfinite(theta0) and theta0 > 0.0):
         raise DomainError(f"theta0 must be positive, got {theta0!r}")
     return (n + 2) * theta0**2 / ((n - 1) * (n - 2))
@@ -133,18 +132,19 @@ def gg_mse_factor(n: int, d: float, p: float) -> float:
     Returns 1 - 2 (p/(nd))^{1/p} G((nd+1)/p)/G(nd/p)
               + (p/(nd))^{2/p} G((nd+2)/p)/G(nd/p),
 
-    evaluated entirely in log space so that nd/p in the hundreds of
-    thousands stays exact to roundoff.  Multiplied by theta^2 this is the
-    MSE of the GG scale MLE; it is O(1/n).
+    evaluated entirely in log space so that nd/p up to 1e9 and beyond stays
+    exact to roundoff: the gamma ratios go through
+    :func:`~mlebounds.special.log_gamma_shift`, which takes the shifts 1/p
+    and 2/p as given instead of rounding z + 1/p to a float first.
+    Multiplied by theta^2 this is the MSE of the GG scale MLE; it is O(1/n).
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n")
     if not (d > 0.0 and p > 0.0):
         raise DomainError(f"shapes must be positive, got d={d!r}, p={p!r}")
     z = n * d / p
     log_scale = math.log(p) - math.log(n * d)
-    t1 = math.exp(log_scale / p + log_gamma_diff(z + 1.0 / p, z))
-    t2 = math.exp(2.0 * log_scale / p + log_gamma_diff(z + 2.0 / p, z))
+    t1 = math.exp(log_scale / p + log_gamma_shift(z, 1.0 / p))
+    t2 = math.exp(2.0 * log_scale / p + log_gamma_shift(z, 2.0 / p))
     return 1.0 - 2.0 * t1 + t2
 
 
@@ -160,8 +160,7 @@ def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
     means with known variances, the canonical exponential and generalized
     gamma have the gamma-ratio forms.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    n = _require_int(n, "n")
     fam = m.family
     if fam == "exp-canonical":
         return mse_exp_canonical(n, theta0)
@@ -206,10 +205,13 @@ def mse_monte_carlo(
     harness (independent per-chunk streams, compensated summation), so the
     result is bit-reproducible for a fixed seed.
     """
-    if not isinstance(trials, int) or trials < 1000:
-        raise DomainError(f"trials must be an integer >= 1000, got {trials!r}")
     # Imported lazily: the sampling machinery lives above this module.
-    from .montecarlo import iter_mle_chunks
+    from .montecarlo import _SEED_MAX, iter_mle_chunks
+
+    n = _require_int(n, "n")
+    trials = _require_int(trials, "trials", 1000)
+    seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
+    chunk_size = _require_int(chunk_size, "chunk_size")
 
     sq_sums: list[float] = []
     sq_sq_sums: list[float] = []

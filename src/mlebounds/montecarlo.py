@@ -1,11 +1,15 @@
 """Seeded Monte Carlo estimation of the true normal-approximation distance.
 
-Protocol per configuration: draw ``trials`` independent samples of size n
-from the model at theta0, compute the MLE for each, standardize it by
-sqrt(n i(theta0)), average the test function over the trials, and report
-the absolute gap to E[h(Z)].  Each result row also carries the matching
-closed-form bound (and the AR reference bound where one exists), so the
-estimated distance can be checked against its certificate.
+Protocol per configuration: for each of ``trials`` independent trials,
+draw the mean of T over n observations at theta0 directly from the
+closed-form law of the sum of T (Gamma, Normal or chi-square for every
+built-in family) rather than the n observations themselves, which the MLE
+depends on only through that mean; so a trial costs the same at every n.
+Invert D to get the MLE, standardize it by sqrt(n i(theta0)), average the
+test function over the trials, and report the absolute gap to E[h(Z)].
+Each result row also carries the matching closed-form bound (and the AR
+reference bound where one exists), so the estimated distance can be
+checked against its certificate.
 
 Reproducibility contract: trials are processed in fixed chunks (default
 4096), each chunk drawing from its own counter-based Philox stream derived
@@ -25,7 +29,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, _require_int
 from .bounds import (
     TestFunction,
     ar_bound_exp_noncanonical,
@@ -35,7 +39,7 @@ from .bounds import (
     reference_test_function,
     _is_canonical,
 )
-from .models import ExpFamilyModel, fisher_info, invert_d, make_model
+from .models import ExpFamilyModel, fisher_info, make_model
 from .moments import expected_h_of_z, mse_closed_form
 
 __all__ = [
@@ -58,8 +62,8 @@ TABLE_SAMPLE_SIZES = (10, 100, 1000, 10000, 100000)
 # Default seed for the bundled table.
 TABLE_SEED = 99991
 
-# Trial blocks are sized so one block of draws stays near 16 MiB.
-_BLOCK_ELEMENTS = 1 << 21
+# Seeds are unsigned 64-bit integers.
+_SEED_MAX = 2**64 - 1
 
 
 def sample_gamma(shape: float, rate: float, rng: np.random.Generator, size=None):
@@ -115,14 +119,10 @@ class SimulationConfig:
     chunk_size: int = 4096
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise DomainError(f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
+        # Stored back as Python ints, so numpy integers behave like int.
+        for name in ("n", "trials", "chunk_size"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, maximum=_SEED_MAX))
 
 
 @dataclass(frozen=True)
@@ -171,39 +171,33 @@ def iter_mle_chunks(
 ) -> Iterator[np.ndarray]:
     """Yield per-chunk arrays of MLEs under the deterministic chunk layout.
 
-    Each chunk draws (count, n) samples from its own derived stream in
-    fixed-size trial blocks, solves D(theta_hat) = mean T per trial (closed
-    form when the model has one), and verifies the defining identity
-    |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial.
+    Each chunk draws ``count`` values of mean T, one per trial, from its own
+    derived stream through the model's ``sample_tbar`` (the closed-form law
+    of the sum of T over n observations), solves D(theta_hat) = mean T by
+    the model's closed-form ``d_inverse``, and verifies the defining
+    identity |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial.
+    Memory and time per chunk do not depend on n.
     """
+    if m.sample_tbar is None or m.d_inverse is None:
+        raise DomainError(
+            f"model {m.name!r} has no sufficient-statistic sampler "
+            "(sample_tbar with a closed-form d_inverse)"
+        )
     if not m.contains_theta(theta0):
         raise DomainError(f"theta0={theta0!r} outside parameter space of {m.name!r}")
-    block = max(1, _BLOCK_ELEMENTS // max(n, 1))
     for chunk_index, count in _chunks(trials, chunk_size):
-        rng = _chunk_rng(seed, chunk_index)
-        parts = []
-        done = 0
-        while done < count:
-            b = min(block, count - done)
-            x = sample_model(m, theta0, rng, size=(b, n))
-            tbar = np.mean(m.T(x), axis=1)
-            if m.d_inverse is not None:
-                theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
-            else:
-                theta_hat = np.array([invert_d(m, t) for t in tbar])
-            dval = np.asarray(m.A1(theta_hat)) / np.asarray(m.k1(theta_hat))
-            gap = np.abs(dval - tbar)
-            tol = 1e-10 * max(1.0, float(np.max(np.abs(tbar))))
-            if np.any(gap > tol):
-                bad = int(np.argmax(gap > tol))
-                trial_index = chunk_index * chunk_size + done + bad
-                raise ConsistencyError(
-                    f"MLE identity violated at trial {trial_index}: "
-                    f"|D(theta_hat) - mean T| = {float(gap[bad])!r}"
-                )
-            parts.append(theta_hat)
-            done += b
-        yield np.concatenate(parts)
+        tbar = np.asarray(m.sample_tbar(theta0, n, _chunk_rng(seed, chunk_index), count))
+        theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
+        dval = np.asarray(m.A1(theta_hat)) / np.asarray(m.k1(theta_hat))
+        gap = np.abs(dval - tbar)
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(tbar))))
+        if np.any(gap > tol):
+            bad = int(np.argmax(gap > tol))
+            raise ConsistencyError(
+                f"MLE identity violated at trial {chunk_index * chunk_size + bad}: "
+                f"|D(theta_hat) - mean T| = {float(gap[bad])!r}"
+            )
+        yield theta_hat
 
 
 def _attach_bounds(
@@ -291,8 +285,7 @@ def table1(trials: int = 10000, seed: int = TABLE_SEED) -> list[SimulationResult
     columns are deterministic formula evaluations; the empirical column is
     a seeded random realization.
     """
-    if not isinstance(trials, int) or trials < 1000:
-        raise DomainError(f"trials must be an integer >= 1000, got {trials!r}")
+    trials = _require_int(trials, "trials", 1000)
     h = reference_test_function()
     rows = []
     for n in TABLE_SAMPLE_SIZES:

@@ -25,6 +25,7 @@ __all__ = [
     "integrate_real_line",
     "log_gamma",
     "log_gamma_diff",
+    "log_gamma_shift",
     "std_normal_cdf",
     "std_normal_pdf",
 ]
@@ -72,28 +73,50 @@ def _stirling_tail(w: float) -> float:
     return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * w2)) / w2) / w
 
 
+def log_gamma_shift(z: float, a: float) -> float:
+    """ln Gamma(z + a) - ln Gamma(z), with the shift a taken exactly.
+
+    Forming z + a as a float first rounds it by up to ulp(z)/2, which moves
+    the result by about ulp(z) ln z: most of the answer when it feeds a
+    difference of order 1/z, as in the generalized-gamma MSE factor.  For
+    z and z + a at least 30 and |a| <= z/2 the Stirling form is rearranged
+    around log1p(a/z),
+
+        (z - 1/2) log1p(a/z) + a (ln z + log1p(a/z)) - a + S(z + a) - S(z),
+
+    so only the tiny correction S sees the rounded z + a, and nearby large
+    arguments keep full relative accuracy up to 1e9 and beyond.
+    """
+    zv = _finite(z, "z")
+    av = _finite(a, "a")
+    if zv <= 0.0 or zv + av <= 0.0:
+        raise DomainError(f"log_gamma_shift requires z > 0 and z + a > 0, got {zv}, {av}")
+    if min(zv, zv + av) >= _STIRLING_SWITCH and abs(av) <= 0.5 * zv:
+        r = math.log1p(av / zv)
+        return (
+            (zv - 0.5) * r
+            + av * (math.log(zv) + r)
+            - av
+            + _stirling_tail(zv + av)
+            - _stirling_tail(zv)
+        )
+    return math.lgamma(zv + av) - math.lgamma(zv)
+
+
 def log_gamma_diff(x: float, y: float) -> float:
     """ln Gamma(x) - ln Gamma(y) without catastrophic cancellation.
 
     For nearby large arguments the two log-gamma values agree in most of
-    their leading digits and a naive subtraction loses them; this routine
-    switches to a Stirling form rearranged around log1p(d/y), which keeps
-    full relative accuracy for arguments up to 1e6 and beyond.
+    their leading digits and a naive subtraction loses them.  Within a
+    factor of two of each other x - y is exact, so the difference goes
+    through :func:`log_gamma_shift`.
     """
     xv = _finite(x, "x")
     yv = _finite(y, "y")
     if xv <= 0.0 or yv <= 0.0:
         raise DomainError(f"log_gamma_diff requires positive arguments, got {xv}, {yv}")
-    small, large = (xv, yv) if xv < yv else (yv, xv)
-    if small >= _STIRLING_SWITCH and large - small <= 0.5 * small:
-        d = xv - yv  # exact: the arguments are within a factor of two
-        return (
-            (yv - 0.5) * math.log1p(d / yv)
-            + d * math.log(xv)
-            - d
-            + _stirling_tail(xv)
-            - _stirling_tail(yv)
-        )
+    if 0.5 * yv <= xv <= 2.0 * yv:
+        return log_gamma_shift(yv, xv - yv)
     return math.lgamma(xv) - math.lgamma(yv)
 
 

@@ -359,3 +359,38 @@ class TestOrderProperty:
         for name, f in families.items():
             vals = [math.sqrt(n) * f(n) for n in ns]
             assert max(vals) < 2.5 * min(vals), name
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda n: exp_canonical_bound(n, H),
+            lambda n: exp_noncanonical_bound(n, H),
+            lambda n: ar_bound_exp_noncanonical(n, H),
+            lambda n: gg_bound(n, GeneralizedGammaParams(1.3, 2.0, 1.5), H),
+            lambda n: lemma_clt_bound(n, HP, 1.0, EXP_THIRD_ABS_MOMENT),
+            lambda n: theorem_bound(canonical_exp_inputs(n, 1.3)),
+            lambda n: expfam_bound(
+                exp_canonical_model(), 1.3, n, 0.65, H, mse_exp_canonical(n, 1.3)
+            ),
+        ],
+    )
+    def test_numpy_int_gives_the_int_result(self, fn):
+        for n in (100, 161_376_420):
+            assert fn(np.int64(n)) == fn(n)
+        with pytest.raises(DomainError):
+            fn(True)
+
+    def test_numpy_arithmetic_would_differ(self):
+        # Why the checks return a Python int: at this n the int64 form of
+        # (n+2)/((n-1)(n-2)) rounds to another double than the exact one.
+        n = 161_376_420
+        v = np.int64(n)
+        assert (v + 2) / ((v - 1) * (v - 2)) != (n + 2) / ((n - 1) * (n - 2))
+        assert exp_canonical_bound(v, H) == exp_canonical_bound(n, H)
+
+    def test_bound_inputs_store_an_int(self):
+        inputs = canonical_exp_inputs(np.int64(50), 1.0)
+        assert type(inputs.n) is int
+        assert inputs == canonical_exp_inputs(50, 1.0)

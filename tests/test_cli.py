@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from mlebounds.cli import main
+from mlebounds.cli import build_parser, main
 
 HP = 3.0 * math.sqrt(6.0) / 32.0
 
@@ -196,3 +196,21 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--formula", "bogus", "--n", "10"])
         assert exc.value.code == 2
+
+    def test_shared_parser_does_not_leak_between_calls(self, capsys, tmp_path):
+        # The parser is built once; flags given to one call must not be
+        # visible to the next, whatever its subcommand.
+        assert build_parser() is build_parser()
+        target = tmp_path / "gg.json"
+        code, out, _ = run_cli(capsys, "bound", "--formula", "gg", "--d", "2", "--p", "1.5",
+                               "--n", "100", "--format", "json", "--out", str(target))
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["formula"] == "gg"
+        code, out, err = run_cli(capsys, "bound", "--formula", "gg", "--n", "100")
+        assert code == 2 and "--d is required" in err
+        code, out, _ = run_cli(capsys, "simulate", "--model", "exp-noncanonical",
+                               "--theta0", "2", "--n", "10", "--trials", "1000",
+                               "--format", "csv")
+        assert code == 0 and out.startswith("n,empirical_distance")
+        code, out, _ = run_cli(capsys, "bound", "--formula", "exp-noncanonical", "--n", "10")
+        assert code == 0 and out.startswith("formula      exp-noncanonical")

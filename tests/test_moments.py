@@ -15,8 +15,10 @@ from mlebounds import (
     exp_canonical_model,
     exp_noncanonical_model,
     expected_h_of_z,
+    expfam_bound,
     fisher_info,
     generalized_gamma_model,
+    gg_bound,
     gg_mse_factor,
     laplace_scale_model,
     mse_closed_form,
@@ -46,6 +48,9 @@ def quad_third_moment(m, theta0):
         epsabs=1e-12,
     )
     return val
+
+
+H = reference_test_function()
 
 
 class TestThirdAbsMoment:
@@ -176,6 +181,35 @@ class TestMseGG:
         # The limit of n * M is 1/(d p); check approach.
         assert vals[-1] == pytest.approx(1.0 / 3.0, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "d,p", [(2.0, 1.5), (1.5, 1.5), (3.0, 2.0), (2.0, 0.5), (1.5, 1.0)]
+    )
+    def test_forty_digit_oracle(self, d, p):
+        # The factor is 1 - 2 t1 + t2 with t1, t2 exponentials of sums of
+        # size ln z, so double precision allows a few eps (1 + ln z).
+        mpmath = pytest.importorskip("mpmath")
+        for k in range(2, 10):
+            n = 10**k
+            with mpmath.workdps(40):
+                nd, pm = mpmath.mpf(n) * mpmath.mpf(d), mpmath.mpf(p)
+                z = nd / pm
+                log_r, log_g = mpmath.log(pm / nd), mpmath.loggamma(z)
+                t1 = mpmath.exp(log_r / pm + mpmath.loggamma(z + 1 / pm) - log_g)
+                t2 = mpmath.exp(2 * log_r / pm + mpmath.loggamma(z + 2 / pm) - log_g)
+                want = float(1 - 2 * t1 + t2)
+            tol = 64.0 * np.finfo(float).eps * (1.0 + math.log(n * d / p))
+            assert abs(gg_mse_factor(n, d, p) - want) <= tol, (n, d, p)
+
+    def test_bounds_stay_valid_at_n_1e9(self):
+        # A rounded z + 1/p once made the factor negative here.
+        n = 10**9
+        bd = gg_bound(n, GeneralizedGammaParams(1.5, 2.0, 1.5), H)
+        assert min(bd.stein_term, bd.tail_term, bd.taylor_term) >= 0.0
+        for m in (generalized_gamma_model(d=2.0, p=1.5), weibull_scale_model(alpha=1.5)):
+            mse = mse_closed_form(m, n, 1.5)
+            assert mse > 0.0
+            assert expfam_bound(m, 1.5, n, 0.75, H, mse).total > 0.0
+
     def test_matches_monte_carlo(self):
         m = generalized_gamma_model(d=2.0, p=2.0)
         est = mse_monte_carlo(m, 1.0, 20, trials=100_000, seed=23)
@@ -229,6 +263,23 @@ class TestMseMonteCarlo:
         with pytest.raises(DomainError):
             mse_monte_carlo(exp_noncanonical_model(), 2.0, 10, trials=10, seed=1)
 
+    def test_numpy_integer_arguments(self):
+        m = exp_canonical_model()
+        a = mse_monte_carlo(m, 2.0, 10, trials=5000, seed=9, chunk_size=1024)
+        b = mse_monte_carlo(
+            m, 2.0, np.int64(10), trials=np.int64(5000), seed=np.uint64(9),
+            chunk_size=np.int32(1024),
+        )
+        assert a == b
+        assert type(b.trials) is int and type(b.seed) is int
+
+    @pytest.mark.parametrize("field", ["n", "trials", "seed", "chunk_size"])
+    def test_bool_rejected(self, field):
+        kwargs = dict(n=10, trials=5000, seed=9, chunk_size=1024)
+        kwargs[field] = True
+        with pytest.raises(DomainError):
+            mse_monte_carlo(exp_noncanonical_model(), 2.0, **kwargs)
+
 
 class TestExpectedHOfZ:
     def test_reference_function(self):
@@ -251,3 +302,21 @@ class TestExpectedHOfZ:
 
     def test_odd_function(self):
         assert expected_h_of_z(lambda z: z / (z * z + 2.0)) == pytest.approx(0.0, abs=1e-10)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda n: mse_exp_canonical(n, 1.7),
+            lambda n: gg_mse_factor(n, 2.0, 1.5),
+            lambda n: mse_closed_form(exp_canonical_model(), n, 1.7),
+            lambda n: mse_closed_form(generalized_gamma_model(d=2.0, p=1.5), n, 1.7),
+            lambda n: mse_closed_form(normal_variance_model(), n, 1.7),
+        ],
+    )
+    def test_numpy_int_gives_the_int_result(self, fn):
+        for n in (100, 161_376_420):
+            assert fn(np.int64(n)) == fn(n)
+        with pytest.raises(DomainError):
+            fn(True)

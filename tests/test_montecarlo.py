@@ -1,11 +1,13 @@
 """Tests for sampling, the simulation harness, and its determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mlebounds import (
+    ConsistencyError,
     DomainError,
     SimulationConfig,
     SimulationResult,
@@ -16,6 +18,8 @@ from mlebounds import (
     laplace_scale_model,
     make_model,
     mle,
+    mse_closed_form,
+    mse_monte_carlo,
     reference_test_function,
     result_rows_to_csv,
     result_rows_to_json,
@@ -25,7 +29,7 @@ from mlebounds import (
     std_normal_cdf,
     table1,
 )
-from mlebounds.montecarlo import _chunk_rng
+from mlebounds.montecarlo import _chunk_rng, iter_mle_chunks
 
 H = reference_test_function()
 
@@ -99,7 +103,80 @@ class TestSampleModel:
             sample_model(exp_noncanonical_model(), -1.0, rng())
 
 
+class TestSufficientStatisticSampler:
+    # One (model id, params, theta0) per built-in family.
+    FAMILIES = [
+        ("exp-canonical", {}, 1.3),
+        ("exp-noncanonical", {}, 2.0),
+        ("laplace", {}, 0.8),
+        ("normal-mean", {"sigma": 1.5}, -0.4),
+        ("normal-variance", {"mu": 0.5}, 1.7),
+        ("weibull", {"alpha": 2.0}, 1.2),
+        ("gg", {"d": 2.0, "p": 1.5}, 0.9),
+    ]
+
+    @pytest.mark.parametrize("n", [5, 1000, 10**6])
+    def test_mse_matches_closed_form(self, n):
+        # The Monte Carlo MSE of the MLE against its exact value: a check of
+        # each family's sample_tbar law that any seed passes, since 4 SE
+        # leaves a one-in-16 000 chance per case.
+        for i, (model_id, params, theta0) in enumerate(self.FAMILIES):
+            m = make_model(model_id, **params)
+            est = mse_monte_carlo(m, theta0, n, trials=100_000, seed=4200 + i)
+            exact = mse_closed_form(m, n, theta0)
+            assert abs(est.value - exact) <= 4.0 * est.standard_error, (model_id, n)
+
+    def test_model_without_sampler_rejected(self):
+        m = dataclasses.replace(exp_noncanonical_model(), sample_tbar=None)
+        with pytest.raises(DomainError):
+            next(iter_mle_chunks(m, 2.0, 10, 100, 1))
+
+    def test_identity_check_reports_the_global_trial(self):
+        # A wrong closed-form inverse breaks D(theta_hat) = mean T.  Here it
+        # is wrong from the sixth trial of the second chunk on, which is
+        # global trial 64 + 5.
+        calls = []
+
+        def inverse(t):
+            calls.append(1)
+            wrong = (np.arange(np.size(t)) >= 5) & (len(calls) > 1)
+            return np.where(wrong, 2.0 * t, t)
+
+        m = dataclasses.replace(exp_noncanonical_model(), d_inverse=inverse)
+        chunks = iter_mle_chunks(m, 2.0, 10, 128, 1, chunk_size=64)
+        next(chunks)
+        with pytest.raises(ConsistencyError, match="at trial 69:"):
+            next(chunks)
+
+    def test_table_model_at_n_1e9(self):
+        # A trial costs the same at every n, so n = 1e9 is a plain run.
+        # The true distance there is about 2e-12, far below the Monte Carlo
+        # noise, so the check is that mean h agrees with E h(Z) within it.
+        config = SimulationConfig("exp-noncanonical", 2.0, 10**9, 10_000, 99991, H)
+        r = run_simulation(config)
+        assert abs(r.mean_h - r.expected_h) <= 5.0 * r.standard_error
+        assert abs(r.std_mean) <= 5.0 / math.sqrt(config.trials)
+        assert abs(r.std_second_moment - 1.0) <= 5.0 * math.sqrt(2.0 / config.trials)
+
+
 class TestSimulationConfig:
+    def test_numpy_integers_stored_as_int(self):
+        a = SimulationConfig("exp-noncanonical", 2.0, 100, 5000, 7, H)
+        b = SimulationConfig(
+            "exp-noncanonical", 2.0, np.int64(100), np.int64(5000), np.uint64(7), H,
+            chunk_size=np.int32(4096),
+        )
+        assert a == b
+        assert all(type(getattr(b, f)) is int for f in ("n", "trials", "seed", "chunk_size"))
+        assert result_rows_to_json([run_simulation(a)]) == result_rows_to_json([run_simulation(b)])
+
+    @pytest.mark.parametrize("field", ["n", "trials", "seed", "chunk_size"])
+    def test_bool_rejected(self, field):
+        kwargs = dict(n=10, trials=100, seed=1, chunk_size=64)
+        kwargs[field] = True
+        with pytest.raises(DomainError):
+            SimulationConfig("exp-noncanonical", 2.0, h=H, **kwargs)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SimulationConfig("exp-noncanonical", 2.0, 0, 100, 1, H)

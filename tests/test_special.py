@@ -18,9 +18,11 @@ from mlebounds import (
     integrate_interval,
     integrate_real_line,
     log_gamma,
+    log_gamma_diff,
     std_normal_cdf,
     std_normal_pdf,
 )
+from mlebounds.special import log_gamma_shift
 
 
 class TestLogGamma:
@@ -93,6 +95,40 @@ class TestGammaRatio:
             gamma_ratio(1.0, -2.0, 0.0)
         with pytest.raises(DomainError):
             gamma_ratio(1.0, 0.0, -1.5)
+
+
+class TestLogGammaShift:
+    @pytest.mark.parametrize("z", [0.7, 5.0, 29.5, 30.0, 1234.5, 1e6, 4e9 / 3.0, 1.5e12])
+    @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0, 4.0 / 3.0, 2.0, 3.0])
+    def test_forty_digit_oracle(self, z, a):
+        # The shift is the float a itself, so the oracle adds it exactly.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            zm, am = mpmath.mpf(z), mpmath.mpf(a)
+            want = float(mpmath.loggamma(zm + am) - mpmath.loggamma(zm))
+        assert log_gamma_shift(z, a) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    @given(st.floats(min_value=0.5, max_value=1e12))
+    def test_unit_shift_is_log(self, z):
+        # ln Gamma(z + 1) - ln Gamma(z) = ln z exactly.
+        assert log_gamma_shift(z, 1.0) == pytest.approx(math.log(z), rel=1e-13, abs=1e-14)
+
+    def test_exact_where_rounding_z_plus_a_is_not(self):
+        # At z = 4e9/3 the float z + 2/3 is off by about ulp(z), which moves
+        # log_gamma_diff by ulp(z) ln z; log_gamma_shift never forms z + a.
+        z, a = 4e9 / 3.0, 2.0 / 3.0
+        exact = a * math.log(z) + (a * (a - 1.0) / 2.0) / z
+        assert log_gamma_shift(z, a) == pytest.approx(exact, rel=1e-15)
+        assert abs(log_gamma_diff(z + a, z) - exact) > 1e-9
+
+    def test_matches_lgamma_below_the_switch(self):
+        for z in (0.5, 3.0, 29.9):
+            assert log_gamma_shift(z, 0.75) == math.lgamma(z + 0.75) - math.lgamma(z)
+
+    @pytest.mark.parametrize("z,a", [(0.0, 1.0), (-1.0, 3.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_domain_errors(self, z, a):
+        with pytest.raises(DomainError):
+            log_gamma_shift(z, a)
 
 
 def _cdf_series(x: float) -> float:
