@@ -13,6 +13,7 @@ from .errors import (
 from .special import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    exact_sum,
     gamma_ratio,
     gamma_ratio_expansion,
     integrate_interval,
@@ -76,6 +77,7 @@ from .bounds import (
     theorem_bound,
 )
 from .montecarlo import (
+    MAX_CHUNK_SIZE,
     SimulationConfig,
     SimulationResult,
     TABLE_SAMPLE_SIZES,

@@ -27,6 +27,7 @@ improve on, in the two cases where it has a usable closed form.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -44,6 +45,7 @@ from .models import (
 )
 from .moments import (
     EXP_THIRD_ABS_MOMENT,
+    expected_h_of_z,
     gg_mse_factor,
     third_abs_moment,
     third_abs_moment_holder_gg,
@@ -80,7 +82,8 @@ class TestFunction:
     whoever constructs the function; they are never inferred.  Construction
     checks them against h on a dense grid of [-50, 50]: |h| must not exceed
     norm_h, and no secant slope may exceed norm_h_prime (up to 1e-6
-    relative slack for roundoff).
+    relative slack for roundoff).  ``expected_h`` is E[h(Z)], computed on
+    first use and kept on the instance.
     """
 
     name: str
@@ -112,6 +115,11 @@ class TestFunction:
                 f"certified norm_h_prime={self.norm_h_prime} is violated by {self.name!r} "
                 f"(observed secant slope {np.max(slopes)})"
             )
+
+    @functools.cached_property
+    def expected_h(self) -> float:
+        """E[h(Z)] for Z standard normal, by :func:`expected_h_of_z`."""
+        return expected_h_of_z(self)
 
 
 def reference_test_function() -> TestFunction:

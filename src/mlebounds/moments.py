@@ -21,6 +21,7 @@ from .models import ExpFamilyModel, GeneralizedGammaParams, d_value, density
 from .special import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
+    exact_sum,
     integrate_interval,
     integrate_real_line,
     log_gamma_shift,
@@ -202,23 +203,25 @@ def mse_monte_carlo(
     seeded trials, with its standard error.
 
     Sampling uses the same deterministic chunk layout as the simulation
-    harness (independent per-chunk streams, compensated summation), so the
-    result is bit-reproducible for a fixed seed.
+    harness (independent per-chunk streams, at most ``MAX_CHUNK_SIZE``
+    trials each), and every sum is exactly rounded: per chunk by
+    :func:`~mlebounds.special.exact_sum`, across chunks by ``math.fsum``.
+    So the result is bit-reproducible for a fixed seed.
     """
     # Imported lazily: the sampling machinery lives above this module.
-    from .montecarlo import _SEED_MAX, iter_mle_chunks
+    from .montecarlo import _SEED_MAX, MAX_CHUNK_SIZE, iter_mle_chunks
 
     n = _require_int(n, "n")
     trials = _require_int(trials, "trials", 1000)
     seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
-    chunk_size = _require_int(chunk_size, "chunk_size")
+    chunk_size = _require_int(chunk_size, "chunk_size", maximum=MAX_CHUNK_SIZE)
 
     sq_sums: list[float] = []
     sq_sq_sums: list[float] = []
     for theta_hats in iter_mle_chunks(m, theta0, n, trials, seed, chunk_size):
         sq = (theta_hats - theta0) ** 2
-        sq_sums.append(math.fsum(sq))
-        sq_sq_sums.append(math.fsum(sq * sq))
+        sq_sums.append(exact_sum(sq))
+        sq_sq_sums.append(exact_sum(sq * sq))
     total = math.fsum(sq_sums)
     total_sq = math.fsum(sq_sq_sums)
     mean = total / trials

@@ -12,11 +12,13 @@ reference bound where one exists), so the estimated distance can be
 checked against its certificate.
 
 Reproducibility contract: trials are processed in fixed chunks (default
-4096), each chunk drawing from its own counter-based Philox stream derived
-by hashing (seed, chunk_index) through numpy's SeedSequence spawn keys.
-Per-chunk partial sums are combined with exact (fsum) summation in chunk
-order, so the result is bit-identical for a fixed config regardless of how
-chunks might be scheduled.
+4096, at most ``MAX_CHUNK_SIZE``), each chunk drawing from its own
+counter-based Philox stream derived by hashing (seed, chunk_index) through
+numpy's SeedSequence spawn keys.  Each per-chunk sum is exactly rounded by
+:func:`~mlebounds.special.exact_sum`, which equals ``math.fsum`` bit for
+bit, and the chunk sums are combined by ``math.fsum`` in chunk order, so
+the result is bit-identical for a fixed config regardless of how chunks
+might be scheduled.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ from .bounds import (
     _is_canonical,
 )
 from .models import ExpFamilyModel, fisher_info, make_model
-from .moments import expected_h_of_z, mse_closed_form
+from .moments import mse_closed_form
+from .special import exact_sum
 
 __all__ = [
+    "MAX_CHUNK_SIZE",
     "SimulationConfig",
     "SimulationResult",
     "TABLE_SAMPLE_SIZES",
@@ -64,6 +68,10 @@ TABLE_SEED = 99991
 
 # Seeds are unsigned 64-bit integers.
 _SEED_MAX = 2**64 - 1
+
+# Largest trials-per-chunk: a chunk holds a few float64 arrays of this
+# length at once, 8 MiB each.
+MAX_CHUNK_SIZE = 2**20
 
 
 def sample_gamma(shape: float, rate: float, rng: np.random.Generator, size=None):
@@ -107,7 +115,12 @@ def sample_model(m: ExpFamilyModel, theta0: float, rng: np.random.Generator, siz
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One simulation specification: model, truth, sizes, seed, test function."""
+    """One simulation specification: model, truth, sizes, seed, test function.
+
+    ``chunk_size`` is the number of trials per chunk, from 1 to
+    ``MAX_CHUNK_SIZE``; it fixes the random stream, so it is part of the
+    config.
+    """
 
     model_id: str
     theta0: float
@@ -120,8 +133,9 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         # Stored back as Python ints, so numpy integers behave like int.
-        for name in ("n", "trials", "chunk_size"):
-            object.__setattr__(self, name, _require_int(getattr(self, name), name))
+        for name, maximum in (("n", None), ("trials", None), ("chunk_size", MAX_CHUNK_SIZE)):
+            value = _require_int(getattr(self, name), name, maximum=maximum)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, maximum=_SEED_MAX))
 
 
@@ -235,7 +249,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     theta0 = float(config.theta0)
     n = config.n
     h_fn = config.h.h
-    expected = expected_h_of_z(config.h)
+    expected = config.h.expected_h
     scale = math.sqrt(n * fisher_info(m, theta0))
 
     sums_h: list[float] = []
@@ -247,10 +261,10 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     ):
         u = scale * (theta_hats - theta0)
         hv = np.asarray(h_fn(u), dtype=float)
-        sums_h.append(math.fsum(hv))
-        sums_h2.append(math.fsum(hv * hv))
-        sums_u.append(math.fsum(u))
-        sums_u2.append(math.fsum(u * u))
+        sums_h.append(exact_sum(hv))
+        sums_h2.append(exact_sum(hv * hv))
+        sums_u.append(exact_sum(u))
+        sums_u2.append(exact_sum(u * u))
 
     trials = config.trials
     sum_h = math.fsum(sums_h)

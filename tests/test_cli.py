@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from mlebounds import MAX_CHUNK_SIZE
 from mlebounds.cli import build_parser, main
 
 HP = 3.0 * math.sqrt(6.0) / 32.0
@@ -107,6 +108,12 @@ class TestSimulateCommand:
                                "--theta0", "2", "--n", "10", "--trials", "0")
         assert code == 2
         assert "trials" in err
+
+    def test_chunk_size_above_maximum_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--model", "exp-noncanonical", "--theta0", "2",
+                               "--n", "10", "--chunk-size", str(MAX_CHUNK_SIZE + 1))
+        assert code == 2
+        assert "chunk_size" in err
 
     def test_runtime_failure_exit_code(self, capsys, monkeypatch):
         import mlebounds.cli as cli_mod

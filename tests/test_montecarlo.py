@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlebounds import (
+    MAX_CHUNK_SIZE,
     ConsistencyError,
     DomainError,
     SimulationConfig,
@@ -29,6 +30,7 @@ from mlebounds import (
     std_normal_cdf,
     table1,
 )
+from mlebounds import bounds, moments, montecarlo
 from mlebounds.montecarlo import _chunk_rng, iter_mle_chunks
 
 H = reference_test_function()
@@ -126,6 +128,25 @@ class TestSufficientStatisticSampler:
             exact = mse_closed_form(m, n, theta0)
             assert abs(est.value - exact) <= 4.0 * est.standard_error, (model_id, n)
 
+    def test_reductions_equal_fsum(self, monkeypatch):
+        # exact_sum must equal math.fsum bit for bit, so every output of
+        # both harnesses equals the one reduced by math.fsum itself.  Three
+        # chunks per run, the last one partial.
+        def outputs():
+            rows, estimates = [], []
+            for i, (model_id, params, theta0) in enumerate(self.FAMILIES):
+                config = SimulationConfig(model_id, theta0, 7, 10_000, 31 + i, H, params)
+                r = run_simulation(config)
+                rows.append([repr(getattr(r, f.name)) for f in dataclasses.fields(r) if f.compare])
+                m = make_model(model_id, **params)
+                estimates.append(repr(mse_monte_carlo(m, theta0, 7, 10_000, 31 + i)))
+            return rows, estimates
+
+        got = outputs()
+        monkeypatch.setattr(montecarlo, "exact_sum", math.fsum)
+        monkeypatch.setattr(moments, "exact_sum", math.fsum)
+        assert outputs() == got
+
     def test_model_without_sampler_rejected(self):
         m = dataclasses.replace(exp_noncanonical_model(), sample_tbar=None)
         with pytest.raises(DomainError):
@@ -187,6 +208,15 @@ class TestSimulationConfig:
         with pytest.raises(DomainError):
             SimulationConfig("exp-noncanonical", 2.0, 10, 100, 2**64, H)
 
+    def test_chunk_size_maximum(self):
+        # Builds configs only: nothing is sampled at either size.
+        config = SimulationConfig("exp-noncanonical", 2.0, 10, 100, 1, H, chunk_size=MAX_CHUNK_SIZE)
+        assert config.chunk_size == MAX_CHUNK_SIZE == 2**20
+        with pytest.raises(DomainError, match="chunk_size"):
+            SimulationConfig("exp-noncanonical", 2.0, 10, 100, 1, H, chunk_size=MAX_CHUNK_SIZE + 1)
+        with pytest.raises(DomainError, match="chunk_size"):
+            mse_monte_carlo(exp_noncanonical_model(), 2.0, 10, 1000, 1, chunk_size=MAX_CHUNK_SIZE + 1)
+
 
 class TestRunSimulation:
     def test_table_row_n10(self):
@@ -227,6 +257,22 @@ class TestRunSimulation:
         assert r.empirical_distance == abs(r.sum_h / config.trials - r.expected_h)
         assert r.mean_h == r.sum_h / config.trials
         assert r.expected_h == pytest.approx(expected_h_of_z(H), abs=0)
+
+    def test_expected_h_computed_once_per_test_function(self, monkeypatch):
+        calls = []
+
+        def counted(h, *args):
+            calls.append(h)
+            return expected_h_of_z(h, *args)
+
+        monkeypatch.setattr(bounds, "expected_h_of_z", counted)
+        h = reference_test_function()
+        rows = [
+            run_simulation(SimulationConfig("exp-noncanonical", 2.0, n, 1000, 5, h))
+            for n in (10, 20)
+        ]
+        assert calls == [h]
+        assert rows[0].expected_h == rows[1].expected_h == expected_h_of_z(h)
 
     def test_standardization_sanity(self):
         # Mean and second moment of sqrt(n i(theta0)) (theta_hat - theta0)

@@ -1,10 +1,11 @@
 """Tests for the special functions and the adaptive quadrature."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
@@ -13,6 +14,7 @@ from mlebounds import (
     DomainError,
     QuadratureError,
     QuadratureSpec,
+    exact_sum,
     gamma_ratio,
     gamma_ratio_expansion,
     integrate_interval,
@@ -129,6 +131,90 @@ class TestLogGammaShift:
     def test_domain_errors(self, z, a):
         with pytest.raises(DomainError):
             log_gamma_shift(z, a)
+
+
+def _fsum_outcome(fn, values):
+    """The bits of fn(values), or the type of the exception it raises."""
+    try:
+        return struct.pack("<d", fn(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_same_as_fsum(values):
+    values = np.asarray(values, dtype=float)
+    want = _fsum_outcome(lambda v: math.fsum(v.tolist()), values)
+    assert _fsum_outcome(exact_sum, values) == want
+
+
+@st.composite
+def summands(draw):
+    """Finite float64 arrays of 0 to 5000 elements whose exponents span a
+    drawn part of the whole range, subnormals included, with optional
+    repeated terms, cancelling copies, half-ulp ties and hand-picked
+    hypothesis floats."""
+    size = draw(st.integers(0, 5000))
+    low = draw(st.integers(-1075, 1023))
+    high = draw(st.integers(low, 1023))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.ldexp(gen.uniform(0.5, 1.0, size), gen.integers(low, high + 1, size))
+    values *= gen.choice([-1.0, 1.0], size)
+    mode = draw(st.sampled_from(["plain", "cancel", "ties", "repeat"]))
+    if mode == "repeat":
+        # Equal terms round alike, so their remainders add up coherently.
+        values = np.resize(values[:3], size)
+    elif mode == "cancel":
+        # Most of the array cancels exactly, leaving a sum far below its terms.
+        values = np.concatenate([values, -values[: size - size // 50]])
+    elif mode == "ties":
+        # x and half an ulp of x: the exact sum sits midway between floats.
+        base = values[: size // 2]
+        values = np.concatenate([base, np.spacing(np.abs(base)) / 2.0])
+    picked = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    values = np.concatenate([values, picked])
+    gen.shuffle(values)
+    return values
+
+
+class TestExactSum:
+    @given(summands())
+    @example(np.array([1e16, 1.0, -1e16]))
+    @example(np.array([2.0**53, 1.0, 2.0**-60]))
+    @example(np.array([1.0, 2.0**-53]))
+    @example(np.array([1.0 + 2.0**-52, 2.0**-53]))
+    @example(np.array([1.0, 2.0**-53, 2.0**-1074]))
+    @example(np.array([0.0, -0.0, 5e-324, -5e-324]))
+    @example(np.array([-0.0, -0.0]))
+    @example(np.array([]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_fsum(self, values):
+        assert_same_as_fsum(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [math.nan],
+            [1.0, math.nan, 2.0],
+            [math.inf, 1.0],
+            [-math.inf, -1.0],
+            [math.inf, math.nan],
+            [math.inf, -math.inf],
+            [1e308, 1e308, -1e308],
+            [2.0**900, 1.0, -(2.0**900)],
+            [1.7e308, 5e-324],
+        ],
+    )
+    def test_non_finite_and_huge_like_fsum(self, values):
+        assert_same_as_fsum(values)
+
+    def test_non_contiguous_views(self):
+        block = np.random.default_rng(3).normal(size=(97, 64)) * 1e6
+        block[::2] *= 1e-12
+        original = block.copy()
+        for view in (block[:, 5], block[::-1, 3], block.T[7], block[::3, ::2].ravel()[::5]):
+            assert not view.flags.c_contiguous
+            assert exact_sum(view) == math.fsum(view.tolist())
+        assert np.array_equal(block, original)
 
 
 def _cdf_series(x: float) -> float:
