@@ -14,21 +14,17 @@ from .special import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     exact_sum,
-    gamma_ratio,
-    gamma_ratio_expansion,
     integrate_interval,
     integrate_real_line,
-    log_gamma,
-    log_gamma_diff,
     std_normal_cdf,
     std_normal_pdf,
 )
 from .models import (
+    EXP_THIRD_ABS_MOMENT,
+    NORMAL_THIRD_ABS_MOMENT,
     ExpFamilyModel,
-    FunctionalModel,
     GeneralizedGammaParams,
     MODEL_FAMILIES,
-    as_functional,
     d_is_identity,
     d_prime,
     d_value,
@@ -37,28 +33,25 @@ from .models import (
     exp_noncanonical_model,
     fisher_info,
     generalized_gamma_model,
+    gg_mse_factor,
     invert_d,
     laplace_scale_model,
     make_model,
     mle,
+    mse_exp_canonical,
+    mse_gg,
     normal_mean_model,
     normal_variance_model,
-    stein_ratio,
     sup_abs_d_second,
+    third_abs_moment_holder_gg,
     weibull_scale_model,
 )
 from .moments import (
-    EXP_THIRD_ABS_MOMENT,
-    NORMAL_THIRD_ABS_MOMENT,
     MonteCarloEstimate,
     expected_h_of_z,
-    gg_mse_factor,
     mse_closed_form,
-    mse_exp_canonical,
-    mse_gg,
     mse_monte_carlo,
     third_abs_moment,
-    third_abs_moment_holder_gg,
 )
 from .bounds import (
     BoundBreakdown,
@@ -85,7 +78,6 @@ from .montecarlo import (
     result_rows_to_csv,
     result_rows_to_json,
     run_simulation,
-    sample_gamma,
     sample_model,
     table1,
 )

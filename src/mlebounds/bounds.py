@@ -36,20 +36,16 @@ import numpy as np
 
 from .errors import DomainError, _require_int
 from .models import (
+    EXP_THIRD_ABS_MOMENT,
     ExpFamilyModel,
     GeneralizedGammaParams,
     d_is_identity,
     d_prime,
     fisher_info,
+    gg_mse_factor,
     sup_abs_d_second,
 )
-from .moments import (
-    EXP_THIRD_ABS_MOMENT,
-    expected_h_of_z,
-    gg_mse_factor,
-    third_abs_moment,
-    third_abs_moment_holder_gg,
-)
+from .moments import expected_h_of_z, third_abs_moment
 
 __all__ = [
     "BoundBreakdown",
@@ -258,21 +254,6 @@ def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
     return BoundBreakdown.from_terms(stein, tail, taylor, "theorem")
 
 
-def _default_bound_moment(m: ExpFamilyModel, theta0: float) -> float:
-    """Third-moment input used by expfam_bound when none is supplied.
-
-    For the generalized gamma and Weibull families the exact moment is
-    intractable, so the closed-form fourth-moment bound stands in (keeping
-    the whole result a certified upper bound).  Every other family uses the
-    exact moment from :func:`mlebounds.moments.third_abs_moment`.
-    """
-    if m.family in ("gg", "weibull"):
-        d = m.shape.get("d", m.shape.get("alpha"))
-        p = m.shape.get("p", m.shape.get("alpha"))
-        return third_abs_moment_holder_gg(GeneralizedGammaParams(theta=theta0, d=d, p=p))
-    return third_abs_moment(m, theta0)
-
-
 def expfam_bound(
     m: ExpFamilyModel,
     theta0: float,
@@ -288,6 +269,11 @@ def expfam_bound(
     sup|D''| over the epsilon-ball from the model, then delegates to
     :func:`theorem_bound`.  The caller supplies the MSE (closed forms for
     all built-ins live in :func:`mlebounds.moments.mse_closed_form`).
+    Unless ``third_moment`` is given, the model's certified
+    ``bound_moment`` stands in for the third moment where the exact one is
+    intractable (the generalized gamma and Weibull families, keeping the
+    whole result a certified upper bound); every other model uses
+    :func:`mlebounds.moments.third_abs_moment`.
 
     The equivalent family-native form of the Stein factor,
     |k'|^3 E|T - D|^3 / |A'' - k'' D|^{3/2}, is exactly i^{3/2}/|D'|^3
@@ -303,14 +289,18 @@ def expfam_bound(
         # the ball-inside-the-space constraint is enforced exactly when
         # those terms exist.
         sup_q2 = sup_abs_d_second(m, theta0, epsilon)
-    third = _default_bound_moment(m, theta0) if third_moment is None else third_moment
+    if third_moment is None:
+        if m.bound_moment is not None:
+            third_moment = m.bound_moment(theta0)
+        else:
+            third_moment = third_abs_moment(m, theta0)
     inputs = BoundInputs(
         n=n,
         theta0=theta0,
         epsilon=epsilon,
         fisher=fisher_info(m, theta0),
         q_prime_abs=abs(d_prime(m, theta0)),
-        third_moment=third,
+        third_moment=third_moment,
         mse=mse,
         sup_q_second=sup_q2,
         q_is_identity=identity,
@@ -394,21 +384,6 @@ def ar_bound_exp_noncanonical(n: int, h: TestFunction) -> float:
     )
 
 
-def _is_canonical(m: ExpFamilyModel) -> bool:
-    """True iff k(theta) = theta on a dense parameter grid."""
-    lo, hi = m.param_space
-    glo = lo if math.isfinite(lo) else -20.0
-    ghi = hi if math.isfinite(hi) else 20.0
-    width = ghi - glo
-    if math.isfinite(lo):
-        glo += 0.005 * width
-    if math.isfinite(hi):
-        ghi -= 0.005 * width
-    grid = np.linspace(glo, ghi, 401)
-    kvals = np.asarray(m.k(grid), dtype=float)
-    return bool(np.all(np.abs(kvals - grid) <= 1e-12 * np.maximum(1.0, np.abs(grid))))
-
-
 def ar_bound_canonical_expfam(
     m: ExpFamilyModel,
     theta0: float,
@@ -423,7 +398,7 @@ def ar_bound_canonical_expfam(
     term with :func:`expfam_bound`, so this is implemented as a delegation
     guarded by a canonicality check on k.
     """
-    if not _is_canonical(m):
+    if not m.is_canonical:
         raise DomainError(
             f"model {m.name!r} is not canonical (k(theta) != theta); "
             "the AR bound has no closed form here"

@@ -9,14 +9,13 @@ round-trip form.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
 from .bounds import (
     BoundBreakdown,
-    BoundInputs,
-    _default_bound_moment,
     ar_bound_canonical_expfam,
     ar_bound_exp_noncanonical,
     exp_canonical_bound,
@@ -24,17 +23,9 @@ from .bounds import (
     expfam_bound,
     get_test_function,
     gg_bound,
-    theorem_bound,
 )
 from .errors import DomainError, MLEBoundsError
-from .models import (
-    GeneralizedGammaParams,
-    d_is_identity,
-    d_prime,
-    fisher_info,
-    make_model,
-    sup_abs_d_second,
-)
+from .models import GeneralizedGammaParams, make_model
 from .moments import mse_closed_form
 from .montecarlo import (
     SimulationConfig,
@@ -189,25 +180,13 @@ def cmd_bound(args) -> int:
         m = make_model(model_id, **_model_params(args))
         epsilon = args.epsilon_frac * abs(theta0)
         mse = mse_closed_form(m, n, theta0)
-        if formula == "expfam":
-            bd = expfam_bound(m, theta0, n, epsilon, h, mse)
-        elif formula == "ar-canonical":
+        if formula == "ar-canonical":
             bd = ar_bound_canonical_expfam(m, theta0, n, epsilon, h, mse)
-        else:  # theorem: assemble the raw inputs explicitly
-            identity = d_is_identity(m)
-            inputs = BoundInputs(
-                n=n,
-                theta0=theta0,
-                epsilon=epsilon,
-                fisher=fisher_info(m, theta0),
-                q_prime_abs=abs(d_prime(m, theta0)),
-                third_moment=_default_bound_moment(m, theta0),
-                mse=mse,
-                sup_q_second=0.0 if identity else sup_abs_d_second(m, theta0, epsilon),
-                q_is_identity=identity,
-                h=h,
-            )
-            bd = theorem_bound(inputs)
+        else:
+            # expfam_bound is the general theorem with the model's inputs.
+            bd = expfam_bound(m, theta0, n, epsilon, h, mse)
+            if formula == "theorem":
+                bd = dataclasses.replace(bd, formula_id="theorem")
         return_text = _breakdown_report(bd, n, args.format)
 
     _emit(return_text, args.out)

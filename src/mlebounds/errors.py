@@ -2,10 +2,11 @@
 
 Public functions never raise bare ValueError/RuntimeError; they raise one of
 the classes below so callers (and the CLI exit-code mapping) can tell a bad
-argument from a numerical failure.  The integer argument check that every
-module shares lives here too, beside the error it raises.
+argument from a numerical failure.  The integer and real argument checks
+that every module shares live here too, beside the error they raise.
 """
 
+import math
 import numbers
 import operator
 
@@ -48,3 +49,21 @@ def _require_int(
             return v
     allowed = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
     raise DomainError(f"{name} must be an integer {allowed}{context}, got {value!r}")
+
+
+def _require_real(value, name: str, positive: bool = True) -> float:
+    """``value`` as a finite Python float, positive unless ``positive`` is
+    false, or DomainError.
+
+    Accepts any ``numbers.Real``, numpy floats included, and rejects
+    ``bool`` and integers too large for a float.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if math.isfinite(v) and (v > 0.0 or not positive):
+            return v
+    kind = "positive" if positive else "finite"
+    raise DomainError(f"{name} must be a {kind} real number, got {value!r}")

@@ -8,8 +8,11 @@ exponential family written as
 For such a family the likelihood equation collapses to D(theta) = mean T(x_i)
 with D = A'/k', so the MLE is D^{-1} applied to a sample average.  Everything
 the error bounds need lives here: D, the Fisher information, the ratio
-sqrt(i)/|D'|, the supremum of |D''| over a parameter ball, the MLE itself,
-and the generic functional view (q, g) of the same structure.
+sqrt(i)/|D'|, the supremum of |D''| over a parameter ball, and the MLE
+itself.  Each built-in constructor also sets its family's closed forms on
+the model (third moment, MSE of the MLE, samplers), so the generic code in
+:mod:`.moments`, :mod:`.bounds` and :mod:`.montecarlo` never asks which
+family it holds.
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -18,20 +21,22 @@ instances can be shared freely across threads or processes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, RootFindError
+from .errors import ConsistencyError, DomainError, RootFindError, _require_int, _require_real
+from .special import log_gamma_shift
 
 __all__ = [
+    "EXP_THIRD_ABS_MOMENT",
     "ExpFamilyModel",
-    "FunctionalModel",
     "GeneralizedGammaParams",
     "MODEL_FAMILIES",
-    "as_functional",
+    "NORMAL_THIRD_ABS_MOMENT",
     "d_is_identity",
     "d_prime",
     "d_value",
@@ -40,14 +45,17 @@ __all__ = [
     "exp_noncanonical_model",
     "fisher_info",
     "generalized_gamma_model",
+    "gg_mse_factor",
     "invert_d",
     "laplace_scale_model",
     "make_model",
     "mle",
+    "mse_exp_canonical",
+    "mse_gg",
     "normal_mean_model",
     "normal_variance_model",
-    "stein_ratio",
     "sup_abs_d_second",
+    "third_abs_moment_holder_gg",
     "weibull_scale_model",
 ]
 
@@ -61,6 +69,13 @@ _SUP_GRID_POINTS = 10_001
 # Relative disagreement between the two algebraic forms of the Fisher
 # information that is treated as a model bug.
 _FISHER_CONSISTENCY_RTOL = 1e-9
+
+# E|X - mu|^3 for an exponential variable with mean mu equals (12/e - 2) mu^3.
+# Stored as the exact expression; the usual 5-decimal rendering is 2.41456.
+EXP_THIRD_ABS_MOMENT = 12.0 / math.e - 2.0
+
+# E|Z|^3 for Z standard normal: 2 sqrt(2/pi).
+NORMAL_THIRD_ABS_MOMENT = 2.0 * math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -77,9 +92,8 @@ class GeneralizedGammaParams:
 
     def __post_init__(self) -> None:
         for name in ("theta", "d", "p"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"GeneralizedGammaParams.{name} must be positive, got {v!r}")
+            v = _require_real(getattr(self, name), f"GeneralizedGammaParams.{name}")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +106,32 @@ class ExpFamilyModel:
     of D = A'/k' (it involves third derivatives of k and A, so each model
     supplies it directly rather than having it reconstructed numerically).
 
-    Optional closed forms (``d_inverse``, ``sup_d_second``) are used when
-    present; generic fallbacks cover the rest.  ``sample_tbar(theta0, n,
-    rng, size)`` draws ``size`` values of mean T over n observations
-    directly from the closed-form law of the sum of T; the simulation
-    harness samples through it, so models without it cannot be simulated.
+    The optional fields hold the family's closed forms; each built-in sets
+    those its family has:
+
+    * ``d_inverse(t)`` solves D(theta) = t, and ``sup_d_second(theta0,
+      eps)`` is the supremum of |D''| over the eps-ball;
+    * ``third_moment(theta0)`` is E|T - D(theta0)|^3 exactly, and
+      ``bound_moment(theta0)`` a certified upper bound on it that the
+      bounds use instead, for families whose exact moment is intractable
+      in general (the generalized gamma, and so Weibull);
+    * ``mse(n, theta0)`` is the mean squared error of the MLE;
+    * ``sample(theta0, rng, size)`` draws observations, and
+      ``sample_tbar(theta0, n, rng, size)`` draws ``size`` values of mean T
+      over n observations directly from the closed-form law of the sum of
+      T, which the simulation harness samples through.
+
+    A model without them takes the generic paths: root finding for the
+    MLE, a grid for sup|D''|, quadrature for the third moment (which the
+    bounds then use).  It has no closed-form MSE, no sampler and no
+    simulation; asking for one raises DomainError.
     ``integration_window`` maps theta0 to an interval of the data axis that
     carries essentially all of the mass of moment integrands, for the
     quadrature oracles.
+
+    ``is_identity`` (D(theta) = theta) and ``is_canonical`` (k(theta) =
+    theta) are checked on a 401-point parameter grid on first use and kept
+    on the instance.
     """
 
     name: str
@@ -118,6 +150,10 @@ class ExpFamilyModel:
     d_increasing: bool
     d_inverse: Callable | None = None
     sup_d_second: Callable | None = None
+    third_moment: Callable | None = None
+    bound_moment: Callable | None = None
+    mse: Callable | None = None
+    sample: Callable | None = None
     sample_tbar: Callable | None = None
     integration_window: Callable | None = None
     shape: Mapping[str, float] = field(default_factory=dict)
@@ -125,6 +161,34 @@ class ExpFamilyModel:
     def contains_theta(self, theta: float) -> bool:
         lo, hi = self.param_space
         return lo < theta < hi
+
+    @functools.cached_property
+    def is_identity(self) -> bool:
+        """True iff D(theta) = theta (to 1e-12) on the parameter grid."""
+        grid = _param_grid(self.param_space)
+        dvals = np.asarray(self.A1(grid)) / np.asarray(self.k1(grid))
+        return bool(np.all(np.abs(dvals - grid) <= 1e-12))
+
+    @functools.cached_property
+    def is_canonical(self) -> bool:
+        """True iff k(theta) = theta (to 1e-12 relative) on the parameter grid."""
+        grid = _param_grid(self.param_space)
+        kvals = np.asarray(self.k(grid), dtype=float)
+        return bool(np.all(np.abs(kvals - grid) <= 1e-12 * np.maximum(1.0, np.abs(grid))))
+
+
+def _param_grid(space: Interval) -> np.ndarray:
+    """401 points across the parameter space, 0.5 % of the width in from
+    each finite end; an infinite end is cut at -20 or 20."""
+    lo, hi = space
+    glo = lo if math.isfinite(lo) else -20.0
+    ghi = hi if math.isfinite(hi) else 20.0
+    width = ghi - glo
+    if math.isfinite(lo):
+        glo += 0.005 * width
+    if math.isfinite(hi):
+        ghi -= 0.005 * width
+    return np.linspace(glo, ghi, 401)
 
 
 def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> float:
@@ -179,17 +243,6 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
             f"{m.name!r} at theta={t}"
         )
     return form_ratio
-
-
-def stein_ratio(m: ExpFamilyModel, theta0: float) -> float:
-    """sqrt(i(theta0)) / |D'(theta0)| = |k'(theta0)| / sqrt(|A'' - k'' D|).
-
-    This is the scaling constant that standardizes the summands T(X_i) in
-    the first (CLT) term of the bounds.
-    """
-    t = _require_theta(m, theta0)
-    info = fisher_info(m, t)
-    return abs(float(m.k1(t))) / math.sqrt(info)
 
 
 def invert_d(m: ExpFamilyModel, target: float) -> float:
@@ -331,64 +384,10 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
     return float(np.max(np.abs(m.d_second(grid))))
 
 
-def _identity_grid(space: Interval) -> np.ndarray:
-    lo, hi = space
-    glo = lo if math.isfinite(lo) else -20.0
-    ghi = hi if math.isfinite(hi) else 20.0
-    width = ghi - glo
-    if math.isfinite(lo):
-        glo += 0.005 * width
-    if math.isfinite(hi):
-        ghi -= 0.005 * width
-    return np.linspace(glo, ghi, 401)
-
-
 def d_is_identity(m: ExpFamilyModel) -> bool:
-    """True iff D(theta) = theta (to 1e-12) on a dense parameter grid."""
-    grid = _identity_grid(m.param_space)
-    dvals = np.asarray(m.A1(grid)) / np.asarray(m.k1(grid))
-    return bool(np.all(np.abs(dvals - grid) <= 1e-12))
-
-
-@dataclass(frozen=True, eq=False)
-class FunctionalModel:
-    """The (q, g) view of a model: q(MLE) = mean g(X_i).
-
-    ``sup_abs_q_second`` maps (theta0, epsilon) to the supremum of |q''|
-    over the ball, matching what the Taylor term of the bounds consumes.
-    """
-
-    name: str
-    q: Callable
-    q_prime: Callable
-    q_second: Callable
-    g: Callable
-    q_is_identity: bool
-    sup_abs_q_second: Callable
-
-
-def as_functional(m: ExpFamilyModel) -> FunctionalModel:
-    """View an exponential family through its (q, g) pair: q = D, g = T."""
-
-    def q(th):
-        return m.A1(th) / m.k1(th)
-
-    def q_prime(th):
-        k1 = m.k1(th)
-        return (m.A2(th) * k1 - m.k2(th) * m.A1(th)) / (k1 * k1)
-
-    def sup_q2(theta0: float, epsilon: float) -> float:
-        return sup_abs_d_second(m, theta0, epsilon)
-
-    return FunctionalModel(
-        name=m.name,
-        q=q,
-        q_prime=q_prime,
-        q_second=m.d_second,
-        g=m.T,
-        q_is_identity=d_is_identity(m),
-        sup_abs_q_second=sup_q2,
-    )
+    """True iff D(theta) = theta (to 1e-12) on a dense parameter grid;
+    computed once per model (:attr:`ExpFamilyModel.is_identity`)."""
+    return m.is_identity
 
 
 def density(m: ExpFamilyModel, x, theta: float):
@@ -404,6 +403,64 @@ def density(m: ExpFamilyModel, x, theta: float):
     if np.ndim(x) == 0:
         return float(out[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the built-in families
+# ---------------------------------------------------------------------------
+
+
+def third_abs_moment_holder_gg(params: GeneralizedGammaParams) -> float:
+    """Upper bound on E|X^p - (d/p) theta^p|^3 for the generalized gamma.
+
+    The exact moment is intractable, so it is bounded through the fourth
+    central moment of the Gamma(d/p) law of X^p:
+
+        E|T - D|^3  <=  (E[(T - D)^4])^(3/4)  =  theta^{3p} (d/p)^{3/4} (6 + 3 d/p)^{3/4}.
+
+    This is an upper bound, not the moment itself.
+    """
+    a = params.d / params.p
+    return params.theta ** (3.0 * params.p) * a**0.75 * (6.0 + 3.0 * a) ** 0.75
+
+
+def mse_exp_canonical(n: int, theta0: float) -> float:
+    """E[(theta_hat - theta0)^2] for the canonical exponential model.
+
+    The MLE 1/mean(X) has closed-form mean squared error
+    (n+2) theta0^2 / ((n-1)(n-2)); the second moment only exists for n >= 3.
+    """
+    n = _require_int(n, "n", 3, " for the canonical exponential MSE")
+    if not (math.isfinite(theta0) and theta0 > 0.0):
+        raise DomainError(f"theta0 must be positive, got {theta0!r}")
+    return (n + 2) * theta0**2 / ((n - 1) * (n - 2))
+
+
+def gg_mse_factor(n: int, d: float, p: float) -> float:
+    """The theta-free factor of the generalized-gamma MSE.
+
+    Returns 1 - 2 (p/(nd))^{1/p} G((nd+1)/p)/G(nd/p)
+              + (p/(nd))^{2/p} G((nd+2)/p)/G(nd/p),
+
+    evaluated entirely in log space so that nd/p up to 1e9 and beyond stays
+    exact to roundoff: the gamma ratios go through
+    :func:`~mlebounds.special.log_gamma_shift`, which takes the shifts 1/p
+    and 2/p as given instead of rounding z + 1/p to a float first.
+    Multiplied by theta^2 this is the MSE of the GG scale MLE; it is O(1/n).
+    """
+    n = _require_int(n, "n")
+    if not (d > 0.0 and p > 0.0):
+        raise DomainError(f"shapes must be positive, got d={d!r}, p={p!r}")
+    z = n * d / p
+    log_scale = math.log(p) - math.log(n * d)
+    t1 = math.exp(log_scale / p + log_gamma_shift(z, 1.0 / p))
+    t2 = math.exp(2.0 * log_scale / p + log_gamma_shift(z, 2.0 / p))
+    return 1.0 - 2.0 * t1 + t2
+
+
+def mse_gg(n: int, params: GeneralizedGammaParams) -> float:
+    """E[(theta_hat - theta0)^2] for the generalized gamma scale MLE."""
+    return params.theta**2 * gg_mse_factor(n, params.d, params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +504,9 @@ def exp_canonical_model() -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: -1.0 / t,
         sup_d_second=lambda t0, eps: 2.0 / (t0 - eps) ** 3,
+        third_moment=lambda t0: EXP_THIRD_ABS_MOMENT / t0**3,
+        mse=mse_exp_canonical,
+        sample=lambda t0, rng, size: rng.exponential(1.0 / t0, size),
         # The sum of n exponential draws with rate theta is Gamma(n, scale 1/theta).
         sample_tbar=lambda t0, n, rng, size: -rng.gamma(n, 1.0 / t0, size) / n,
         # The window starts just inside the open support: the density has a
@@ -479,6 +539,9 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
+        mse=lambda n, t0: t0**2 / n,
+        sample=lambda t0, rng, size: rng.exponential(t0, size),
         # The sum of n exponential draws with mean theta is Gamma(n, scale theta).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
         integration_window=lambda t0: (6e-12 * t0, 60.0 * t0),
@@ -507,6 +570,10 @@ def laplace_scale_model() -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        # |X| is exponential with mean theta.
+        third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
+        mse=lambda n, t0: t0**2 / n,
+        sample=lambda t0, rng, size: rng.laplace(0.0, t0, size),
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
         integration_window=lambda t0: (-60.0 * t0, 60.0 * t0),
     )
@@ -517,10 +584,10 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
 
     D is the identity and the MLE is the sample mean.
     """
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    s2 = float(sigma) ** 2
-    log_norm = math.log(float(sigma) * math.sqrt(2.0 * math.pi))
+    sigma = _require_real(sigma, "sigma")
+    s2 = sigma**2
+    log_norm = math.log(sigma * math.sqrt(2.0 * math.pi))
+    third = NORMAL_THIRD_ABS_MOMENT * sigma**3
     return ExpFamilyModel(
         name=f"normal-mean(sigma={sigma})",
         family="normal-mean",
@@ -538,9 +605,12 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        third_moment=lambda t0: third,
+        mse=lambda n, t0: s2 / n,
+        sample=lambda t0, rng, size: rng.normal(t0, sigma, size),
         sample_tbar=lambda t0, n, rng, size: rng.normal(t0, sigma / math.sqrt(n), size),
         integration_window=lambda t0: (t0 - 14.0 * sigma, t0 + 14.0 * sigma),
-        shape={"sigma": float(sigma)},
+        shape={"sigma": sigma},
     )
 
 
@@ -549,9 +619,7 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
 
     T(x) = (x - mu)^2, D is the identity, and the MLE is mean (x_i - mu)^2.
     """
-    if not (isinstance(mu, (int, float)) and math.isfinite(mu)):
-        raise DomainError(f"mu must be finite, got {mu!r}")
-    muf = float(mu)
+    mu = _require_real(mu, "mu", positive=False)
     log_norm = 0.5 * math.log(2.0 * math.pi)
     return ExpFamilyModel(
         name=f"normal-variance(mu={mu})",
@@ -562,7 +630,7 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         A=lambda th: 0.5 * np.log(th),
         A1=lambda th: 1.0 / (2.0 * th),
         A2=lambda th: -1.0 / (2.0 * th**2),
-        T=lambda x: (np.asarray(x, dtype=float) - muf) ** 2,
+        T=lambda x: (np.asarray(x, dtype=float) - mu) ** 2,
         S=_const(-log_norm),
         support=_REAL,
         param_space=_POS,
@@ -570,11 +638,13 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
+        mse=lambda n, t0: 2.0 * t0**2 / n,
+        sample=lambda t0, rng, size: rng.normal(mu, math.sqrt(t0), size),
         # The sum of n draws of (x - mu)^2 is theta times a chi-square with
         # n degrees of freedom: Gamma(n/2, scale 2 theta).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(0.5 * n, 2.0 * t0, size) / n,
-        integration_window=lambda t0: (muf - 14.0 * math.sqrt(t0), muf + 14.0 * math.sqrt(t0)),
-        shape={"mu": muf},
+        integration_window=lambda t0: (mu - 14.0 * math.sqrt(t0), mu + 14.0 * math.sqrt(t0)),
+        shape={"mu": mu},
     )
 
 
@@ -588,10 +658,8 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     blows up at the origin and the adaptive integrator cannot resolve it
     (the closed-form fourth-moment route stays available there).
     """
-    for name, v in (("d", d), ("p", p)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise DomainError(f"generalized gamma shape {name} must be positive, got {v!r}")
-    dv, pv = float(d), float(p)
+    dv = _require_real(d, "generalized gamma shape d")
+    pv = _require_real(p, "generalized gamma shape p")
     a = dv / pv
     log_gamma_a = math.lgamma(a)
 
@@ -604,7 +672,7 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         return (1e-13 * hi, hi)
 
     return ExpFamilyModel(
-        name=f"gg(d={d}, p={p})",
+        name=f"gg(d={dv}, p={pv})",
         family="gg",
         k=lambda th: -th ** (-pv),
         k1=lambda th: pv * th ** (-pv - 1.0),
@@ -620,7 +688,15 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         d_increasing=True,
         d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
         sup_d_second=sup_d2,
-        # T = X^p is Gamma(d/p, scale theta^p), so the sum is Gamma(n d/p, scale theta^p).
+        # With d = p, T = X^p is exponential with mean theta^p.
+        third_moment=(lambda t0: EXP_THIRD_ABS_MOMENT * t0 ** (3.0 * pv)) if dv == pv else None,
+        bound_moment=lambda t0: third_abs_moment_holder_gg(GeneralizedGammaParams(t0, dv, pv)),
+        mse=lambda n, t0: mse_gg(n, GeneralizedGammaParams(t0, dv, pv)),
+        # T = X^p is Gamma(d/p, scale theta^p), so X = T^(1/p) and the sum
+        # of T is Gamma(n d/p, scale theta^p).  The per-observation scale is
+        # the reciprocal of the rate theta^-p, which can differ from theta^p
+        # in the last bit; seeded draws are pinned to it.
+        sample=lambda t0, rng, size: rng.gamma(a, 1.0 / t0 ** (-pv), size) ** (1.0 / pv),
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n * dv / pv, t0**pv, size) / n,
         integration_window=window,
         shape={"d": dv, "p": pv},
@@ -629,12 +705,13 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
 
 def weibull_scale_model(alpha: float) -> ExpFamilyModel:
     """Weibull scale family with known shape alpha: the GG(d=p=alpha) case."""
+    alpha = _require_real(alpha, "weibull shape alpha")
     base = generalized_gamma_model(alpha, alpha)
     return dataclasses.replace(
         base,
         name=f"weibull(alpha={alpha})",
         family="weibull",
-        shape={"alpha": float(alpha)},
+        shape={"alpha": alpha},
     )
 
 

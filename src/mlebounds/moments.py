@@ -5,9 +5,11 @@ moment E|T(X) - D(theta0)|^3 of the natural statistic, the mean squared
 error E[(theta_hat - theta0)^2] of the MLE, and the reference expectation
 E[h(Z)] against the standard normal law.
 
-Closed forms are registered per model family and take precedence; the
+Closed forms live on the model itself (:class:`~mlebounds.models.ExpFamilyModel`
+fields set by each built-in constructor, with the generalized-gamma and
+exponential formulas defined in :mod:`.models`) and take precedence; the
 adaptive quadrature of :mod:`.special` provides the independent oracle that
-every closed form is shadow-tested against, plus the fallback for families
+every closed form is shadow-tested against, plus the fallback for models
 without one.
 """
 
@@ -17,14 +19,28 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, _require_int
-from .models import ExpFamilyModel, GeneralizedGammaParams, d_value, density
+
+# The exponential, normal and generalized-gamma closed forms live in
+# .models beside the constructors that set them on each model; they are
+# re-exported here because callers import them as moment formulas.
+from .models import (
+    EXP_THIRD_ABS_MOMENT,
+    NORMAL_THIRD_ABS_MOMENT,
+    ExpFamilyModel,
+    _require_theta,
+    d_value,
+    density,
+    gg_mse_factor,
+    mse_exp_canonical,
+    mse_gg,
+    third_abs_moment_holder_gg,
+)
 from .special import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     exact_sum,
     integrate_interval,
     integrate_real_line,
-    log_gamma_shift,
     std_normal_pdf,
 )
 
@@ -42,36 +58,10 @@ __all__ = [
     "third_abs_moment_holder_gg",
 ]
 
-# E|X - mu|^3 for an exponential variable with mean mu equals (12/e - 2) mu^3.
-# Stored as the exact expression; the usual 5-decimal rendering is 2.41456.
-EXP_THIRD_ABS_MOMENT = 12.0 / math.e - 2.0
-
-# E|Z|^3 for Z standard normal: 2 sqrt(2/pi).
-NORMAL_THIRD_ABS_MOMENT = 2.0 * math.sqrt(2.0 / math.pi)
-
 # Quadrature settings for moment integrals: slightly looser than the package
 # default because third-moment integrands have mild curvature kinks where
 # T(x) crosses D(theta0).
 _MOMENT_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_refinements=60)
-
-
-def _third_moment_closed(m: ExpFamilyModel, theta0: float) -> float | None:
-    fam = m.family
-    if fam == "exp-canonical":
-        return EXP_THIRD_ABS_MOMENT / theta0**3
-    if fam in ("exp-noncanonical", "laplace"):
-        return EXP_THIRD_ABS_MOMENT * theta0**3
-    if fam == "normal-mean":
-        return NORMAL_THIRD_ABS_MOMENT * m.shape["sigma"] ** 3
-    if fam in ("weibull", "gg"):
-        # T(X) = X^p is Gamma(d/p, rate theta^-p); with d = p that is an
-        # exponential variable with mean theta^p, so the exponential
-        # constant applies exactly.
-        d = m.shape.get("d", m.shape.get("alpha"))
-        p = m.shape.get("p", m.shape.get("alpha"))
-        if d == p:
-            return EXP_THIRD_ABS_MOMENT * theta0 ** (3.0 * p)
-    return None
 
 
 def third_abs_moment(
@@ -81,104 +71,38 @@ def third_abs_moment(
 ) -> float:
     """E|T(X) - D(theta0)|^3 for one observation drawn at theta0.
 
-    Uses the registered closed form for the family when one exists, else
+    Uses the model's closed form ``third_moment`` when it has one, else
     integrates |T(x) - D|^3 f(x | theta0) over the model's integration
     window by adaptive quadrature.
     """
-    closed = _third_moment_closed(m, theta0)
-    if closed is not None:
-        return closed
+    t0 = _require_theta(m, theta0, "theta0")
+    if m.third_moment is not None:
+        return m.third_moment(t0)
     if m.integration_window is None:
         raise DomainError(
             f"model {m.name!r} has no closed-form third moment and no integration window"
         )
-    d0 = d_value(m, theta0)
-    lo, hi = m.integration_window(theta0)
+    d0 = d_value(m, t0)
+    lo, hi = m.integration_window(t0)
 
     def integrand(x: float) -> float:
-        return abs(float(m.T(x)) - d0) ** 3 * density(m, x, theta0)
+        return abs(float(m.T(x)) - d0) ** 3 * density(m, x, t0)
 
     return integrate_interval(integrand, lo, hi, spec)
 
 
-def third_abs_moment_holder_gg(params: GeneralizedGammaParams) -> float:
-    """Upper bound on E|X^p - (d/p) theta^p|^3 for the generalized gamma.
-
-    The exact moment is intractable, so it is bounded through the fourth
-    central moment of the Gamma(d/p) law of X^p:
-
-        E|T - D|^3  <=  (E[(T - D)^4])^(3/4)  =  theta^{3p} (d/p)^{3/4} (6 + 3 d/p)^{3/4}.
-
-    This is an upper bound, not the moment itself.
-    """
-    a = params.d / params.p
-    return params.theta ** (3.0 * params.p) * a**0.75 * (6.0 + 3.0 * a) ** 0.75
-
-
-def mse_exp_canonical(n: int, theta0: float) -> float:
-    """E[(theta_hat - theta0)^2] for the canonical exponential model.
-
-    The MLE 1/mean(X) has closed-form mean squared error
-    (n+2) theta0^2 / ((n-1)(n-2)); the second moment only exists for n >= 3.
-    """
-    n = _require_int(n, "n", 3, " for the canonical exponential MSE")
-    if not (math.isfinite(theta0) and theta0 > 0.0):
-        raise DomainError(f"theta0 must be positive, got {theta0!r}")
-    return (n + 2) * theta0**2 / ((n - 1) * (n - 2))
-
-
-def gg_mse_factor(n: int, d: float, p: float) -> float:
-    """The theta-free factor of the generalized-gamma MSE.
-
-    Returns 1 - 2 (p/(nd))^{1/p} G((nd+1)/p)/G(nd/p)
-              + (p/(nd))^{2/p} G((nd+2)/p)/G(nd/p),
-
-    evaluated entirely in log space so that nd/p up to 1e9 and beyond stays
-    exact to roundoff: the gamma ratios go through
-    :func:`~mlebounds.special.log_gamma_shift`, which takes the shifts 1/p
-    and 2/p as given instead of rounding z + 1/p to a float first.
-    Multiplied by theta^2 this is the MSE of the GG scale MLE; it is O(1/n).
-    """
-    n = _require_int(n, "n")
-    if not (d > 0.0 and p > 0.0):
-        raise DomainError(f"shapes must be positive, got d={d!r}, p={p!r}")
-    z = n * d / p
-    log_scale = math.log(p) - math.log(n * d)
-    t1 = math.exp(log_scale / p + log_gamma_shift(z, 1.0 / p))
-    t2 = math.exp(2.0 * log_scale / p + log_gamma_shift(z, 2.0 / p))
-    return 1.0 - 2.0 * t1 + t2
-
-
-def mse_gg(n: int, params: GeneralizedGammaParams) -> float:
-    """E[(theta_hat - theta0)^2] for the generalized gamma scale MLE."""
-    return params.theta**2 * gg_mse_factor(n, params.d, params.p)
-
-
 def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
-    """Closed-form MSE of the MLE for a built-in model family.
+    """Closed-form MSE of the MLE, from the model's ``mse`` field.
 
     Every built-in has one: the identity-D families are unbiased sample
     means with known variances, the canonical exponential and generalized
     gamma have the gamma-ratio forms.
     """
     n = _require_int(n, "n")
-    fam = m.family
-    if fam == "exp-canonical":
-        return mse_exp_canonical(n, theta0)
-    if fam in ("exp-noncanonical", "laplace"):
-        return theta0**2 / n
-    if fam == "normal-mean":
-        return m.shape["sigma"] ** 2 / n
-    if fam == "normal-variance":
-        return 2.0 * theta0**2 / n
-    if fam == "weibull":
-        a = m.shape["alpha"]
-        return mse_gg(n, GeneralizedGammaParams(theta=theta0, d=a, p=a))
-    if fam == "gg":
-        return mse_gg(n, GeneralizedGammaParams(theta=theta0, d=m.shape["d"], p=m.shape["p"]))
-    raise DomainError(
-        f"no closed-form MSE registered for family {fam!r}; use mse_monte_carlo"
-    )
+    t0 = _require_theta(m, theta0, "theta0")
+    if m.mse is None:
+        raise DomainError(f"model {m.name!r} has no closed-form MSE; use mse_monte_carlo")
+    return m.mse(n, t0)
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,8 @@ from .bounds import (
     exp_noncanonical_bound,
     expfam_bound,
     reference_test_function,
-    _is_canonical,
 )
-from .models import ExpFamilyModel, fisher_info, make_model
+from .models import ExpFamilyModel, _require_theta, fisher_info, make_model
 from .moments import mse_closed_form
 from .special import exact_sum
 
@@ -55,7 +54,6 @@ __all__ = [
     "result_rows_to_csv",
     "result_rows_to_json",
     "run_simulation",
-    "sample_gamma",
     "sample_model",
     "table1",
 ]
@@ -74,43 +72,12 @@ _SEED_MAX = 2**64 - 1
 MAX_CHUNK_SIZE = 2**20
 
 
-def sample_gamma(shape: float, rate: float, rng: np.random.Generator, size=None):
-    """Gamma(shape, rate) variates from the given stream.
-
-    numpy's generator implements the standard squeeze/acceptance sampler
-    for shape >= 1 with the uniform power boost for shape < 1, which is
-    exactly the method wanted here, so this is a thin validated wrapper.
-    """
-    if not (math.isfinite(shape) and shape > 0.0):
-        raise DomainError(f"shape must be positive, got {shape!r}")
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise DomainError(f"rate must be positive, got {rate!r}")
-    return rng.gamma(shape, 1.0 / rate, size)
-
-
 def sample_model(m: ExpFamilyModel, theta0: float, rng: np.random.Generator, size=None):
-    """Draw from f(. | theta0) for any built-in model family."""
-    if not m.contains_theta(theta0):
-        raise DomainError(
-            f"theta0={theta0!r} is outside the parameter space of {m.name!r}"
-        )
-    fam = m.family
-    if fam == "exp-canonical":
-        return rng.exponential(1.0 / theta0, size)
-    if fam == "exp-noncanonical":
-        return rng.exponential(theta0, size)
-    if fam == "laplace":
-        return rng.laplace(0.0, theta0, size)
-    if fam == "normal-mean":
-        return rng.normal(theta0, m.shape["sigma"], size)
-    if fam == "normal-variance":
-        return rng.normal(m.shape["mu"], math.sqrt(theta0), size)
-    if fam in ("weibull", "gg"):
-        d = m.shape.get("d", m.shape.get("alpha"))
-        p = m.shape.get("p", m.shape.get("alpha"))
-        g = sample_gamma(d / p, theta0 ** (-p), rng, size)
-        return g ** (1.0 / p)
-    raise DomainError(f"no sampler registered for family {fam!r}")
+    """Draw from f(. | theta0) through the model's ``sample`` field."""
+    t0 = _require_theta(m, theta0, "theta0")
+    if m.sample is None:
+        raise DomainError(f"model {m.name!r} has no per-observation sampler")
+    return m.sample(t0, rng, size)
 
 
 @dataclass(frozen=True)
@@ -235,7 +202,7 @@ def _attach_bounds(
         # inert (the tail/Taylor terms vanish); any positive value works.
         epsilon = 1.0
     new = expfam_bound(m, theta0, n, epsilon, h, mse).total
-    return new, (new if _is_canonical(m) else None)
+    return new, (new if m.is_canonical else None)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

@@ -1,9 +1,9 @@
 """Scalar special functions and deterministic adaptive quadrature.
 
-These are the numerical primitives every other module leans on: log-gamma,
-gamma-function ratios evaluated in log space, the standard normal pdf/cdf,
-the exactly rounded sum of an array, and an adaptive Simpson integrator
-with explicit, testable error control.
+These are the numerical primitives every other module leans on: the log
+of a gamma-function ratio with its shift kept exact, the standard normal
+pdf/cdf, the exactly rounded sum of an array, and an adaptive Simpson
+integrator with explicit, testable error control.
 
 All functions here are pure and stateless, so they are safe to call from
 concurrent code without any locking.
@@ -23,12 +23,8 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "QuadratureSpec",
     "exact_sum",
-    "gamma_ratio",
-    "gamma_ratio_expansion",
     "integrate_interval",
     "integrate_real_line",
-    "log_gamma",
-    "log_gamma_diff",
     "log_gamma_shift",
     "std_normal_cdf",
     "std_normal_pdf",
@@ -51,19 +47,6 @@ def _finite(x: object, name: str) -> float:
     if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {v!r}")
     return v
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Delegates to the platform ``lgamma``, which is accurate to a couple of
-    ulps across the supported range (relative error well below 1e-12 on
-    [1e-3, 1e6]).
-    """
-    v = _finite(x, "x")
-    if v <= 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {v}")
-    return math.lgamma(v)
 
 
 # Stirling correction S(w) with ln Gamma(w) = (w - 1/2) ln w - w
@@ -105,56 +88,6 @@ def log_gamma_shift(z: float, a: float) -> float:
             - _stirling_tail(zv)
         )
     return math.lgamma(zv + av) - math.lgamma(zv)
-
-
-def log_gamma_diff(x: float, y: float) -> float:
-    """ln Gamma(x) - ln Gamma(y) without catastrophic cancellation.
-
-    For nearby large arguments the two log-gamma values agree in most of
-    their leading digits and a naive subtraction loses them.  Within a
-    factor of two of each other x - y is exact, so the difference goes
-    through :func:`log_gamma_shift`.
-    """
-    xv = _finite(x, "x")
-    yv = _finite(y, "y")
-    if xv <= 0.0 or yv <= 0.0:
-        raise DomainError(f"log_gamma_diff requires positive arguments, got {xv}, {yv}")
-    if 0.5 * yv <= xv <= 2.0 * yv:
-        return log_gamma_shift(yv, xv - yv)
-    return math.lgamma(xv) - math.lgamma(yv)
-
-
-def gamma_ratio(z: float, a: float, b: float) -> float:
-    """Gamma(z+a) / Gamma(z+b), evaluated as exp(lnGamma(z+a) - lnGamma(z+b)).
-
-    Working in log space keeps the ratio finite for z up to 1e6 and beyond,
-    where a direct Gamma evaluation would overflow long before; the log
-    difference goes through :func:`log_gamma_diff`, so large nearby
-    arguments do not cost accuracy either.  Requires z+a > 0 and z+b > 0.
-    """
-    zv = _finite(z, "z")
-    av = _finite(a, "a")
-    bv = _finite(b, "b")
-    if zv + av <= 0.0 or zv + bv <= 0.0:
-        raise DomainError(
-            f"gamma_ratio requires z+a > 0 and z+b > 0, got z+a={zv + av}, z+b={zv + bv}"
-        )
-    return math.exp(log_gamma_diff(zv + av, zv + bv))
-
-
-def gamma_ratio_expansion(z: float, a: float, b: float) -> float:
-    """Two-term large-z expansion of Gamma(z+a)/Gamma(z+b).
-
-    Returns z^(a-b) * (1 + (a-b)(a+b-1)/(2z)).  For z >= 100 and bounded
-    a, b this agrees with :func:`gamma_ratio` to O(1/z^2); it is what makes
-    the gamma-ratio mean-squared-error factor provably O(1/n).
-    """
-    zv = _finite(z, "z")
-    av = _finite(a, "a")
-    bv = _finite(b, "b")
-    if zv <= 0.0:
-        raise DomainError(f"gamma_ratio_expansion requires z > 0, got {zv}")
-    return zv ** (av - bv) * (1.0 + (av - bv) * (av + bv - 1.0) / (2.0 * zv))
 
 
 def std_normal_pdf(x: float) -> float:

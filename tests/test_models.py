@@ -1,5 +1,6 @@
 """Tests for the model abstraction, built-ins, and MLE computation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from mlebounds import (
     ConsistencyError,
     DomainError,
     GeneralizedGammaParams,
-    as_functional,
     d_is_identity,
     d_prime,
     d_value,
@@ -25,7 +25,6 @@ from mlebounds import (
     mle,
     normal_mean_model,
     normal_variance_model,
-    stein_ratio,
     sup_abs_d_second,
     weibull_scale_model,
 )
@@ -102,26 +101,6 @@ class TestFisherInfo:
         for m, thetas in all_builtin_cases():
             for theta in thetas:
                 assert fisher_info(m, theta) > 0.0
-
-
-class TestSteinRatio:
-    def test_exp_canonical(self):
-        for theta0 in (0.5, 1.0, 3.0):
-            assert stein_ratio(exp_canonical_model(), theta0) == pytest.approx(
-                theta0, rel=1e-13
-            )
-
-    def test_gg(self):
-        for theta0, d, p in [(1.0, 2.0, 1.0), (1.3, 3.0, 2.0), (0.7, 1.0, 0.5)]:
-            m = generalized_gamma_model(d=d, p=p)
-            expected = math.sqrt(p) / (math.sqrt(d) * theta0**p)
-            assert stein_ratio(m, theta0) == pytest.approx(expected, rel=1e-13)
-
-    def test_exp_noncanonical(self):
-        for theta0 in (0.5, 2.0):
-            assert stein_ratio(exp_noncanonical_model(), theta0) == pytest.approx(
-                1.0 / theta0, rel=1e-13
-            )
 
 
 class TestMLE:
@@ -238,41 +217,54 @@ class TestSupAbsDSecond:
             sup_abs_d_second(exp_canonical_model(), 1.0, 1.0)
 
 
-class TestAsFunctional:
+class TestGridFlags:
     def test_identity_flags(self):
-        assert as_functional(exp_noncanonical_model()).q_is_identity is True
-        assert as_functional(exp_canonical_model()).q_is_identity is False
-        assert as_functional(generalized_gamma_model(d=1.0, p=1.0)).q_is_identity is True
-        assert as_functional(generalized_gamma_model(d=2.0, p=1.0)).q_is_identity is False
-        assert as_functional(laplace_scale_model()).q_is_identity is True
-        assert as_functional(normal_mean_model()).q_is_identity is True
-        assert as_functional(normal_variance_model()).q_is_identity is True
+        assert d_is_identity(exp_noncanonical_model()) is True
+        assert d_is_identity(exp_canonical_model()) is False
+        assert d_is_identity(generalized_gamma_model(d=1.0, p=1.0)) is True
+        assert d_is_identity(generalized_gamma_model(d=2.0, p=1.0)) is False
+        assert d_is_identity(laplace_scale_model()) is True
+        assert d_is_identity(normal_mean_model()) is True
+        assert d_is_identity(normal_variance_model()) is True
 
-    def test_identity_pointwise(self):
-        fm = as_functional(exp_noncanonical_model())
-        grid = np.linspace(0.2, 10.0, 64)
-        assert np.allclose(fm.q(grid), grid, rtol=0, atol=1e-12)
-        assert np.allclose(fm.q_prime(grid), 1.0, rtol=0, atol=1e-12)
-        assert np.all(np.asarray(fm.q_second(grid)) == 0.0)
+    @pytest.mark.parametrize(
+        "model_id, params, identity, canonical",
+        [
+            ("exp-canonical", {}, False, True),
+            ("exp-noncanonical", {}, True, False),
+            ("laplace", {}, True, False),
+            ("normal-mean", {}, True, True),
+            ("normal-mean", {"sigma": 2.0}, True, False),
+            ("normal-variance", {"mu": 0.5}, True, False),
+            ("weibull", {"alpha": 2.0}, False, False),
+            ("gg", {"d": 2.0, "p": 1.5}, False, False),
+        ],
+    )
+    def test_flag_table(self, model_id, params, identity, canonical):
+        m = make_model(model_id, **params)
+        assert m.is_identity is identity
+        assert d_is_identity(m) is identity
+        assert m.is_canonical is canonical
 
-    def test_q_prime_nonzero_on_grid(self):
-        for m, thetas in all_builtin_cases():
-            fm = as_functional(m)
-            for theta in thetas:
-                assert abs(float(fm.q_prime(theta))) > 0.0
+    def test_flags_are_computed_once_per_model(self):
+        calls = []
 
-    def test_delegates_sup(self):
-        m = exp_canonical_model()
-        fm = as_functional(m)
-        assert fm.sup_abs_q_second(1.0, 0.5) == sup_abs_d_second(m, 1.0, 0.5)
+        def k(th):
+            calls.append("k")
+            return th
 
-    def test_q_matches_d_prime(self):
-        for m, thetas in all_builtin_cases():
-            fm = as_functional(m)
-            for theta in thetas:
-                assert float(fm.q_prime(theta)) == pytest.approx(
-                    d_prime(m, theta), rel=1e-12
-                )
+        def a1(th):
+            calls.append("A1")
+            return -1.0 / th
+
+        m = dataclasses.replace(exp_canonical_model(), k=k, A1=a1)
+        for _ in range(3):
+            assert m.is_canonical is True
+            assert d_is_identity(m) is False
+        assert sorted(calls) == ["A1", "k"]
+        # A copy is a new model and checks its own flags.
+        assert dataclasses.replace(m, name="copy").is_canonical is True
+        assert sorted(calls) == ["A1", "k", "k"]
 
 
 class TestDensity:
@@ -291,7 +283,6 @@ class TestDensity:
         # E[g(X)] = q(theta0) and Var[g(X)] = q'(theta0)^2 / i(theta0),
         # verified by quadrature for each built-in at three parameter points.
         for m, thetas in all_builtin_cases():
-            fm = as_functional(m)
             for theta0 in thetas:
                 lo, hi = m.integration_window(theta0)
                 eg = integrate_interval(
@@ -304,7 +295,6 @@ class TestDensity:
                 var_expected = d_prime(m, theta0) ** 2 / fisher_info(m, theta0)
                 assert eg == pytest.approx(q0, rel=1e-6, abs=1e-9), (m.name, theta0)
                 assert eg2 - eg * eg == pytest.approx(var_expected, rel=1e-6), (m.name, theta0)
-                assert fm.q_is_identity == d_is_identity(m)
 
 
 class TestSpecialCaseCrossValidation:
@@ -317,7 +307,7 @@ class TestSpecialCaseCrossValidation:
         for theta in (0.8, 1.0, 1.9):
             assert d_value(w, theta) == d_value(g, theta)
             assert fisher_info(w, theta) == fisher_info(g, theta)
-            assert stein_ratio(w, theta) == stein_ratio(g, theta)
+            assert d_prime(w, theta) == d_prime(g, theta)
         assert mle(w, xs) == mle(g, xs)
 
     def test_exp_noncanonical_is_gg_unit_shapes(self):
@@ -372,6 +362,59 @@ class TestMakeModel:
             GeneralizedGammaParams(theta=-1.0, d=1.0, p=1.0)
         with pytest.raises(DomainError):
             GeneralizedGammaParams(theta=1.0, d=0.0, p=1.0)
+
+
+class TestShapeValidation:
+    def test_numpy_floats_are_accepted_as_python_floats(self):
+        m = generalized_gamma_model(d=np.float32(2.0), p=np.float64(1.5))
+        assert m.name == "gg(d=2.0, p=1.5)"
+        assert type(m.shape["d"]) is float and m.shape == {"d": 2.0, "p": 1.5}
+        assert m.name == generalized_gamma_model(d=2, p=1.5).name
+        assert weibull_scale_model(np.float32(2.0)).name == "weibull(alpha=2.0)"
+        assert normal_mean_model(np.float64(1.5)).shape == {"sigma": 1.5}
+        assert normal_variance_model(np.int64(-1)).shape == {"mu": -1.0}
+        params = GeneralizedGammaParams(theta=np.float32(1.5), d=np.int64(2), p=1)
+        assert (params.theta, params.d, params.p) == (1.5, 2.0, 1.0)
+        assert all(type(v) is float for v in (params.theta, params.d, params.p))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: generalized_gamma_model(d=True, p=True),
+            lambda: generalized_gamma_model(d=2.0, p=np.bool_(True)),
+            lambda: weibull_scale_model(True),
+            lambda: normal_mean_model(True),
+            lambda: normal_variance_model(False),
+            lambda: GeneralizedGammaParams(theta=True, d=1, p=1),
+            lambda: GeneralizedGammaParams(theta=1.0, d=1.0, p=False),
+        ],
+    )
+    def test_bool_is_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, np.float64(math.nan), 10**400, "2.0", None]
+    )
+    def test_non_finite_or_non_real_is_rejected(self, bad):
+        for build in (
+            lambda: generalized_gamma_model(d=bad, p=1.0),
+            lambda: generalized_gamma_model(d=1.0, p=bad),
+            lambda: weibull_scale_model(bad),
+            lambda: normal_mean_model(bad),
+            lambda: normal_variance_model(bad),
+            lambda: GeneralizedGammaParams(theta=bad, d=1.0, p=1.0),
+        ):
+            with pytest.raises(DomainError):
+                build()
+
+    def test_positivity(self):
+        for bad in (0.0, -1.0, np.float32(-2.0)):
+            with pytest.raises(DomainError):
+                generalized_gamma_model(d=bad, p=1.0)
+            with pytest.raises(DomainError):
+                normal_mean_model(bad)
+        assert normal_variance_model(-2.5).name == "normal-variance(mu=-2.5)"
 
 
 class TestFisherConsistencyGuard:

@@ -1,5 +1,6 @@
 """Tests for the moment inputs: third absolute moments, MSE, E[h(Z)]."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from mlebounds import (
     gg_bound,
     gg_mse_factor,
     laplace_scale_model,
+    make_model,
     mse_closed_form,
     mse_exp_canonical,
     mse_gg,
@@ -28,10 +30,12 @@ from mlebounds import (
     normal_mean_model,
     normal_variance_model,
     reference_test_function,
+    sample_model,
     third_abs_moment,
     third_abs_moment_holder_gg,
     weibull_scale_model,
 )
+from mlebounds.montecarlo import iter_mle_chunks
 
 
 def quad_third_moment(m, theta0):
@@ -320,3 +324,71 @@ class TestIntegerArguments:
             assert fn(np.int64(n)) == fn(n)
         with pytest.raises(DomainError):
             fn(True)
+
+
+# One (model id, params, theta0 outside the parameter space) per family.
+OUTSIDE = [
+    ("exp-canonical", {}, -1.0),
+    ("exp-noncanonical", {}, -2.0),
+    ("laplace", {}, 0.0),
+    ("normal-mean", {"sigma": 1.5}, math.inf),
+    ("normal-variance", {"mu": 0.5}, -2.0),
+    ("weibull", {"alpha": 2.0}, -1.0),
+    ("gg", {"d": 2.0, "p": 1.5}, math.nan),
+]
+
+
+@pytest.mark.parametrize("model_id, params, theta0", OUTSIDE)
+def test_theta_outside_the_parameter_space_is_rejected(model_id, params, theta0):
+    m = make_model(model_id, **params)
+    with pytest.raises(DomainError, match="theta0"):
+        third_abs_moment(m, theta0)
+    with pytest.raises(DomainError, match="theta0"):
+        mse_closed_form(m, 10, theta0)
+
+
+# Every optional closed-form field of ExpFamilyModel.
+CLOSED_FORM_FIELDS = (
+    "d_inverse", "sup_d_second", "third_moment", "bound_moment", "mse", "sample", "sample_tbar"
+)
+
+
+def bare(m):
+    """The built-in with every closed form removed: a custom model."""
+    return dataclasses.replace(m, name="custom", **dict.fromkeys(CLOSED_FORM_FIELDS))
+
+
+class TestCustomModel:
+    @pytest.mark.parametrize(
+        "m, theta0",
+        [(exp_noncanonical_model(), 1.7), (laplace_scale_model(), 0.8), (normal_mean_model(1.5), -0.4)],
+    )
+    def test_third_moment_falls_back_to_quadrature(self, m, theta0):
+        got = third_abs_moment(bare(m), theta0)
+        assert got == pytest.approx(third_abs_moment(m, theta0), rel=1e-9)
+
+    def test_closed_form_only_paths_raise_naming_the_model(self):
+        m = bare(exp_noncanonical_model())
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="custom"):
+            mse_closed_form(m, 10, 2.0)
+        with pytest.raises(DomainError, match="custom"):
+            sample_model(m, 2.0, rng, 5)
+        with pytest.raises(DomainError, match="custom"):
+            next(iter_mle_chunks(m, 2.0, 10, 100, 1))
+
+    @pytest.mark.parametrize("model_id, params", [case[:2] for case in OUTSIDE])
+    def test_grid_flags_match_the_builtin(self, model_id, params):
+        m = make_model(model_id, **params)
+        custom = bare(m)
+        assert (custom.is_identity, custom.is_canonical) == (m.is_identity, m.is_canonical)
+
+    def test_bound_uses_the_exact_moment_without_a_bound_moment(self):
+        # Without bound_moment the gg bound falls back to the exact
+        # third moment, which the Holder bound dominates.
+        m = generalized_gamma_model(d=2.0, p=2.0)
+        mse = mse_closed_form(m, 50, 1.2)
+        holder = expfam_bound(m, 1.2, 50, 0.6, H, mse)
+        exact = expfam_bound(dataclasses.replace(m, bound_moment=None), 1.2, 50, 0.6, H, mse)
+        assert exact.stein_term < holder.stein_term
+        assert (exact.tail_term, exact.taylor_term) == (holder.tail_term, holder.taylor_term)

@@ -25,7 +25,6 @@ from mlebounds import (
     result_rows_to_csv,
     result_rows_to_json,
     run_simulation,
-    sample_gamma,
     sample_model,
     std_normal_cdf,
     table1,
@@ -38,35 +37,6 @@ H = reference_test_function()
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestSampleGamma:
-    def test_mean(self):
-        draws = sample_gamma(2.0, 3.0, rng(1), size=1_000_000)
-        se = math.sqrt(2.0 / 9.0 / draws.size)
-        assert abs(draws.mean() - 2.0 / 3.0) <= 4.0 * se
-
-    def test_variance(self):
-        draws = sample_gamma(2.0, 3.0, rng(2), size=1_000_000)
-        sample_var = draws.var(ddof=1)
-        # Var of the variance estimator for Gamma: (mu4 - var^2)/N with
-        # mu4 = 3(shape+2)(shape)/rate^4... use a conservative bound.
-        assert abs(sample_var - 2.0 / 9.0) <= 0.01
-
-    def test_shape_one_is_exponential(self):
-        # Kolmogorov-Smirnov against the exponential CDF at the 1% level.
-        n = 100_000
-        draws = np.sort(sample_gamma(1.0, 2.0, rng(3), size=n))
-        grid = (np.arange(n) + 0.5) / n
-        cdf = 1.0 - np.exp(-2.0 * draws)
-        ks = np.max(np.abs(cdf - grid)) + 0.5 / n
-        assert ks <= 1.63 / math.sqrt(n)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            sample_gamma(-1.0, 1.0, rng())
-        with pytest.raises(DomainError):
-            sample_gamma(1.0, 0.0, rng())
 
 
 class TestSampleModel:
