@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _require_real
 from .models import (
     EXP_THIRD_ABS_MOMENT,
     ExpFamilyModel,
@@ -88,10 +88,8 @@ class TestFunction:
     norm_h_prime: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.norm_h) and self.norm_h > 0.0):
-            raise DomainError(f"norm_h must be positive, got {self.norm_h!r}")
-        if not (math.isfinite(self.norm_h_prime) and self.norm_h_prime > 0.0):
-            raise DomainError(f"norm_h_prime must be positive, got {self.norm_h_prime!r}")
+        for name in ("norm_h", "norm_h_prime"):
+            object.__setattr__(self, name, _require_real(getattr(self, name), name))
         try:
             values = np.asarray(self.h(_CERT_GRID), dtype=float)
             if values.shape != _CERT_GRID.shape:
@@ -147,6 +145,13 @@ def get_test_function(name: str) -> TestFunction:
     return builder()
 
 
+# The kind of real number each numeric BoundInputs field must be.
+_INPUT_KINDS = dict(
+    theta0="finite", epsilon="positive", fisher="positive", q_prime_abs="positive",
+    third_moment="non-negative", mse="positive", sup_q_second="non-negative",
+)
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything the general bound consumes, already reduced to numbers.
@@ -171,14 +176,8 @@ class BoundInputs:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _require_int(self.n, "n"))
-        for name in ("epsilon", "fisher", "q_prime_abs", "mse"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive, got {v!r}")
-        for name in ("third_moment", "sup_q_second"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise DomainError(f"{name} must be non-negative, got {v!r}")
+        for name, kind in _INPUT_KINDS.items():
+            object.__setattr__(self, name, _require_real(getattr(self, name), name, kind))
 
 
 @dataclass(frozen=True)
@@ -221,11 +220,9 @@ def lemma_clt_bound(
     the Stein term of every bound in this module.
     """
     n = _require_int(n, "n")
-    for name, v in (("norm_h_prime", norm_h_prime), ("sigma", sigma)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name} must be positive, got {v!r}")
-    if not (math.isfinite(third_abs_moment) and third_abs_moment >= 0.0):
-        raise DomainError(f"third_abs_moment must be non-negative, got {third_abs_moment!r}")
+    norm_h_prime = _require_real(norm_h_prime, "norm_h_prime")
+    sigma = _require_real(sigma, "sigma")
+    third_abs_moment = _require_real(third_abs_moment, "third_abs_moment", "non-negative")
     return norm_h_prime / math.sqrt(n) * (2.0 + third_abs_moment / sigma**3)
 
 
@@ -261,7 +258,6 @@ def expfam_bound(
     epsilon: float,
     h: TestFunction,
     mse: float,
-    third_moment: float | None = None,
 ) -> BoundBreakdown:
     """The general bound instantiated for a one-parameter exponential family.
 
@@ -269,18 +265,16 @@ def expfam_bound(
     sup|D''| over the epsilon-ball from the model, then delegates to
     :func:`theorem_bound`.  The caller supplies the MSE (closed forms for
     all built-ins live in :func:`mlebounds.moments.mse_closed_form`).
-    Unless ``third_moment`` is given, the model's certified
-    ``bound_moment`` stands in for the third moment where the exact one is
-    intractable (the generalized gamma and Weibull families, keeping the
-    whole result a certified upper bound); every other model uses
-    :func:`mlebounds.moments.third_abs_moment`.
+    The model's certified ``bound_moment`` stands in for the third moment
+    where the exact one is intractable (the generalized gamma and Weibull
+    families, keeping the whole result a certified upper bound); every
+    other model uses :func:`mlebounds.moments.third_abs_moment`.
 
     The equivalent family-native form of the Stein factor,
     |k'|^3 E|T - D|^3 / |A'' - k'' D|^{3/2}, is exactly i^{3/2}/|D'|^3
     times the moment, so no separate code path is needed for it.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = _require_real(epsilon, "epsilon")
     identity = d_is_identity(m)
     if identity:
         sup_q2 = 0.0
@@ -289,11 +283,10 @@ def expfam_bound(
         # the ball-inside-the-space constraint is enforced exactly when
         # those terms exist.
         sup_q2 = sup_abs_d_second(m, theta0, epsilon)
-    if third_moment is None:
-        if m.bound_moment is not None:
-            third_moment = m.bound_moment(theta0)
-        else:
-            third_moment = third_abs_moment(m, theta0)
+    if m.bound_moment is not None:
+        third_moment = m.bound_moment(theta0)
+    else:
+        third_moment = third_abs_moment(m, theta0)
     inputs = BoundInputs(
         n=n,
         theta0=theta0,

@@ -1,9 +1,18 @@
-"""Semantic exception hierarchy shared by every module.
+"""Semantic exception hierarchy shared by every module, and the argument checks.
 
 Public functions never raise bare ValueError/RuntimeError; they raise one of
 the classes below so callers (and the CLI exit-code mapping) can tell a bad
-argument from a numerical failure.  The integer and real argument checks
-that every module shares live here too, beside the error they raise.
+argument from a numerical failure.
+
+Every scalar argument of a public function or dataclass goes through one of
+the two helpers at the end, and no other module checks a scalar by hand:
+:func:`_require_int` for counts, sizes and seeds (any ``numbers.Integral``
+in a range), :func:`_require_real` for real parameters (any finite
+``numbers.Real`` of kind ``"positive"``, ``"non-negative"`` or
+``"finite"``).  Both accept numpy scalars and return the Python number,
+which callers use, so a numpy scalar gives the Python result; ``bool``,
+strings and other non-numbers raise DomainError.  Arrays (samples, the
+values of a test function) are checked by the code that owns them.
 """
 
 import math
@@ -43,7 +52,10 @@ def _require_int(
     ``bool``.  The caller must use the returned int: arithmetic on a numpy
     integer rounds differently from Python's exact integers.
     """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    # The exact-type test skips the much slower ABC check for a plain int.
+    if type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    ):
         v = operator.index(value)
         if minimum <= v and (maximum is None or v <= maximum):
             return v
@@ -51,19 +63,32 @@ def _require_int(
     raise DomainError(f"{name} must be an integer {allowed}{context}, got {value!r}")
 
 
-def _require_real(value, name: str, positive: bool = True) -> float:
-    """``value`` as a finite Python float, positive unless ``positive`` is
-    false, or DomainError.
+def _require_real(value, name: str, kind: str = "positive") -> float:
+    """``value`` as a finite Python float of the given ``kind``, or
+    DomainError.
 
-    Accepts any ``numbers.Real``, numpy floats included, and rejects
+    ``kind`` is ``"positive"`` (> 0), ``"non-negative"`` (>= 0) or
+    ``"finite"`` (any finite value), and words the error message.  Accepts
+    any ``numbers.Real``, numpy floats and integers included, and rejects
     ``bool`` and integers too large for a float.
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    # The exact-type test skips the much slower ABC check for a plain float.
+    if type(value) is float:
+        v = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             v = float(value)
         except OverflowError:
             v = math.inf
-        if math.isfinite(v) and (v > 0.0 or not positive):
+    else:
+        v = math.nan
+    # NaN fails every test, and so does any value under an unknown kind.
+    if kind == "positive":
+        if 0.0 < v < math.inf:
             return v
-    kind = "positive" if positive else "finite"
+    elif kind == "non-negative":
+        if 0.0 <= v < math.inf:
+            return v
+    elif kind == "finite" and math.isfinite(v):
+        return v
     raise DomainError(f"{name} must be a {kind} real number, got {value!r}")

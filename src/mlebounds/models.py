@@ -23,8 +23,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -135,7 +135,6 @@ class ExpFamilyModel:
     """
 
     name: str
-    family: str
     k: Callable
     k1: Callable
     k2: Callable
@@ -156,7 +155,6 @@ class ExpFamilyModel:
     sample: Callable | None = None
     sample_tbar: Callable | None = None
     integration_window: Callable | None = None
-    shape: Mapping[str, float] = field(default_factory=dict)
 
     def contains_theta(self, theta: float) -> bool:
         lo, hi = self.param_space
@@ -192,11 +190,8 @@ def _param_grid(space: Interval) -> np.ndarray:
 
 
 def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> float:
-    try:
-        v = float(theta)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {theta!r}") from exc
-    if not math.isfinite(v) or not m.contains_theta(v):
+    v = _require_real(theta, name, "finite")
+    if not m.contains_theta(v):
         raise DomainError(
             f"{name}={v!r} is outside the parameter space {m.param_space} of model {m.name!r}"
         )
@@ -256,9 +251,7 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
     Raises DomainError when the target is not attained by D on the space
     and RootFindError when the iteration fails to converge.
     """
-    y = float(target)
-    if not math.isfinite(y):
-        raise DomainError(f"invert_d target must be finite, got {target!r}")
+    y = _require_real(target, "invert_d target", "finite")
     lo_b, hi_b = m.param_space
     sign = 1.0 if m.d_increasing else -1.0
 
@@ -370,9 +363,7 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
     lower estimate.
     """
     t0 = _require_theta(m, theta0, "theta0")
-    eps = float(epsilon)
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    eps = _require_real(epsilon, "epsilon")
     lo, hi = m.param_space
     if not (lo < t0 - eps and t0 + eps < hi):
         raise DomainError(
@@ -431,8 +422,7 @@ def mse_exp_canonical(n: int, theta0: float) -> float:
     (n+2) theta0^2 / ((n-1)(n-2)); the second moment only exists for n >= 3.
     """
     n = _require_int(n, "n", 3, " for the canonical exponential MSE")
-    if not (math.isfinite(theta0) and theta0 > 0.0):
-        raise DomainError(f"theta0 must be positive, got {theta0!r}")
+    theta0 = _require_real(theta0, "theta0")
     return (n + 2) * theta0**2 / ((n - 1) * (n - 2))
 
 
@@ -449,8 +439,8 @@ def gg_mse_factor(n: int, d: float, p: float) -> float:
     Multiplied by theta^2 this is the MSE of the GG scale MLE; it is O(1/n).
     """
     n = _require_int(n, "n")
-    if not (d > 0.0 and p > 0.0):
-        raise DomainError(f"shapes must be positive, got d={d!r}, p={p!r}")
+    d = _require_real(d, "generalized gamma shape d")
+    p = _require_real(p, "generalized gamma shape p")
     z = n * d / p
     log_scale = math.log(p) - math.log(n * d)
     t1 = math.exp(log_scale / p + log_gamma_shift(z, 1.0 / p))
@@ -489,7 +479,6 @@ def exp_canonical_model() -> ExpFamilyModel:
     """
     return ExpFamilyModel(
         name="exp-canonical",
-        family="exp-canonical",
         k=lambda th: th,
         k1=_const(1.0),
         k2=_const(0.0),
@@ -524,7 +513,6 @@ def exp_noncanonical_model() -> ExpFamilyModel:
     """
     return ExpFamilyModel(
         name="exp-noncanonical",
-        family="exp-noncanonical",
         k=lambda th: -1.0 / th,
         k1=lambda th: 1.0 / th**2,
         k2=lambda th: -2.0 / th**3,
@@ -555,7 +543,6 @@ def laplace_scale_model() -> ExpFamilyModel:
     """
     return ExpFamilyModel(
         name="laplace",
-        family="laplace",
         k=lambda th: -1.0 / th,
         k1=lambda th: 1.0 / th**2,
         k2=lambda th: -2.0 / th**3,
@@ -590,7 +577,6 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
     third = NORMAL_THIRD_ABS_MOMENT * sigma**3
     return ExpFamilyModel(
         name=f"normal-mean(sigma={sigma})",
-        family="normal-mean",
         k=lambda th: th / s2,
         k1=_const(1.0 / s2),
         k2=_const(0.0),
@@ -610,7 +596,6 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         sample=lambda t0, rng, size: rng.normal(t0, sigma, size),
         sample_tbar=lambda t0, n, rng, size: rng.normal(t0, sigma / math.sqrt(n), size),
         integration_window=lambda t0: (t0 - 14.0 * sigma, t0 + 14.0 * sigma),
-        shape={"sigma": sigma},
     )
 
 
@@ -619,11 +604,10 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
 
     T(x) = (x - mu)^2, D is the identity, and the MLE is mean (x_i - mu)^2.
     """
-    mu = _require_real(mu, "mu", positive=False)
+    mu = _require_real(mu, "mu", "finite")
     log_norm = 0.5 * math.log(2.0 * math.pi)
     return ExpFamilyModel(
         name=f"normal-variance(mu={mu})",
-        family="normal-variance",
         k=lambda th: -1.0 / (2.0 * th),
         k1=lambda th: 1.0 / (2.0 * th**2),
         k2=lambda th: -1.0 / th**3,
@@ -644,7 +628,6 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         # n degrees of freedom: Gamma(n/2, scale 2 theta).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(0.5 * n, 2.0 * t0, size) / n,
         integration_window=lambda t0: (mu - 14.0 * math.sqrt(t0), mu + 14.0 * math.sqrt(t0)),
-        shape={"mu": mu},
     )
 
 
@@ -673,7 +656,6 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
 
     return ExpFamilyModel(
         name=f"gg(d={dv}, p={pv})",
-        family="gg",
         k=lambda th: -th ** (-pv),
         k1=lambda th: pv * th ** (-pv - 1.0),
         k2=lambda th: -pv * (pv + 1.0) * th ** (-pv - 2.0),
@@ -699,7 +681,6 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         sample=lambda t0, rng, size: rng.gamma(a, 1.0 / t0 ** (-pv), size) ** (1.0 / pv),
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n * dv / pv, t0**pv, size) / n,
         integration_window=window,
-        shape={"d": dv, "p": pv},
     )
 
 
@@ -707,12 +688,7 @@ def weibull_scale_model(alpha: float) -> ExpFamilyModel:
     """Weibull scale family with known shape alpha: the GG(d=p=alpha) case."""
     alpha = _require_real(alpha, "weibull shape alpha")
     base = generalized_gamma_model(alpha, alpha)
-    return dataclasses.replace(
-        base,
-        name=f"weibull(alpha={alpha})",
-        family="weibull",
-        shape={"alpha": alpha},
-    )
+    return dataclasses.replace(base, name=f"weibull(alpha={alpha})")
 
 
 MODEL_FAMILIES: dict[str, Callable[..., ExpFamilyModel]] = {

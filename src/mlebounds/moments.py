@@ -36,7 +36,6 @@ from .models import (
     third_abs_moment_holder_gg,
 )
 from .special import (
-    DEFAULT_QUADRATURE,
     QuadratureSpec,
     exact_sum,
     integrate_interval,
@@ -64,16 +63,12 @@ __all__ = [
 _MOMENT_QUAD = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11, max_refinements=60)
 
 
-def third_abs_moment(
-    m: ExpFamilyModel,
-    theta0: float,
-    spec: QuadratureSpec = _MOMENT_QUAD,
-) -> float:
+def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
     """E|T(X) - D(theta0)|^3 for one observation drawn at theta0.
 
     Uses the model's closed form ``third_moment`` when it has one, else
     integrates |T(x) - D|^3 f(x | theta0) over the model's integration
-    window by adaptive quadrature.
+    window by adaptive quadrature, with tolerances of 1e-11.
     """
     t0 = _require_theta(m, theta0, "theta0")
     if m.third_moment is not None:
@@ -88,7 +83,7 @@ def third_abs_moment(
     def integrand(x: float) -> float:
         return abs(float(m.T(x)) - d0) ** 3 * density(m, x, t0)
 
-    return integrate_interval(integrand, lo, hi, spec)
+    return integrate_interval(integrand, lo, hi, _MOMENT_QUAD)
 
 
 def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
@@ -133,12 +128,11 @@ def mse_monte_carlo(
     So the result is bit-reproducible for a fixed seed.
     """
     # Imported lazily: the sampling machinery lives above this module.
-    from .montecarlo import _SEED_MAX, MAX_CHUNK_SIZE, iter_mle_chunks
+    from .montecarlo import _SEED_MAX, iter_mle_chunks
 
-    n = _require_int(n, "n")
+    # iter_mle_chunks checks the rest; these two are used here as well.
     trials = _require_int(trials, "trials", 1000)
     seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
-    chunk_size = _require_int(chunk_size, "chunk_size", maximum=MAX_CHUNK_SIZE)
 
     sq_sums: list[float] = []
     sq_sq_sums: list[float] = []
@@ -158,11 +152,12 @@ def mse_monte_carlo(
     )
 
 
-def expected_h_of_z(h, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def expected_h_of_z(h) -> float:
     """E[h(Z)] for Z standard normal, by adaptive quadrature.
 
     ``h`` may be a plain callable or a TestFunction-like object exposing
-    ``.h``.  With the default spec the estimated error is below 1e-8.
+    ``.h``.  With the package's default quadrature settings the estimated
+    error is below 1e-8.
     """
     fn = getattr(h, "h", h)
-    return integrate_real_line(lambda z: float(fn(z)) * std_normal_pdf(z), spec)
+    return integrate_real_line(lambda z: float(fn(z)) * std_normal_pdf(z))

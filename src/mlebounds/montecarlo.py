@@ -31,7 +31,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, _require_int
+from .errors import ConsistencyError, DomainError, _require_int, _require_real
 from .bounds import (
     TestFunction,
     ar_bound_exp_noncanonical,
@@ -86,7 +86,8 @@ class SimulationConfig:
 
     ``chunk_size`` is the number of trials per chunk, from 1 to
     ``MAX_CHUNK_SIZE``; it fixes the random stream, so it is part of the
-    config.
+    config.  ``theta0`` is stored as a Python float; whether it lies in the
+    model's parameter space is checked when the simulation runs.
     """
 
     model_id: str
@@ -99,7 +100,8 @@ class SimulationConfig:
     chunk_size: int = 4096
 
     def __post_init__(self) -> None:
-        # Stored back as Python ints, so numpy integers behave like int.
+        # Stored back as Python numbers, so numpy scalars behave like them.
+        object.__setattr__(self, "theta0", _require_real(self.theta0, "theta0", "finite"))
         for name, maximum in (("n", None), ("trials", None), ("chunk_size", MAX_CHUNK_SIZE)):
             value = _require_int(getattr(self, name), name, maximum=maximum)
             object.__setattr__(self, name, value)
@@ -158,14 +160,21 @@ def iter_mle_chunks(
     the model's closed-form ``d_inverse``, and verifies the defining
     identity |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial.
     Memory and time per chunk do not depend on n.
+
+    The arguments are checked when the first chunk is asked for: theta0
+    must lie in the parameter space, n and trials be integers >= 1, seed
+    in [0, 2^64 - 1] and chunk_size in [1, ``MAX_CHUNK_SIZE``].
     """
     if m.sample_tbar is None or m.d_inverse is None:
         raise DomainError(
             f"model {m.name!r} has no sufficient-statistic sampler "
             "(sample_tbar with a closed-form d_inverse)"
         )
-    if not m.contains_theta(theta0):
-        raise DomainError(f"theta0={theta0!r} outside parameter space of {m.name!r}")
+    theta0 = _require_theta(m, theta0, "theta0")
+    n = _require_int(n, "n")
+    trials = _require_int(trials, "trials")
+    seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
+    chunk_size = _require_int(chunk_size, "chunk_size", maximum=MAX_CHUNK_SIZE)
     for chunk_index, count in _chunks(trials, chunk_size):
         tbar = np.asarray(m.sample_tbar(theta0, n, _chunk_rng(seed, chunk_index), count))
         theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
@@ -181,18 +190,19 @@ def iter_mle_chunks(
         yield theta_hat
 
 
-def _attach_bounds(
-    m: ExpFamilyModel, theta0: float, n: int, h: TestFunction
-) -> tuple[float, float | None]:
-    """Closed-form bound for the model, plus the AR bound when it exists.
+def _attach_bounds(config: SimulationConfig, m: ExpFamilyModel) -> tuple[float, float | None]:
+    """Closed-form bound for the config's model ``m``, plus the AR bound
+    when it exists.
 
     The AR reference has a usable closed form in exactly two situations:
     the mean-parametrized exponential model, and canonical families (where
-    it coincides with the new bound).
+    it coincides with the new bound).  The registry id ``config.model_id``
+    picks the published closed forms of the two exponential models.
     """
-    if m.family == "exp-noncanonical":
+    theta0, n, h = config.theta0, config.n, config.h
+    if config.model_id == "exp-noncanonical":
         return exp_noncanonical_bound(n, h).total, ar_bound_exp_noncanonical(n, h)
-    if m.family == "exp-canonical":
+    if config.model_id == "exp-canonical":
         new = exp_canonical_bound(n, h).total
         return new, new
     mse = mse_closed_form(m, n, theta0)
@@ -213,7 +223,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     """
     start_time = time.perf_counter()
     m = make_model(config.model_id, **dict(config.model_params))
-    theta0 = float(config.theta0)
+    theta0 = config.theta0
     n = config.n
     h_fn = config.h.h
     expected = config.h.expected_h
@@ -241,7 +251,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         var_h = max(0.0, (sum_h2 - sum_h * sum_h / trials) / (trials - 1))
     else:
         var_h = 0.0
-    bound_new, bound_ar = _attach_bounds(m, theta0, n, config.h)
+    bound_new, bound_ar = _attach_bounds(config, m)
     return SimulationResult(
         config=config,
         empirical_distance=abs(mean_h - expected),

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _require_int, _require_real
 
 __all__ = [
     "DEFAULT_QUADRATURE",
@@ -37,16 +37,6 @@ _SQRT_2 = math.sqrt(2.0)
 # adaptive bisection starts.  A fixed initial grid keeps narrow features from
 # being skipped by the first coarse Simpson estimate.
 _INITIAL_PANELS = 16
-
-
-def _finite(x: object, name: str) -> float:
-    try:
-        v = float(x)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number, got {x!r}") from exc
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {v!r}")
-    return v
 
 
 # Stirling correction S(w) with ln Gamma(w) = (w - 1/2) ln w - w
@@ -74,10 +64,10 @@ def log_gamma_shift(z: float, a: float) -> float:
     so only the tiny correction S sees the rounded z + a, and nearby large
     arguments keep full relative accuracy up to 1e9 and beyond.
     """
-    zv = _finite(z, "z")
-    av = _finite(a, "a")
-    if zv <= 0.0 or zv + av <= 0.0:
-        raise DomainError(f"log_gamma_shift requires z > 0 and z + a > 0, got {zv}, {av}")
+    zv = _require_real(z, "z")
+    av = _require_real(a, "a", "finite")
+    if zv + av <= 0.0:
+        raise DomainError(f"log_gamma_shift requires z + a > 0, got z={zv}, a={av}")
     if min(zv, zv + av) >= _STIRLING_SWITCH and abs(av) <= 0.5 * zv:
         r = math.log1p(av / zv)
         return (
@@ -101,7 +91,7 @@ def std_normal_cdf(x: float) -> float:
     Absolute error is at the 1e-16 level; the symmetry Phi(-x) = 1 - Phi(x)
     holds to machine precision.
     """
-    v = _finite(x, "x")
+    v = _require_real(x, "x", "finite")
     return 0.5 * math.erfc(-v / _SQRT_2)
 
 
@@ -178,14 +168,10 @@ class QuadratureSpec:
     truncation_radius: float = 12.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not isinstance(self.max_refinements, int) or self.max_refinements < 1:
-            raise DomainError(f"max_refinements must be an integer >= 1, got {self.max_refinements}")
-        if not (math.isfinite(self.truncation_radius) and self.truncation_radius > 0.0):
-            raise DomainError(f"truncation_radius must be positive, got {self.truncation_radius}")
+        for name in ("abs_tol", "rel_tol", "truncation_radius"):
+            object.__setattr__(self, name, _require_real(getattr(self, name), name))
+        refinements = _require_int(self.max_refinements, "max_refinements")
+        object.__setattr__(self, "max_refinements", refinements)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -245,8 +231,8 @@ def integrate_interval(
     of bisection, or if the integrand returns non-finite values on the
     initial grid.
     """
-    av = _finite(a, "a")
-    bv = _finite(b, "b")
+    av = _require_real(a, "a", "finite")
+    bv = _require_real(b, "b", "finite")
     if not bv > av:
         raise DomainError(f"integration interval must satisfy a < b, got [{av}, {bv}]")
 

@@ -342,8 +342,7 @@ class TestSpecialCaseCrossValidation:
 class TestMakeModel:
     def test_registry_round_trip(self):
         m = make_model("gg", d=2.0, p=1.5)
-        assert m.family == "gg"
-        assert m.shape == {"d": 2.0, "p": 1.5}
+        assert m.name == "gg(d=2.0, p=1.5)"
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):
@@ -368,11 +367,10 @@ class TestShapeValidation:
     def test_numpy_floats_are_accepted_as_python_floats(self):
         m = generalized_gamma_model(d=np.float32(2.0), p=np.float64(1.5))
         assert m.name == "gg(d=2.0, p=1.5)"
-        assert type(m.shape["d"]) is float and m.shape == {"d": 2.0, "p": 1.5}
         assert m.name == generalized_gamma_model(d=2, p=1.5).name
         assert weibull_scale_model(np.float32(2.0)).name == "weibull(alpha=2.0)"
-        assert normal_mean_model(np.float64(1.5)).shape == {"sigma": 1.5}
-        assert normal_variance_model(np.int64(-1)).shape == {"mu": -1.0}
+        assert normal_mean_model(np.float64(1.5)).name == "normal-mean(sigma=1.5)"
+        assert normal_variance_model(np.int64(-1)).name == "normal-variance(mu=-1.0)"
         params = GeneralizedGammaParams(theta=np.float32(1.5), d=np.int64(2), p=1)
         assert (params.theta, params.d, params.p) == (1.5, 2.0, 1.0)
         assert all(type(v) is float for v in (params.theta, params.d, params.p))
