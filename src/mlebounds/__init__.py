@@ -47,10 +47,8 @@ from .models import (
     weibull_scale_model,
 )
 from .moments import (
-    MonteCarloEstimate,
     expected_h_of_z,
     mse_closed_form,
-    mse_monte_carlo,
     third_abs_moment,
 )
 from .bounds import (
@@ -71,10 +69,12 @@ from .bounds import (
 )
 from .montecarlo import (
     MAX_CHUNK_SIZE,
+    MonteCarloEstimate,
     SimulationConfig,
     SimulationResult,
     TABLE_SAMPLE_SIZES,
     TABLE_SEED,
+    mse_monte_carlo,
     result_rows_to_csv,
     result_rows_to_json,
     run_simulation,

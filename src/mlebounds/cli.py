@@ -30,6 +30,7 @@ from .moments import mse_closed_form
 from .montecarlo import (
     SimulationConfig,
     SimulationResult,
+    _default_epsilon,
     result_rows_to_csv,
     result_rows_to_json,
     run_simulation,
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--formula", choices=FORMULAS, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--epsilon-frac", type=float, default=0.5,
-                    help="epsilon as a fraction of |theta0| (default 0.5)")
+                    help="epsilon as a fraction of |theta0| (default 0.5; 1 at theta0 = 0)")
     add_model_flags(pb)
     add_common(pb)
     pb.set_defaults(func=cmd_bound)
@@ -126,35 +127,25 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _breakdown_report(bd: BoundBreakdown, n: int, fmt: str) -> str:
-    terms = {
-        "formula": bd.formula_id,
-        "n": n,
-        "stein_term": bd.stein_term,
-        "tail_term": bd.tail_term,
-        "taylor_term": bd.taylor_term,
-        "total": bd.total,
-    }
+def _terms(bd: BoundBreakdown, n: int) -> dict:
+    terms = dataclasses.asdict(bd)
+    return {"formula": terms.pop("formula_id"), "n": n, **terms}
+
+
+def _report(fields: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(terms, indent=2) + "\n"
+        return json.dumps(fields, indent=2) + "\n"
     if fmt == "csv":
-        head = ",".join(terms)
+        head = ",".join(fields)
         vals = ",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in terms.values()
+            repr(v) if isinstance(v, float) else str(v) for v in fields.values()
         )
         return f"{head}\n{vals}\n"
-    lines = [f"formula      {bd.formula_id}", f"n            {n}"]
-    for key in ("stein_term", "tail_term", "taylor_term", "total"):
-        lines.append(f"{key:<12} {terms[key]:.6g}")
+    lines = [
+        f"{key:<12} {value}" if key in ("formula", "n") else f"{key:<12} {value:.6g}"
+        for key, value in fields.items()
+    ]
     return "\n".join(lines) + "\n"
-
-
-def _scalar_report(formula: str, n: int, total: float, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({"formula": formula, "n": n, "total": total}, indent=2) + "\n"
-    if fmt == "csv":
-        return f"formula,n,total\n{formula},{n},{total!r}\n"
-    return f"formula      {formula}\nn            {n}\ntotal        {total:.6g}\n"
 
 
 def cmd_bound(args) -> int:
@@ -163,22 +154,22 @@ def cmd_bound(args) -> int:
     formula = args.formula
 
     if formula == "exp-canonical":
-        return_text = _breakdown_report(exp_canonical_bound(n, h), n, args.format)
+        fields = _terms(exp_canonical_bound(n, h), n)
     elif formula == "exp-noncanonical":
-        return_text = _breakdown_report(exp_noncanonical_bound(n, h), n, args.format)
+        fields = _terms(exp_noncanonical_bound(n, h), n)
     elif formula == "ar-exp-noncanonical":
-        return_text = _scalar_report(formula, n, ar_bound_exp_noncanonical(n, h), args.format)
+        fields = {"formula": formula, "n": n, "total": ar_bound_exp_noncanonical(n, h)}
     elif formula == "gg":
         d = _require(args.d, "--d", "the gg formula")
         p = _require(args.p, "--p", "the gg formula")
         theta = args.theta0 if args.theta0 is not None else 1.0
         params = GeneralizedGammaParams(theta=theta, d=d, p=p)
-        return_text = _breakdown_report(gg_bound(n, params, h), n, args.format)
+        fields = _terms(gg_bound(n, params, h), n)
     else:
         model_id = _require(args.model, "--model", f"the {formula} formula")
         theta0 = _require(args.theta0, "--theta0", f"the {formula} formula")
         m = make_model(model_id, **_model_params(args))
-        epsilon = args.epsilon_frac * abs(theta0)
+        epsilon = _default_epsilon(theta0, args.epsilon_frac)
         mse = mse_closed_form(m, n, theta0)
         if formula == "ar-canonical":
             bd = ar_bound_canonical_expfam(m, theta0, n, epsilon, h, mse)
@@ -187,9 +178,9 @@ def cmd_bound(args) -> int:
             bd = expfam_bound(m, theta0, n, epsilon, h, mse)
             if formula == "theorem":
                 bd = dataclasses.replace(bd, formula_id="theorem")
-        return_text = _breakdown_report(bd, n, args.format)
+        fields = _terms(bd, n)
 
-    _emit(return_text, args.out)
+    _emit(_report(fields, args.format), args.out)
     return 0
 
 

@@ -12,7 +12,8 @@ sqrt(i)/|D'|, the supremum of |D''| over a parameter ball, and the MLE
 itself.  Each built-in constructor also sets its family's closed forms on
 the model (third moment, MSE of the MLE, samplers), so the generic code in
 :mod:`.moments`, :mod:`.bounds` and :mod:`.montecarlo` never asks which
-family it holds.
+family it holds.  Laplace and Weibull are copies of the exponential and
+generalized gamma models with only the differing fields replaced.
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -146,7 +147,6 @@ class ExpFamilyModel:
     support: Interval
     param_space: Interval
     d_second: Callable
-    d_increasing: bool
     d_inverse: Callable | None = None
     sup_d_second: Callable | None = None
     third_moment: Callable | None = None
@@ -243,20 +243,18 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
 def invert_d(m: ExpFamilyModel, target: float) -> float:
     """Solve D(theta) = target on the parameter space.
 
-    Generic path: bracket the root by geometric expansion (using the
-    monotonicity direction the model declares), then close in with
-    bisection accelerated by safeguarded Newton steps on D.  Built-in
+    Generic path: bracket the root by geometric expansion, then close in
+    with bisection accelerated by safeguarded Newton steps on D.  D' =
+    i/k' keeps one sign on the parameter space, so the direction in which D
+    moves is read off the sign of D' at the starting point.  Built-in
     models normally bypass this via their closed-form ``d_inverse``.
 
-    Raises DomainError when the target is not attained by D on the space
-    and RootFindError when the iteration fails to converge.
+    Raises DomainError when the target is not attained by D on the space,
+    or when D' at the starting point is zero or not finite, and
+    RootFindError when the iteration fails to converge.
     """
     y = _require_real(target, "invert_d target", "finite")
     lo_b, hi_b = m.param_space
-    sign = 1.0 if m.d_increasing else -1.0
-
-    def g(th: float) -> float:
-        return sign * (float(m.A1(th)) / float(m.k1(th)) - y)
 
     # Starting point strictly inside the space.
     if math.isfinite(lo_b) and math.isfinite(hi_b):
@@ -267,6 +265,14 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
         x0 = hi_b - 1.0
     else:
         x0 = 0.0
+
+    dp0 = d_prime(m, x0)
+    if not (math.isfinite(dp0) and dp0 != 0.0):
+        raise DomainError(f"D'({x0!r}) = {dp0!r} for model {m.name!r}; D is not monotone")
+    sign = math.copysign(1.0, dp0)
+
+    def g(th: float) -> float:
+        return sign * (float(m.A1(th)) / float(m.k1(th)) - y)
 
     def toward_lower(step: int) -> float:
         if math.isfinite(lo_b):
@@ -283,7 +289,7 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
         return x0
     lo, hi = x0, x0
     if g0 > 0.0:
-        # Need a point with g <= 0: move toward smaller D values.
+        # g increases with theta: look for g <= 0 toward the lower end.
         for step in range(1, 200):
             cand = toward_lower(step)
             gc = g(cand)
@@ -333,12 +339,12 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
     )
 
 
-def mle(m: ExpFamilyModel, sample, *, use_closed_form: bool = True) -> float:
+def mle(m: ExpFamilyModel, sample) -> float:
     """Maximum likelihood estimate from an i.i.d. sample.
 
-    Computes the sample mean of T and inverts D at it, via the model's
-    closed form when available (``use_closed_form=False`` forces the
-    generic root-finder, which the tests use to cross-check closed forms).
+    Computes the sample mean of T and inverts D at it: by the model's
+    closed-form ``d_inverse`` when it has one, else by :func:`invert_d`.
+    A copy of a model with ``d_inverse=None`` takes the generic path.
     """
     xs = np.asarray(sample, dtype=float)
     if xs.size == 0:
@@ -349,7 +355,7 @@ def mle(m: ExpFamilyModel, sample, *, use_closed_form: bool = True) -> float:
             f"sample contains points outside the open support {m.support} of {m.name!r}"
         )
     tbar = float(np.mean(m.T(xs)))
-    if use_closed_form and m.d_inverse is not None:
+    if m.d_inverse is not None:
         return float(m.d_inverse(tbar))
     return invert_d(m, tbar)
 
@@ -490,7 +496,6 @@ def exp_canonical_model() -> ExpFamilyModel:
         support=_POS,
         param_space=_POS,
         d_second=lambda th: -2.0 / th**3,
-        d_increasing=True,
         d_inverse=lambda t: -1.0 / t,
         sup_d_second=lambda t0, eps: 2.0 / (t0 - eps) ** 3,
         third_moment=lambda t0: EXP_THIRD_ABS_MOMENT / t0**3,
@@ -524,7 +529,6 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         support=_POS,
         param_space=_POS,
         d_second=_const(0.0),
-        d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
         third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
@@ -539,29 +543,17 @@ def exp_noncanonical_model() -> ExpFamilyModel:
 def laplace_scale_model() -> ExpFamilyModel:
     """Laplace scale family: density exp(-|x|/theta) / (2 theta) on the line.
 
-    |X| is exponential with mean theta, so the MLE is the mean of |x_i|.
+    |X| is exponential with mean theta, so this is the exponential model
+    seen through T(x) = |x|: only A, T, the support, the sampler and the
+    integration window differ.  The MLE is the mean of |x_i|.
     """
-    return ExpFamilyModel(
+    return dataclasses.replace(
+        exp_noncanonical_model(),
         name="laplace",
-        k=lambda th: -1.0 / th,
-        k1=lambda th: 1.0 / th**2,
-        k2=lambda th: -2.0 / th**3,
         A=lambda th: np.log(2.0 * th),
-        A1=lambda th: 1.0 / th,
-        A2=lambda th: -1.0 / th**2,
         T=lambda x: np.abs(x),
-        S=_const(0.0),
         support=_REAL,
-        param_space=_POS,
-        d_second=_const(0.0),
-        d_increasing=True,
-        d_inverse=lambda t: t,
-        sup_d_second=lambda t0, eps: 0.0,
-        # |X| is exponential with mean theta.
-        third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
-        mse=lambda n, t0: t0**2 / n,
         sample=lambda t0, rng, size: rng.laplace(0.0, t0, size),
-        sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
         integration_window=lambda t0: (-60.0 * t0, 60.0 * t0),
     )
 
@@ -588,7 +580,6 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         support=_REAL,
         param_space=_REAL,
         d_second=_const(0.0),
-        d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
         third_moment=lambda t0: third,
@@ -619,7 +610,6 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         support=_REAL,
         param_space=_POS,
         d_second=_const(0.0),
-        d_increasing=True,
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
         mse=lambda n, t0: 2.0 * t0**2 / n,
@@ -667,7 +657,6 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         support=_POS,
         param_space=_POS,
         d_second=lambda th: dv * (pv - 1.0) * th ** (pv - 2.0),
-        d_increasing=True,
         d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
         sup_d_second=sup_d2,
         # With d = p, T = X^p is exponential with mean theta^p.

@@ -10,13 +10,11 @@ fields set by each built-in constructor, with the generalized-gamma and
 exponential formulas defined in :mod:`.models`) and take precedence; the
 adaptive quadrature of :mod:`.special` provides the independent oracle that
 every closed form is shadow-tested against, plus the fallback for models
-without one.
+without one.  The seeded Monte Carlo MSE lives beside its sampler in
+:mod:`.montecarlo`.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from .errors import DomainError, _require_int
 
@@ -37,7 +35,6 @@ from .models import (
 )
 from .special import (
     QuadratureSpec,
-    exact_sum,
     integrate_interval,
     integrate_real_line,
     std_normal_pdf,
@@ -45,14 +42,12 @@ from .special import (
 
 __all__ = [
     "EXP_THIRD_ABS_MOMENT",
-    "MonteCarloEstimate",
     "NORMAL_THIRD_ABS_MOMENT",
     "expected_h_of_z",
     "gg_mse_factor",
     "mse_closed_form",
     "mse_exp_canonical",
     "mse_gg",
-    "mse_monte_carlo",
     "third_abs_moment",
     "third_abs_moment_holder_gg",
 ]
@@ -98,58 +93,6 @@ def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
     if m.mse is None:
         raise DomainError(f"model {m.name!r} has no closed-form MSE; use mse_monte_carlo")
     return m.mse(n, t0)
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """A seeded Monte Carlo estimate with its standard error."""
-
-    value: float
-    standard_error: float
-    trials: int
-    seed: int
-
-
-def mse_monte_carlo(
-    m: ExpFamilyModel,
-    theta0: float,
-    n: int,
-    trials: int,
-    seed: int,
-    chunk_size: int = 4096,
-) -> MonteCarloEstimate:
-    """Empirical MSE of the MLE: the mean of (theta_hat - theta0)^2 over
-    seeded trials, with its standard error.
-
-    Sampling uses the same deterministic chunk layout as the simulation
-    harness (independent per-chunk streams, at most ``MAX_CHUNK_SIZE``
-    trials each), and every sum is exactly rounded: per chunk by
-    :func:`~mlebounds.special.exact_sum`, across chunks by ``math.fsum``.
-    So the result is bit-reproducible for a fixed seed.
-    """
-    # Imported lazily: the sampling machinery lives above this module.
-    from .montecarlo import _SEED_MAX, iter_mle_chunks
-
-    # iter_mle_chunks checks the rest; these two are used here as well.
-    trials = _require_int(trials, "trials", 1000)
-    seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
-
-    sq_sums: list[float] = []
-    sq_sq_sums: list[float] = []
-    for theta_hats in iter_mle_chunks(m, theta0, n, trials, seed, chunk_size):
-        sq = (theta_hats - theta0) ** 2
-        sq_sums.append(exact_sum(sq))
-        sq_sq_sums.append(exact_sum(sq * sq))
-    total = math.fsum(sq_sums)
-    total_sq = math.fsum(sq_sq_sums)
-    mean = total / trials
-    var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
-    return MonteCarloEstimate(
-        value=mean,
-        standard_error=math.sqrt(var / trials),
-        trials=trials,
-        seed=seed,
-    )
 
 
 def expected_h_of_z(h) -> float:

@@ -9,7 +9,8 @@ Invert D to get the MLE, standardize it by sqrt(n i(theta0)), average the
 test function over the trials, and report the absolute gap to E[h(Z)].
 Each result row also carries the matching closed-form bound (and the AR
 reference bound where one exists), so the estimated distance can be
-checked against its certificate.
+checked against its certificate.  :func:`mse_monte_carlo` estimates the
+MLE's mean squared error from the same sampler.
 
 Reproducibility contract: trials are processed in fixed chunks (default
 4096, at most ``MAX_CHUNK_SIZE``), each chunk drawing from its own
@@ -46,11 +47,13 @@ from .special import exact_sum
 
 __all__ = [
     "MAX_CHUNK_SIZE",
+    "MonteCarloEstimate",
     "SimulationConfig",
     "SimulationResult",
     "TABLE_SAMPLE_SIZES",
     "TABLE_SEED",
     "iter_mle_chunks",
+    "mse_monte_carlo",
     "result_rows_to_csv",
     "result_rows_to_json",
     "run_simulation",
@@ -190,6 +193,63 @@ def iter_mle_chunks(
         yield theta_hat
 
 
+@dataclass(frozen=True)
+class MonteCarloEstimate:
+    """A seeded Monte Carlo estimate with its standard error."""
+
+    value: float
+    standard_error: float
+    trials: int
+    seed: int
+
+
+def mse_monte_carlo(
+    m: ExpFamilyModel,
+    theta0: float,
+    n: int,
+    trials: int,
+    seed: int,
+    chunk_size: int = 4096,
+) -> MonteCarloEstimate:
+    """Empirical MSE of the MLE: the mean of (theta_hat - theta0)^2 over
+    seeded trials, with its standard error.
+
+    Sampling uses the same deterministic chunk layout as the simulation
+    harness (independent per-chunk streams, at most ``MAX_CHUNK_SIZE``
+    trials each), and every sum is exactly rounded: per chunk by
+    :func:`~mlebounds.special.exact_sum`, across chunks by ``math.fsum``.
+    So the result is bit-reproducible for a fixed seed.
+    """
+    # iter_mle_chunks checks the rest; these two are used here as well.
+    trials = _require_int(trials, "trials", 1000)
+    seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
+
+    sq_sums: list[float] = []
+    sq_sq_sums: list[float] = []
+    for theta_hats in iter_mle_chunks(m, theta0, n, trials, seed, chunk_size):
+        sq = (theta_hats - theta0) ** 2
+        sq_sums.append(exact_sum(sq))
+        sq_sq_sums.append(exact_sum(sq * sq))
+    total = math.fsum(sq_sums)
+    total_sq = math.fsum(sq_sq_sums)
+    mean = total / trials
+    var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
+    return MonteCarloEstimate(
+        value=mean,
+        standard_error=math.sqrt(var / trials),
+        trials=trials,
+        seed=seed,
+    )
+
+
+def _default_epsilon(theta0: float, fraction: float) -> float:
+    """epsilon = fraction * |theta0|, or 1 where that is 0 for a nonzero
+    fraction: at theta0 = 0, which only identity-D models admit and where
+    epsilon is inert, or at a theta0 so small that the product underflows."""
+    epsilon = fraction * abs(theta0)
+    return 1.0 if epsilon == 0.0 and fraction != 0.0 else epsilon
+
+
 def _attach_bounds(config: SimulationConfig, m: ExpFamilyModel) -> tuple[float, float | None]:
     """Closed-form bound for the config's model ``m``, plus the AR bound
     when it exists.
@@ -206,12 +266,7 @@ def _attach_bounds(config: SimulationConfig, m: ExpFamilyModel) -> tuple[float, 
         new = exp_canonical_bound(n, h).total
         return new, new
     mse = mse_closed_form(m, n, theta0)
-    epsilon = abs(theta0) / 2.0
-    if epsilon == 0.0:
-        # Only identity-q models admit theta0 = 0, and there epsilon is
-        # inert (the tail/Taylor terms vanish); any positive value works.
-        epsilon = 1.0
-    new = expfam_bound(m, theta0, n, epsilon, h, mse).total
+    new = expfam_bound(m, theta0, n, _default_epsilon(theta0, 0.5), h, mse).total
     return new, (new if m.is_canonical else None)
 
 

@@ -82,6 +82,35 @@ class TestBoundCommand:
         assert len(rows) == 1
         assert float(rows[0]["total"]) == pytest.approx(0.101375653, abs=1e-8)
 
+    def test_scalar_formula_human(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--formula", "ar-exp-noncanonical",
+                               "--n", "10")
+        assert code == 0
+        assert out == "formula      ar-exp-noncanonical\nn            10\ntotal        11.8885\n"
+
+    @pytest.mark.parametrize("theta0", ["0", "-0", "5e-324"])
+    @pytest.mark.parametrize("formula", ["expfam", "theorem", "ar-canonical"])
+    def test_theta0_zero_uses_the_simulation_epsilon(self, capsys, formula, theta0):
+        # Only identity-D models admit theta0 = 0, and epsilon is inert for
+        # them; bound and simulate both take epsilon = 1 there, and where
+        # 0.5 |theta0| underflows to 0.
+        code, out, err = run_cli(capsys, "bound", "--formula", formula, "--model",
+                                 "normal-mean", "--theta0", theta0, "--n", "10",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        _, sim, _ = run_cli(capsys, "simulate", "--model", "normal-mean", "--theta0", theta0,
+                            "--n", "10", "--trials", "1000", "--format", "json")
+        assert json.loads(out)["total"] == json.loads(sim)[0]["new_bound"]
+        assert json.loads(out)["total"] == 0.26111913608973497
+
+    def test_zero_epsilon_fraction_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--formula", "expfam", "--model",
+                                 "exp-canonical", "--theta0", "1", "--n", "10",
+                                 "--epsilon-frac", "0")
+        assert code == 2
+        assert out == ""
+        assert "epsilon" in err
+
 
 class TestSimulateCommand:
     def test_row_values(self, capsys):

@@ -143,7 +143,7 @@ class TestMLE:
             for _ in range(100):
                 xs = rng.exponential(1.7, size=rng.integers(3, 40))
                 closed = mle(m, xs)
-                generic = mle(m, xs, use_closed_form=False)
+                generic = mle(dataclasses.replace(m, d_inverse=None), xs)
                 assert generic == pytest.approx(closed, rel=1e-10)
 
     def test_generic_root_finder_gg(self):
@@ -151,9 +151,39 @@ class TestMLE:
         m = generalized_gamma_model(d=2.0, p=1.5)
         for _ in range(20):
             xs = rng.gamma(2.0, 1.0, size=25) ** (1.0 / 1.5)
-            assert mle(m, xs, use_closed_form=False) == pytest.approx(
+            assert mle(dataclasses.replace(m, d_inverse=None), xs) == pytest.approx(
                 mle(m, xs), rel=1e-10
             )
+
+    def test_decreasing_d_needs_no_declaration(self):
+        # The exponential with rate theta written with T(x) = x: k = -theta
+        # and the canonical model's A = -log theta, so D = 1/theta falls.
+        # The generic root finder reads that direction off D'.
+        rate = dataclasses.replace(
+            exp_canonical_model(),
+            name="exp-rate",
+            k=lambda th: -th,
+            k1=lambda th: -1.0 + 0.0 * th,
+            T=lambda x: x,
+            d_second=lambda th: 2.0 / th**3,
+            d_inverse=None,
+            sample_tbar=None,
+        )
+        assert d_value(rate, 2.0) == 0.5
+        assert d_prime(rate, 2.0) < 0.0
+        rng = np.random.default_rng(17)
+        for scale in (0.05, 0.7, 1.0, 3.0, 40.0):
+            xs = rng.exponential(scale, size=30)
+            assert mle(rate, xs) == pytest.approx(1.0 / np.mean(xs), rel=1e-10)
+
+    @pytest.mark.parametrize("a2", [lambda th: -2.0 / th**2, lambda th: math.nan])
+    def test_invert_d_needs_a_monotone_d(self, a2):
+        # With A'' = -2/theta^2, D' = (A'' k' - k'' A') / k'^2 is 0 for the
+        # exponential's k and A'; with a NaN it is not finite.  Either way
+        # the root finder has no direction and must say so.
+        flat = dataclasses.replace(exp_noncanonical_model(), name="flat", A2=a2)
+        with pytest.raises(DomainError, match="flat"):
+            invert_d(flat, 1.0)
 
     def test_defining_identity_across_builtins(self):
         # |D(theta_hat) - mean T| <= 1e-10 on seeded samples, for every

@@ -29,7 +29,7 @@ from mlebounds import (
     std_normal_cdf,
     table1,
 )
-from mlebounds import bounds, moments, montecarlo
+from mlebounds import bounds, montecarlo
 from mlebounds.montecarlo import _chunk_rng, iter_mle_chunks
 
 H = reference_test_function()
@@ -114,7 +114,6 @@ class TestSufficientStatisticSampler:
 
         got = outputs()
         monkeypatch.setattr(montecarlo, "exact_sum", math.fsum)
-        monkeypatch.setattr(moments, "exact_sum", math.fsum)
         assert outputs() == got
 
     def test_model_without_sampler_rejected(self):

@@ -32,6 +32,28 @@ def test_every_name_the_package_imports_resolves():
     assert missing == []
 
 
+# Each module may import only from modules before it.
+LAYERS = ("errors", "special", "models", "moments", "bounds", "montecarlo", "cli")
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_modules_import_only_lower_layers(name):
+    tree = ast.parse((SRC / "mlebounds" / f"{name}.py").read_text())
+    targets = []
+    for node in ast.walk(tree):  # function-level imports included
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:
+                targets += [a.name for a in node.names]
+            else:
+                targets.append(node.module.split(".")[0])
+    assert [t for t in targets if t not in LAYERS[: LAYERS.index(name)]] == []
+
+
+def test_layers_cover_the_package():
+    modules = {p.stem for p in (SRC / "mlebounds").glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
 def test_there_are_demos():
     assert len(DEMOS) >= 4
 
