@@ -11,11 +11,8 @@ from .errors import (
     RootFindError,
 )
 from .special import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     exact_sum,
     integrate_interval,
-    integrate_real_line,
     std_normal_cdf,
     std_normal_pdf,
 )

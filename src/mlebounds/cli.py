@@ -30,6 +30,7 @@ from .moments import mse_closed_form
 from .montecarlo import (
     SimulationConfig,
     SimulationResult,
+    TABLE_SEED,
     _default_epsilon,
     result_rows_to_csv,
     result_rows_to_json,
@@ -72,11 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", default=None, help="model id (e.g. exp-noncanonical, gg, weibull)")
         p.add_argument("--theta0", type=float, default=None)
-        p.add_argument("--d", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--mu", type=float, default=None)
+        for name in _MODEL_PARAM_FLAGS:
+            p.add_argument(f"--{name}", type=float, default=None)
 
     pb = sub.add_parser("bound", help="evaluate one bound formula")
     pb.add_argument("--formula", choices=FORMULAS, required=True)
@@ -98,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("table1", help="emit the bundled five-row verification table")
     pt.add_argument("--trials", type=int, default=10000)
-    pt.add_argument("--seed", type=int, default=None)
+    pt.add_argument("--seed", type=int, default=TABLE_SEED)
     add_common(pt)
     pt.set_defaults(func=cmd_table1)
 
@@ -224,10 +222,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    kwargs = {"trials": args.trials}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    rows = table1(**kwargs)
+    rows = table1(trials=args.trials, seed=args.seed)
     _emit(_rows_report(rows, args.format), args.out)
     return 0
 

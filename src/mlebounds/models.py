@@ -68,7 +68,7 @@ Interval = tuple[float, float]
 _SUP_GRID_POINTS = 10_001
 
 # Relative disagreement between the two algebraic forms of the Fisher
-# information that is treated as a model bug.
+# information that is treated as lost precision.
 _FISHER_CONSISTENCY_RTOL = 1e-9
 
 # E|X - mu|^3 for an exponential variable with mean mu equals (12/e - 2) mu^3.
@@ -216,8 +216,11 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
     """Expected Fisher information i(theta) for a single observation.
 
     Evaluates both algebraic forms, (A'' k' - k'' A') / k' and
-    A'' - k'' D, and raises ConsistencyError if they disagree by more than
-    1e-9 relative (that can only happen if a model's derivatives are wrong).
+    A'' - k'' D with D = A'/k', and raises ConsistencyError if they disagree
+    by more than 1e-9 relative.  Both are the same algebra on the same four
+    derivative values, so a wrong derivative passes that comparison; what
+    it catches is cancellation in A'' k' - k'' A'.  The only check of the
+    derivatives themselves is that i(theta) must come out positive.
     """
     t = _require_theta(m, theta)
     k1 = float(m.k1(t))

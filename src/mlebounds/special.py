@@ -12,19 +12,15 @@ concurrent code without any locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, _require_int, _require_real
+from .errors import DomainError, QuadratureError, _require_real
 
 __all__ = [
-    "DEFAULT_QUADRATURE",
-    "QuadratureSpec",
     "exact_sum",
     "integrate_interval",
-    "integrate_real_line",
     "log_gamma_shift",
     "std_normal_cdf",
     "std_normal_pdf",
@@ -37,6 +33,9 @@ _SQRT_2 = math.sqrt(2.0)
 # adaptive bisection starts.  A fixed initial grid keeps narrow features from
 # being skipped by the first coarse Simpson estimate.
 _INITIAL_PANELS = 16
+
+# Bisection levels a panel may use before integrate_interval gives up.
+_MAX_DEPTH = 60
 
 
 # Stirling correction S(w) with ln Gamma(w) = (w - 1/2) ln w - w
@@ -147,36 +146,6 @@ def exact_sum(values) -> float:
     return math.fsum(parts)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Error-control settings for the adaptive Simpson integrator.
-
-    abs_tol / rel_tol:
-        The returned estimate carries an estimated error of at most
-        max(abs_tol, rel_tol * |value|).
-    max_refinements:
-        Maximum bisection depth per panel before the integrator gives up
-        and raises QuadratureError.
-    truncation_radius:
-        Half-width of the window used by :func:`integrate_real_line`
-        (12 standard deviations is ample for normal-like integrands).
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_refinements: int = 60
-    truncation_radius: float = 12.0
-
-    def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "truncation_radius"):
-            object.__setattr__(self, name, _require_real(getattr(self, name), name))
-        refinements = _require_int(self.max_refinements, "max_refinements")
-        object.__setattr__(self, "max_refinements", refinements)
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -218,19 +187,22 @@ def integrate_interval(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    tol: float = 1e-10,
 ) -> float:
     """Integrate f over the finite interval [a, b].
 
     The window is cut into a fixed initial grid of Simpson panels, each of
     which is refined by adaptive bisection until its share of the error
-    budget max(abs_tol, rel_tol * |estimate|) is met.  The evaluation order
-    is fixed, so the result is bit-for-bit deterministic for a given spec.
+    budget tol * max(1, |estimate|) is met: an absolute error of tol for
+    integrals below 1 in magnitude, a relative error of tol above.  The
+    evaluation order is fixed, so the result is bit-for-bit deterministic
+    for a given tol.
 
-    Raises QuadratureError if any panel exhausts ``max_refinements`` levels
-    of bisection, or if the integrand returns non-finite values on the
+    Raises QuadratureError if any panel needs more than 60 levels of
+    bisection, or if the integrand returns non-finite values on the
     initial grid.
     """
+    tv = _require_real(tol, "tol")
     av = _require_real(a, "a", "finite")
     bv = _require_real(b, "b", "finite")
     if not bv > av:
@@ -250,8 +222,7 @@ def integrate_interval(
         for i in range(npan)
     ]
     coarse = math.fsum(panels)
-    target = max(spec.abs_tol, spec.rel_tol * abs(coarse))
-    budget = target / npan
+    budget = tv * max(1.0, abs(coarse)) / npan
 
     pieces = [
         _adapt(
@@ -264,23 +235,8 @@ def integrate_interval(
             fs[2 * i + 2],
             panels[i],
             budget,
-            spec.max_refinements,
+            _MAX_DEPTH,
         )
         for i in range(npan)
     ]
     return math.fsum(pieces)
-
-
-def integrate_real_line(
-    f: Callable[[float], float],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Integrate f over the real line, truncated to
-    [-truncation_radius, +truncation_radius].
-
-    Intended for integrands that decay like a normal density; with the
-    default radius of 12 the discarded tails of such integrands are far
-    below every supported tolerance.
-    """
-    r = spec.truncation_radius
-    return integrate_interval(f, -r, r, spec)

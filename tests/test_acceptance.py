@@ -44,7 +44,6 @@ from mlebounds import (
     third_abs_moment,
     third_abs_moment_holder_gg,
 )
-from mlebounds.special import QuadratureSpec
 from test_bounds import canonical_exp_inputs, matches_printed_3dp
 
 H = reference_test_function()
@@ -110,12 +109,11 @@ def test_criterion_3_expected_h_oracle():
 
 def test_criterion_4_exponential_third_moment():
     with criterion(4, "quadrature third moment of the exponential equals (12/e - 2) mu^3"):
-        spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
         m = exp_noncanonical_model()
         for mu in (1.0, 2.0):
             lo, hi = m.integration_window(mu)
             val = integrate_interval(
-                lambda x: abs(x - mu) ** 3 * density(m, x, mu), lo, hi, spec
+                lambda x: abs(x - mu) ** 3 * density(m, x, mu), lo, hi, tol=1e-11
             )
             assert val == pytest.approx(EXP_THIRD_ABS_MOMENT * mu**3, rel=1e-7)
         assert EXP_THIRD_ABS_MOMENT == pytest.approx(2.414558, abs=1e-5)

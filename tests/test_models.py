@@ -28,9 +28,8 @@ from mlebounds import (
     sup_abs_d_second,
     weibull_scale_model,
 )
-from mlebounds.special import QuadratureSpec
 
-QUAD = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+QUAD_TOL = 1e-10
 
 
 def all_builtin_cases():
@@ -84,7 +83,7 @@ class TestFisherInfo:
             return score * score * density(m, x, theta0)
 
         lo, hi = m.integration_window(theta0)
-        val = integrate_interval(integrand, lo, hi, QUAD)
+        val = integrate_interval(integrand, lo, hi, tol=QUAD_TOL)
         assert fisher_info(m, theta0) == pytest.approx(val, rel=1e-8)
 
     def test_gg_quadrature_oracle(self):
@@ -92,7 +91,9 @@ class TestFisherInfo:
         m = generalized_gamma_model(d=4.0, p=2.0)
         theta0 = 1.0
         lo, hi = m.integration_window(theta0)
-        et = integrate_interval(lambda x: float(m.T(x)) * density(m, x, theta0), lo, hi, QUAD)
+        et = integrate_interval(
+            lambda x: float(m.T(x)) * density(m, x, theta0), lo, hi, tol=QUAD_TOL
+        )
         expected = float(m.A2(theta0)) - float(m.k2(theta0)) * et
         assert fisher_info(m, theta0) == pytest.approx(8.0, rel=1e-12)
         assert fisher_info(m, theta0) == pytest.approx(expected, rel=1e-8)
@@ -302,7 +303,7 @@ class TestDensity:
         for m, thetas in all_builtin_cases():
             for theta in thetas:
                 lo, hi = m.integration_window(theta)
-                total = integrate_interval(lambda x: density(m, x, theta), lo, hi, QUAD)
+                total = integrate_interval(lambda x: density(m, x, theta), lo, hi, tol=QUAD_TOL)
                 assert total == pytest.approx(1.0, abs=1e-6), (m.name, theta)
 
     def test_zero_off_support(self):
@@ -316,10 +317,10 @@ class TestDensity:
             for theta0 in thetas:
                 lo, hi = m.integration_window(theta0)
                 eg = integrate_interval(
-                    lambda x: float(m.T(x)) * density(m, x, theta0), lo, hi, QUAD
+                    lambda x: float(m.T(x)) * density(m, x, theta0), lo, hi, tol=QUAD_TOL
                 )
                 eg2 = integrate_interval(
-                    lambda x: float(m.T(x)) ** 2 * density(m, x, theta0), lo, hi, QUAD
+                    lambda x: float(m.T(x)) ** 2 * density(m, x, theta0), lo, hi, tol=QUAD_TOL
                 )
                 q0 = d_value(m, theta0)
                 var_expected = d_prime(m, theta0) ** 2 / fisher_info(m, theta0)

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 from mlebounds import (
-    DEFAULT_QUADRATURE,
     DomainError,
     QuadratureError,
-    QuadratureSpec,
     exact_sum,
     integrate_interval,
-    integrate_real_line,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -172,47 +169,30 @@ class TestStdNormalCdf:
             std_normal_cdf(math.nan)
 
 
-class TestQuadratureSpec:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"abs_tol": 0.0},
-            {"abs_tol": -1e-3},
-            {"rel_tol": 0.0},
-            {"max_refinements": 0},
-            {"truncation_radius": 0.0},
-        ],
-    )
-    def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)
-
-
 class TestIntegration:
     def test_normal_density_normalizes(self):
-        assert integrate_real_line(std_normal_pdf) == pytest.approx(1.0, abs=1e-10)
+        assert integrate_interval(std_normal_pdf, -12.0, 12.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_reference_expectation(self):
         # E[h(Z)] for h = 1/(x^2+2); cross-checked against an independent
         # adaptive integrator.
         f = lambda z: std_normal_pdf(z) / (z * z + 2.0)
-        mine = integrate_real_line(f)
+        mine = integrate_interval(f, -12.0, 12.0)
         other, err = scipy_integrate.quad(f, -12.0, 12.0, epsabs=1e-13)
         assert mine == pytest.approx(other, abs=1e-10)
         assert mine == pytest.approx(0.379, abs=5e-4)
 
     def test_unit_variance(self):
-        assert integrate_real_line(lambda z: std_normal_pdf(z) * z * z) == pytest.approx(
-            1.0, abs=1e-10
-        )
+        val = integrate_interval(lambda z: std_normal_pdf(z) * z * z, -12.0, 12.0)
+        assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_odd_integrand_vanishes(self):
-        val = integrate_real_line(lambda z: z * std_normal_pdf(z))
-        assert abs(val) <= DEFAULT_QUADRATURE.abs_tol
+        val = integrate_interval(lambda z: z * std_normal_pdf(z), -12.0, 12.0)
+        assert abs(val) <= 1e-10
 
     def test_deterministic(self):
         f = lambda z: std_normal_pdf(z) / (z * z + 2.0)
-        assert integrate_real_line(f) == integrate_real_line(f)
+        assert integrate_interval(f, -12.0, 12.0) == integrate_interval(f, -12.0, 12.0)
 
     def test_finite_interval_polynomial(self):
         # Simpson is exact on cubics; the interface should be too.
@@ -231,9 +211,16 @@ class TestIntegration:
             assert mine == pytest.approx(other, rel=1e-9, abs=1e-10)
 
     def test_exhausted_refinements_raise(self):
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_refinements=1)
+        # The jump at the grid point 0 halves its Simpson discrepancy with
+        # each bisection, exactly as fast as the panel's error budget, so the
+        # panel holding it never converges.
         with pytest.raises(QuadratureError):
-            integrate_real_line(std_normal_pdf, spec)
+            integrate_interval(lambda x: 0.0 if x <= 0.0 else 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3])
+    def test_non_positive_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            integrate_interval(math.cos, 0.0, 1.0, tol)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):

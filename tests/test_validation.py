@@ -47,7 +47,6 @@ from mlebounds.bounds import TestFunction as HFunc
 from mlebounds.errors import _require_int, _require_real
 from mlebounds.montecarlo import MAX_CHUNK_SIZE, iter_mle_chunks
 from mlebounds.special import (
-    QuadratureSpec,
     integrate_interval,
     log_gamma_shift,
     std_normal_cdf,
@@ -92,9 +91,7 @@ REAL_ARGS = [
     ("std_normal_cdf.x", std_normal_cdf, 0.5),
     ("integrate_interval.a", lambda v: integrate_interval(math.cos, v, 1.0), -0.5),
     ("integrate_interval.b", lambda v: integrate_interval(math.cos, 0.0, v), 1.5),
-    ("QuadratureSpec.abs_tol", lambda v: QuadratureSpec(abs_tol=v), 0.5),
-    ("QuadratureSpec.rel_tol", lambda v: QuadratureSpec(rel_tol=v), 0.5),
-    ("QuadratureSpec.truncation_radius", lambda v: QuadratureSpec(truncation_radius=v), 10.0),
+    ("integrate_interval.tol", lambda v: integrate_interval(math.cos, 0.0, 1.0, v), 0.5),
     ("d_value.theta", lambda v: d_value(M, v), 1.5),
     ("d_prime.theta", lambda v: d_prime(M, v), 1.5),
     ("fisher_info.theta", lambda v: fisher_info(M, v), 1.5),
@@ -129,7 +126,6 @@ REAL_ARGS = [
 
 # (argument, call with the value in that argument, a valid Python int)
 INT_ARGS = [
-    ("QuadratureSpec.max_refinements", lambda v: QuadratureSpec(max_refinements=v), 60),
     ("gg_mse_factor.n", lambda v: gg_mse_factor(v, 2.0, 1.5), 10),
     ("mse_exp_canonical.n", lambda v: mse_exp_canonical(v, 1.5), 10),
     ("BoundInputs.n", lambda v: _inputs(n=v), 10),
@@ -203,7 +199,6 @@ def test_numpy_integers_give_the_python_result(arg, call, good):
 # Each was accepted, or raised a bare ValueError or TypeError, before every
 # scalar check went through the errors helpers.
 FORMER_FAULTS = [
-    ("QuadratureSpec(max_refinements=True)", lambda: QuadratureSpec(max_refinements=True)),
     ("TestFunction(norm_h=True)", lambda: HFunc("paper", H.h, True, H.norm_h_prime)),
     ("mse_exp_canonical(10, True)", lambda: mse_exp_canonical(10, True)),
     ("gg_mse_factor(10, True, 1.0)", lambda: gg_mse_factor(10, True, 1.0)),
@@ -226,11 +221,6 @@ FORMER_FAULTS = [
 def test_former_faults_raise_domain_error(case, call):
     with pytest.raises(DomainError):
         call()
-
-
-def test_numpy_max_refinements_is_accepted():
-    spec = QuadratureSpec(max_refinements=np.int64(60))
-    assert spec == QuadratureSpec() and type(spec.max_refinements) is int
 
 
 class TestFastPathMatchesAbcPath:
