@@ -194,6 +194,36 @@ class TestIntegration:
         f = lambda z: std_normal_pdf(z) / (z * z + 2.0)
         assert integrate_interval(f, -12.0, 12.0) == integrate_interval(f, -12.0, 12.0)
 
+    # Results of the earlier four-field error control, max(abs_tol,
+    # rel_tol * |coarse|) with abs_tol = rel_tol = tol, as float.hex.  The
+    # one-tol target tol * max(1, |coarse|) must reproduce them bit for bit:
+    # "reference-h" and "cos" lie below 1 (an absolute target), "normal-pdf"
+    # sits at 1, and the rest lie above it (a relative target).
+    PINNED = {
+        "normal-pdf": (std_normal_pdf, -12.0, 12.0, (
+            "0x1.000001a802d17p+0", "0x1.000000000032bp+0", "0x1.0000000000172p+0")),
+        "reference-h": (lambda z: std_normal_pdf(z) / (z * z + 2.0), -12.0, 12.0, (
+            "0x1.8407d22c14754p-2", "0x1.8407d1ba691d3p-2", "0x1.8407d1ba5acb5p-2")),
+        "cos": (math.cos, 0.0, 1.0, (
+            "0x1.aed548f090c04p-1", "0x1.aed548f090ceap-1", "0x1.aed548f090cedp-1")),
+        "large-exp": (math.exp, 0.0, 10.0, (
+            "0x1.5825dcfedf5a7p+14", "0x1.5825dcf95058bp+14", "0x1.5825dcf950562p+14")),
+        "sqrt": (math.sqrt, 0.0, 4.0, (
+            "0x1.55555530599e5p+2", "0x1.55555555554bep+2", "0x1.5555555555551p+2")),
+        "abs-cube-exp": (lambda x: abs(x - 1.0) ** 3 * math.exp(-x), 0.0, 40.0, (
+            "0x1.3510152890d4bp+1", "0x1.351015143719cp+1", "0x1.35101514365d9p+1")),
+        "negative-gamma": (lambda x: -x * x * math.exp(-x / 3.0), 0.0, 30.0, (
+            "-0x1.aecdba1a70f63p+5", "-0x1.aecdba1bf3f84p+5", "-0x1.aecdba1bf3f8ep+5")),
+    }
+
+    PINNED_TOLS = (1e-6, 1e-10, 1e-11)
+
+    @pytest.mark.parametrize("tol", PINNED_TOLS)
+    @pytest.mark.parametrize("case", PINNED)
+    def test_pinned_results(self, case, tol):
+        f, a, b, want = self.PINNED[case]
+        assert integrate_interval(f, a, b, tol).hex() == want[self.PINNED_TOLS.index(tol)]
+
     def test_finite_interval_polynomial(self):
         # Simpson is exact on cubics; the interface should be too.
         val = integrate_interval(lambda x: x**3 - 2.0 * x + 1.0, -1.0, 3.0)

@@ -144,6 +144,8 @@ INT_ARGS = [
     ("mse_monte_carlo.seed", lambda v: _mse_mc(seed=v), 1),
     ("mse_monte_carlo.chunk_size", lambda v: _mse_mc(chunk_size=v), 512),
     ("SimulationConfig.n", lambda v: _config(n=v), 10),
+    ("SimulationConfig.trials", lambda v: _config(trials=v), 100),
+    ("SimulationConfig.chunk_size", lambda v: _config(chunk_size=v), 64),
     ("SimulationConfig.seed", lambda v: _config(seed=v), 1),
 ]
 
