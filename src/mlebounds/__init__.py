@@ -13,6 +13,7 @@ from .errors import (
 from .special import (
     exact_sum,
     integrate_interval,
+    log_gamma_shift,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -65,12 +66,12 @@ from .bounds import (
     theorem_bound,
 )
 from .montecarlo import (
-    MAX_CHUNK_SIZE,
     MonteCarloEstimate,
     SimulationConfig,
     SimulationResult,
     TABLE_SAMPLE_SIZES,
     TABLE_SEED,
+    iter_mle_chunks,
     mse_monte_carlo,
     result_rows_to_csv,
     result_rows_to_json,

@@ -50,6 +50,7 @@ from .moments import expected_h_of_z, third_abs_moment
 __all__ = [
     "BoundBreakdown",
     "BoundInputs",
+    "EXP_STEIN_CONST",
     "TestFunction",
     "ar_bound_canonical_expfam",
     "ar_bound_exp_noncanonical",

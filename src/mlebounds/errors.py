@@ -19,6 +19,14 @@ import math
 import numbers
 import operator
 
+__all__ = [
+    "ConsistencyError",
+    "DomainError",
+    "MLEBoundsError",
+    "QuadratureError",
+    "RootFindError",
+]
+
 
 class MLEBoundsError(Exception):
     """Base class for all errors raised by this package."""

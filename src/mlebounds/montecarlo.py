@@ -12,10 +12,11 @@ reference bound where one exists), so the estimated distance can be
 checked against its certificate.  :func:`mse_monte_carlo` estimates the
 MLE's mean squared error from the same sampler.
 
-Reproducibility contract: trials are processed in fixed chunks (default
-4096, at most ``MAX_CHUNK_SIZE``), each chunk drawing from its own
-counter-based Philox stream derived by hashing (seed, chunk_index) through
-numpy's SeedSequence spawn keys.  Each per-chunk sum is exactly rounded by
+Reproducibility contract: trials are processed in fixed chunks of 4096,
+each chunk drawing from its own counter-based Philox stream derived by
+hashing (seed, chunk_index) through numpy's SeedSequence spawn keys, so the
+random stream depends on the seed alone and the first k * 4096 trials of a
+run do not depend on ``trials``.  Each per-chunk sum is exactly rounded by
 :func:`~mlebounds.special.exact_sum`, which equals ``math.fsum`` bit for
 bit, and the chunk sums are combined by ``math.fsum`` in chunk order, so
 the result is bit-identical for a fixed config regardless of how chunks
@@ -46,7 +47,6 @@ from .moments import mse_closed_form
 from .special import exact_sum
 
 __all__ = [
-    "MAX_CHUNK_SIZE",
     "MonteCarloEstimate",
     "SimulationConfig",
     "SimulationResult",
@@ -70,9 +70,9 @@ TABLE_SEED = 99991
 # Seeds are unsigned 64-bit integers.
 _SEED_MAX = 2**64 - 1
 
-# Largest trials-per-chunk: a chunk holds a few float64 arrays of this
-# length at once, 8 MiB each.
-MAX_CHUNK_SIZE = 2**20
+# Trials per chunk.  The chunk layout fixes the random stream, so it is a
+# constant: the stream depends on the seed alone.
+_CHUNK = 4096
 
 
 def sample_model(m: ExpFamilyModel, theta0: float, rng: np.random.Generator, size=None):
@@ -87,10 +87,9 @@ def sample_model(m: ExpFamilyModel, theta0: float, rng: np.random.Generator, siz
 class SimulationConfig:
     """One simulation specification: model, truth, sizes, seed, test function.
 
-    ``chunk_size`` is the number of trials per chunk, from 1 to
-    ``MAX_CHUNK_SIZE``; it fixes the random stream, so it is part of the
-    config.  ``theta0`` is stored as a Python float; whether it lies in the
-    model's parameter space is checked when the simulation runs.
+    The chunk layout is fixed, so these fields determine the random stream.
+    ``theta0`` is stored as a Python float; whether it lies in the model's
+    parameter space is checked when the simulation runs.
     """
 
     model_id: str
@@ -100,14 +99,12 @@ class SimulationConfig:
     seed: int
     h: TestFunction
     model_params: Mapping[str, float] = field(default_factory=dict)
-    chunk_size: int = 4096
 
     def __post_init__(self) -> None:
         # Stored back as Python numbers, so numpy scalars behave like them.
         object.__setattr__(self, "theta0", _require_real(self.theta0, "theta0", "finite"))
-        for name, maximum in (("n", None), ("trials", None), ("chunk_size", MAX_CHUNK_SIZE)):
-            value = _require_int(getattr(self, name), name, maximum=maximum)
-            object.__setattr__(self, name, value)
+        for name in ("n", "trials"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name))
         object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, maximum=_SEED_MAX))
 
 
@@ -142,31 +139,26 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _chunks(trials: int, chunk_size: int) -> Iterator[tuple[int, int]]:
-    for index, start in enumerate(range(0, trials, chunk_size)):
-        yield index, min(chunk_size, trials - start)
-
-
 def iter_mle_chunks(
     m: ExpFamilyModel,
     theta0: float,
     n: int,
     trials: int,
     seed: int,
-    chunk_size: int = 4096,
 ) -> Iterator[np.ndarray]:
-    """Yield per-chunk arrays of MLEs under the deterministic chunk layout.
+    """Yield per-chunk arrays of MLEs under the fixed chunk layout: chunk k
+    holds trials k * 4096 to min((k + 1) * 4096, trials) - 1.
 
-    Each chunk draws ``count`` values of mean T, one per trial, from its own
-    derived stream through the model's ``sample_tbar`` (the closed-form law
-    of the sum of T over n observations), solves D(theta_hat) = mean T by
+    Each chunk draws one value of mean T per trial from its own derived
+    stream through the model's ``sample_tbar`` (the closed-form law of the
+    sum of T over n observations), solves D(theta_hat) = mean T by
     the model's closed-form ``d_inverse``, and verifies the defining
     identity |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial.
     Memory and time per chunk do not depend on n.
 
     The arguments are checked when the first chunk is asked for: theta0
-    must lie in the parameter space, n and trials be integers >= 1, seed
-    in [0, 2^64 - 1] and chunk_size in [1, ``MAX_CHUNK_SIZE``].
+    must lie in the parameter space, n and trials be integers >= 1 and seed
+    in [0, 2^64 - 1].
     """
     if m.sample_tbar is None or m.d_inverse is None:
         raise DomainError(
@@ -177,20 +169,38 @@ def iter_mle_chunks(
     n = _require_int(n, "n")
     trials = _require_int(trials, "trials")
     seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
-    chunk_size = _require_int(chunk_size, "chunk_size", maximum=MAX_CHUNK_SIZE)
-    for chunk_index, count in _chunks(trials, chunk_size):
+    for chunk_index, start in enumerate(range(0, trials, _CHUNK)):
+        count = min(_CHUNK, trials - start)
         tbar = np.asarray(m.sample_tbar(theta0, n, _chunk_rng(seed, chunk_index), count))
         theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
         dval = np.asarray(m.A1(theta_hat)) / np.asarray(m.k1(theta_hat))
         gap = np.abs(dval - tbar)
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(tbar))))
-        if np.any(gap > tol):
-            bad = int(np.argmax(gap > tol))
+        violated = gap > 1e-10 * np.maximum(1.0, np.abs(tbar))
+        if np.any(violated):
+            bad = int(np.argmax(violated))
             raise ConsistencyError(
-                f"MLE identity violated at trial {chunk_index * chunk_size + bad}: "
+                f"MLE identity violated at trial {start + bad}: "
                 f"|D(theta_hat) - mean T| = {float(gap[bad])!r}"
             )
         yield theta_hat
+
+
+def _chunk_sums(chunks: Iterator[np.ndarray], terms) -> list[float]:
+    """The exactly rounded sum over every trial of each array that
+    ``terms(theta_hats)`` returns for a chunk: ``exact_sum`` within a chunk,
+    then ``math.fsum`` across chunks in chunk order."""
+    per_chunk = [[exact_sum(a) for a in terms(theta_hats)] for theta_hats in chunks]
+    return [math.fsum(sums) for sums in zip(*per_chunk)]
+
+
+def _mean_and_se(total: float, total_sq: float, trials: int) -> tuple[float, float]:
+    """Sample mean and its standard error from the sums of x and x^2."""
+    mean = total / trials
+    if trials > 1:
+        var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
+    else:
+        var = 0.0
+    return mean, math.sqrt(var / trials)
 
 
 @dataclass(frozen=True)
@@ -209,37 +219,27 @@ def mse_monte_carlo(
     n: int,
     trials: int,
     seed: int,
-    chunk_size: int = 4096,
 ) -> MonteCarloEstimate:
     """Empirical MSE of the MLE: the mean of (theta_hat - theta0)^2 over
     seeded trials, with its standard error.
 
-    Sampling uses the same deterministic chunk layout as the simulation
-    harness (independent per-chunk streams, at most ``MAX_CHUNK_SIZE``
-    trials each), and every sum is exactly rounded: per chunk by
-    :func:`~mlebounds.special.exact_sum`, across chunks by ``math.fsum``.
-    So the result is bit-reproducible for a fixed seed.
+    Sampling uses the same fixed chunk layout as the simulation harness
+    (independent per-chunk streams of 4096 trials each), and every sum is
+    exactly rounded: per chunk by :func:`~mlebounds.special.exact_sum`,
+    across chunks by ``math.fsum``.  So the result is bit-reproducible for
+    a fixed seed.
     """
     # iter_mle_chunks checks the rest; these two are used here as well.
     trials = _require_int(trials, "trials", 1000)
     seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
 
-    sq_sums: list[float] = []
-    sq_sq_sums: list[float] = []
-    for theta_hats in iter_mle_chunks(m, theta0, n, trials, seed, chunk_size):
+    def terms(theta_hats):
         sq = (theta_hats - theta0) ** 2
-        sq_sums.append(exact_sum(sq))
-        sq_sq_sums.append(exact_sum(sq * sq))
-    total = math.fsum(sq_sums)
-    total_sq = math.fsum(sq_sq_sums)
-    mean = total / trials
-    var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
-    return MonteCarloEstimate(
-        value=mean,
-        standard_error=math.sqrt(var / trials),
-        trials=trials,
-        seed=seed,
-    )
+        return sq, sq * sq
+
+    total, total_sq = _chunk_sums(iter_mle_chunks(m, theta0, n, trials, seed), terms)
+    mean, standard_error = _mean_and_se(total, total_sq, trials)
+    return MonteCarloEstimate(value=mean, standard_error=standard_error, trials=trials, seed=seed)
 
 
 def _default_epsilon(theta0: float, fraction: float) -> float:
@@ -278,47 +278,33 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     """
     start_time = time.perf_counter()
     m = make_model(config.model_id, **dict(config.model_params))
-    theta0 = config.theta0
-    n = config.n
+    theta0, n, trials = config.theta0, config.n, config.trials
     h_fn = config.h.h
     expected = config.h.expected_h
     scale = math.sqrt(n * fisher_info(m, theta0))
 
-    sums_h: list[float] = []
-    sums_h2: list[float] = []
-    sums_u: list[float] = []
-    sums_u2: list[float] = []
-    for theta_hats in iter_mle_chunks(
-        m, theta0, n, config.trials, config.seed, config.chunk_size
-    ):
+    def terms(theta_hats):
         u = scale * (theta_hats - theta0)
         hv = np.asarray(h_fn(u), dtype=float)
-        sums_h.append(exact_sum(hv))
-        sums_h2.append(exact_sum(hv * hv))
-        sums_u.append(exact_sum(u))
-        sums_u2.append(exact_sum(u * u))
+        return hv, hv * hv, u, u * u
 
-    trials = config.trials
-    sum_h = math.fsum(sums_h)
-    sum_h2 = math.fsum(sums_h2)
-    mean_h = sum_h / trials
-    if trials > 1:
-        var_h = max(0.0, (sum_h2 - sum_h * sum_h / trials) / (trials - 1))
-    else:
-        var_h = 0.0
+    sum_h, sum_h2, sum_u, sum_u2 = _chunk_sums(
+        iter_mle_chunks(m, theta0, n, trials, config.seed), terms
+    )
+    mean_h, standard_error = _mean_and_se(sum_h, sum_h2, trials)
     bound_new, bound_ar = _attach_bounds(config, m)
     return SimulationResult(
         config=config,
         empirical_distance=abs(mean_h - expected),
-        standard_error=math.sqrt(var_h / trials),
+        standard_error=standard_error,
         bound_new=bound_new,
         bound_ar=bound_ar,
         expected_h=expected,
         mean_h=mean_h,
         sum_h=sum_h,
         sum_h_sq=sum_h2,
-        std_mean=math.fsum(sums_u) / trials,
-        std_second_moment=math.fsum(sums_u2) / trials,
+        std_mean=sum_u / trials,
+        std_second_moment=sum_u2 / trials,
         elapsed_seconds=time.perf_counter() - start_time,
     )
 

@@ -7,7 +7,6 @@ import math
 
 import pytest
 
-from mlebounds import MAX_CHUNK_SIZE
 from mlebounds.cli import build_parser, main
 
 HP = 3.0 * math.sqrt(6.0) / 32.0
@@ -138,12 +137,6 @@ class TestSimulateCommand:
         assert code == 2
         assert "trials" in err
 
-    def test_chunk_size_above_maximum_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--model", "exp-noncanonical", "--theta0", "2",
-                               "--n", "10", "--chunk-size", str(MAX_CHUNK_SIZE + 1))
-        assert code == 2
-        assert "chunk_size" in err
-
     def test_runtime_failure_exit_code(self, capsys, monkeypatch):
         import mlebounds.cli as cli_mod
         from mlebounds.errors import QuadratureError
@@ -231,6 +224,13 @@ class TestArgumentParsing:
     def test_unknown_formula_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--formula", "bogus", "--n", "10"])
+        assert exc.value.code == 2
+
+    def test_chunk_size_is_not_a_flag(self):
+        # The chunk layout is fixed, so the stream depends on --seed alone.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", "exp-noncanonical", "--theta0", "2", "--n", "10",
+                  "--chunk-size", "8"])
         assert exc.value.code == 2
 
     def test_shared_parser_does_not_leak_between_calls(self, capsys, tmp_path):

@@ -269,17 +269,14 @@ class TestMseMonteCarlo:
 
     def test_numpy_integer_arguments(self):
         m = exp_canonical_model()
-        a = mse_monte_carlo(m, 2.0, 10, trials=5000, seed=9, chunk_size=1024)
-        b = mse_monte_carlo(
-            m, 2.0, np.int64(10), trials=np.int64(5000), seed=np.uint64(9),
-            chunk_size=np.int32(1024),
-        )
+        a = mse_monte_carlo(m, 2.0, 10, trials=5000, seed=9)
+        b = mse_monte_carlo(m, 2.0, np.int64(10), trials=np.int64(5000), seed=np.uint64(9))
         assert a == b
         assert type(b.trials) is int and type(b.seed) is int
 
-    @pytest.mark.parametrize("field", ["n", "trials", "seed", "chunk_size"])
+    @pytest.mark.parametrize("field", ["n", "trials", "seed"])
     def test_bool_rejected(self, field):
-        kwargs = dict(n=10, trials=5000, seed=9, chunk_size=1024)
+        kwargs = dict(n=10, trials=5000, seed=9)
         kwargs[field] = True
         with pytest.raises(DomainError):
             mse_monte_carlo(exp_noncanonical_model(), 2.0, **kwargs)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mlebounds import (
-    MAX_CHUNK_SIZE,
     ConsistencyError,
     DomainError,
     SimulationConfig,
@@ -124,7 +123,7 @@ class TestSufficientStatisticSampler:
     def test_identity_check_reports_the_global_trial(self):
         # A wrong closed-form inverse breaks D(theta_hat) = mean T.  Here it
         # is wrong from the sixth trial of the second chunk on, which is
-        # global trial 64 + 5.
+        # global trial 4096 + 5.
         calls = []
 
         def inverse(t):
@@ -133,10 +132,43 @@ class TestSufficientStatisticSampler:
             return np.where(wrong, 2.0 * t, t)
 
         m = dataclasses.replace(exp_noncanonical_model(), d_inverse=inverse)
-        chunks = iter_mle_chunks(m, 2.0, 10, 128, 1, chunk_size=64)
+        chunks = iter_mle_chunks(m, 2.0, 10, 8192, 1)
         next(chunks)
-        with pytest.raises(ConsistencyError, match="at trial 69:"):
+        with pytest.raises(ConsistencyError, match="at trial 4101:"):
             next(chunks)
+
+    def test_identity_tolerance_is_per_trial(self):
+        # The tolerance is 1e-10 * max(1, |mean T|) for each trial on its
+        # own, so an inverse off by 5e-10 wherever |mean T| < 1 is caught
+        # even though other trials of the chunk have |mean T| above 5.
+        seen = []
+
+        def inverse(t):
+            seen.append(t)
+            return np.where(np.abs(t) < 1.0, t + 5e-10, t)
+
+        m = dataclasses.replace(exp_noncanonical_model(), d_inverse=inverse)
+        with pytest.raises(ConsistencyError) as exc:
+            next(iter_mle_chunks(m, 2.0, 1, 4096, 1))
+        (tbar,) = seen
+        assert np.max(np.abs(tbar)) > 10.0
+        assert f"at trial {int(np.argmax(np.abs(tbar) < 1.0))}:" in str(exc.value)
+
+    @pytest.mark.parametrize("model_id, params, theta0", [
+        ("gg", {"d": 2.0, "p": 1.5}, 0.9),
+        ("normal-mean", {"sigma": 1.5}, -0.4),
+    ])
+    def test_leading_chunks_do_not_depend_on_trials(self, model_id, params, theta0):
+        # Every chunk but the last holds 4096 trials whatever ``trials`` is,
+        # so the MLEs of the first k * 4096 trials are the same in every run
+        # of the seed that reaches them.
+        m = make_model(model_id, **params)
+        runs = {t: list(iter_mle_chunks(m, theta0, 8, t, 5)) for t in (4096, 4097, 8192, 9000)}
+        assert [len(c) for c in runs[4097]] == [4096, 1]
+        assert [len(c) for c in runs[9000]] == [4096, 4096, 808]
+        for t in (4097, 8192, 9000):
+            assert np.array_equal(runs[t][0], runs[4096][0])
+        assert np.array_equal(runs[9000][1], runs[8192][1])
 
     def test_table_model_at_n_1e9(self):
         # A trial costs the same at every n, so n = 1e9 is a plain run.
@@ -152,17 +184,14 @@ class TestSufficientStatisticSampler:
 class TestSimulationConfig:
     def test_numpy_integers_stored_as_int(self):
         a = SimulationConfig("exp-noncanonical", 2.0, 100, 5000, 7, H)
-        b = SimulationConfig(
-            "exp-noncanonical", 2.0, np.int64(100), np.int64(5000), np.uint64(7), H,
-            chunk_size=np.int32(4096),
-        )
+        b = SimulationConfig("exp-noncanonical", 2.0, np.int64(100), np.int64(5000), np.uint64(7), H)
         assert a == b
-        assert all(type(getattr(b, f)) is int for f in ("n", "trials", "seed", "chunk_size"))
+        assert all(type(getattr(b, f)) is int for f in ("n", "trials", "seed"))
         assert result_rows_to_json([run_simulation(a)]) == result_rows_to_json([run_simulation(b)])
 
-    @pytest.mark.parametrize("field", ["n", "trials", "seed", "chunk_size"])
+    @pytest.mark.parametrize("field", ["n", "trials", "seed"])
     def test_bool_rejected(self, field):
-        kwargs = dict(n=10, trials=100, seed=1, chunk_size=64)
+        kwargs = dict(n=10, trials=100, seed=1)
         kwargs[field] = True
         with pytest.raises(DomainError):
             SimulationConfig("exp-noncanonical", 2.0, h=H, **kwargs)
@@ -176,15 +205,6 @@ class TestSimulationConfig:
             SimulationConfig("exp-noncanonical", 2.0, 10, 100, -1, H)
         with pytest.raises(DomainError):
             SimulationConfig("exp-noncanonical", 2.0, 10, 100, 2**64, H)
-
-    def test_chunk_size_maximum(self):
-        # Builds configs only: nothing is sampled at either size.
-        config = SimulationConfig("exp-noncanonical", 2.0, 10, 100, 1, H, chunk_size=MAX_CHUNK_SIZE)
-        assert config.chunk_size == MAX_CHUNK_SIZE == 2**20
-        with pytest.raises(DomainError, match="chunk_size"):
-            SimulationConfig("exp-noncanonical", 2.0, 10, 100, 1, H, chunk_size=MAX_CHUNK_SIZE + 1)
-        with pytest.raises(DomainError, match="chunk_size"):
-            mse_monte_carlo(exp_noncanonical_model(), 2.0, 10, 1000, 1, chunk_size=MAX_CHUNK_SIZE + 1)
 
 
 class TestRunSimulation:
@@ -211,14 +231,6 @@ class TestRunSimulation:
         a = run_simulation(SimulationConfig(seed=1, **base))
         b = run_simulation(SimulationConfig(seed=2, **base))
         assert a.mean_h != b.mean_h
-
-    def test_chunk_size_invariance_not_required_but_layout_fixed(self):
-        # The chunk layout is part of the config: equal configs agree,
-        # different chunk sizes are allowed to differ.
-        base = dict(model_id="exp-noncanonical", theta0=2.0, n=50, trials=3000, seed=3, h=H)
-        a = run_simulation(SimulationConfig(chunk_size=4096, **base))
-        b = run_simulation(SimulationConfig(chunk_size=4096, **base))
-        assert a.sum_h == b.sum_h
 
     def test_empirical_distance_recomputable_from_sums(self):
         config = SimulationConfig("exp-noncanonical", 2.0, 50, 4000, 11, H)

@@ -1,24 +1,48 @@
-"""Smoke tests of the package surface: public names resolve, demos run."""
+"""Smoke tests of the package surface: public names resolve, demos and the
+README examples run."""
 
 import ast
+import contextlib
 import importlib
+import io
 import os
+import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import mlebounds
+from mlebounds import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+
+# The modules that declare public names; cli is an entry point only.
+PUBLIC_MODULES = ("errors", "special", "models", "moments", "bounds", "montecarlo")
 
 
-@pytest.mark.parametrize("name", ["special", "models", "moments", "bounds", "montecarlo"])
+@pytest.mark.parametrize("name", PUBLIC_MODULES)
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"mlebounds.{name}")
     assert module.__all__
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_exports_exactly_the_modules_all():
+    declared = set()
+    for name in PUBLIC_MODULES:
+        declared.update(importlib.import_module(f"mlebounds.{name}").__all__)
+    exported = {
+        name for name, value in vars(mlebounds).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(exported - declared) == []
+    assert sorted(declared - exported) == []
 
 
 def test_every_name_the_package_imports_resolves():
@@ -71,3 +95,26 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced block under the README's ``## heading``."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_command_lines_succeed(capsys):
+    lines = [line for line in _readme_block("Command line").splitlines() if line.strip()]
+    assert lines and all(line.startswith("mlebounds ") for line in lines)
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
+
+
+def test_readme_quick_start_runs_and_prints_its_total():
+    code = _readme_block("Library quick start")
+    (comment,) = [line.split("#", 1)[1] for line in code.splitlines() if "print(bd.total)" in line]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README quick start", "exec"), {})
+    assert out.getvalue().startswith(comment.strip().rstrip(".")), out.getvalue()

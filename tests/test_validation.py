@@ -45,7 +45,7 @@ from mlebounds import (
 )
 from mlebounds.bounds import TestFunction as HFunc
 from mlebounds.errors import _require_int, _require_real
-from mlebounds.montecarlo import MAX_CHUNK_SIZE, iter_mle_chunks
+from mlebounds.montecarlo import iter_mle_chunks
 from mlebounds.special import (
     integrate_interval,
     log_gamma_shift,
@@ -67,13 +67,13 @@ def _inputs(**override):
 
 
 def _chunks(**override):
-    kwargs = dict(theta0=1.5, n=10, trials=100, seed=1, chunk_size=64)
+    kwargs = dict(theta0=1.5, n=10, trials=100, seed=1)
     kwargs.update(override)
     return np.concatenate(list(iter_mle_chunks(M, **kwargs)))
 
 
 def _mse_mc(**override):
-    kwargs = dict(theta0=1.5, n=10, trials=1000, seed=1, chunk_size=512)
+    kwargs = dict(theta0=1.5, n=10, trials=1000, seed=1)
     kwargs.update(override)
     return mse_monte_carlo(M, **kwargs)
 
@@ -138,14 +138,11 @@ INT_ARGS = [
     ("iter_mle_chunks.n", lambda v: _chunks(n=v), 10),
     ("iter_mle_chunks.trials", lambda v: _chunks(trials=v), 100),
     ("iter_mle_chunks.seed", lambda v: _chunks(seed=v), 1),
-    ("iter_mle_chunks.chunk_size", lambda v: _chunks(chunk_size=v), 64),
     ("mse_monte_carlo.n", lambda v: _mse_mc(n=v), 10),
     ("mse_monte_carlo.trials", lambda v: _mse_mc(trials=v), 1000),
     ("mse_monte_carlo.seed", lambda v: _mse_mc(seed=v), 1),
-    ("mse_monte_carlo.chunk_size", lambda v: _mse_mc(chunk_size=v), 512),
     ("SimulationConfig.n", lambda v: _config(n=v), 10),
     ("SimulationConfig.trials", lambda v: _config(trials=v), 100),
-    ("SimulationConfig.chunk_size", lambda v: _config(chunk_size=v), 64),
     ("SimulationConfig.seed", lambda v: _config(seed=v), 1),
 ]
 
@@ -211,8 +208,6 @@ FORMER_FAULTS = [
     ("BoundInputs(mse='x')", lambda: _inputs(mse="x")),
     ("iter_mle_chunks(n=0)", lambda: _chunks(n=0)),
     ("iter_mle_chunks(n=2.5)", lambda: _chunks(n=2.5)),
-    ("iter_mle_chunks(chunk_size=0)", lambda: _chunks(chunk_size=0)),
-    ("iter_mle_chunks(chunk_size=MAX_CHUNK_SIZE + 1)", lambda: _chunks(chunk_size=MAX_CHUNK_SIZE + 1)),
     ("iter_mle_chunks(seed=-1)", lambda: _chunks(seed=-1)),
     ("iter_mle_chunks(seed=2**64)", lambda: _chunks(seed=2**64)),
     ("iter_mle_chunks(trials=0)", lambda: _chunks(trials=0)),
