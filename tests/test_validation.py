@@ -23,6 +23,8 @@ from mlebounds import (
     DomainError,
     GeneralizedGammaParams,
     SimulationConfig,
+    ar_bound_canonical_expfam,
+    ar_bound_exp_noncanonical,
     d_prime,
     d_value,
     density,
@@ -39,8 +41,10 @@ from mlebounds import (
     mse_exp_canonical,
     mse_monte_carlo,
     reference_test_function,
+    result_rows_to_json,
     sample_model,
     sup_abs_d_second,
+    table1,
     third_abs_moment,
 )
 from mlebounds.bounds import TestFunction as HFunc
@@ -82,6 +86,14 @@ def _config(**override):
     kwargs = dict(model_id="exp-canonical", theta0=1.5, n=10, trials=100, seed=1, h=H)
     kwargs.update(override)
     return SimulationConfig(**kwargs)
+
+
+def _table1(**override):
+    # A result holds its wall time and a fresh h closure, so two equal runs
+    # differ in repr; the serialized table is what is compared.
+    kwargs = dict(trials=1000, seed=1)
+    kwargs.update(override)
+    return result_rows_to_json(table1(**kwargs))
 
 
 # (argument, call with the value in that argument, a valid Python float)
@@ -134,6 +146,8 @@ INT_ARGS = [
     ("gg_bound.n", lambda v: gg_bound(v, GeneralizedGammaParams(1.0, 2.0, 1.5), H), 10),
     ("exp_canonical_bound.n", lambda v: exp_canonical_bound(v, H), 10),
     ("exp_noncanonical_bound.n", lambda v: exp_noncanonical_bound(v, H), 10),
+    ("ar_bound_exp_noncanonical.n", lambda v: ar_bound_exp_noncanonical(v, H), 10),
+    ("ar_bound_canonical_expfam.n", lambda v: ar_bound_canonical_expfam(M, 1.5, v, 0.5, H, 0.1), 10),
     ("mse_closed_form.n", lambda v: mse_closed_form(M, v, 1.5), 10),
     ("iter_mle_chunks.n", lambda v: _chunks(n=v), 10),
     ("iter_mle_chunks.trials", lambda v: _chunks(trials=v), 100),
@@ -144,6 +158,8 @@ INT_ARGS = [
     ("SimulationConfig.n", lambda v: _config(n=v), 10),
     ("SimulationConfig.trials", lambda v: _config(trials=v), 100),
     ("SimulationConfig.seed", lambda v: _config(seed=v), 1),
+    ("table1.trials", lambda v: _table1(trials=v), 1000),
+    ("table1.seed", lambda v: _table1(seed=v), 1),
 ]
 
 NON_NUMERIC = [True, False, np.bool_(True), "1.5", "2", None, [1.0]]
