@@ -57,7 +57,6 @@ __all__ = [
     "exp_canonical_bound",
     "exp_noncanonical_bound",
     "expfam_bound",
-    "get_test_function",
     "gg_bound",
     "lemma_clt_bound",
     "reference_test_function",
@@ -129,21 +128,6 @@ def reference_test_function() -> TestFunction:
         norm_h=0.5,
         norm_h_prime=3.0 * math.sqrt(6.0) / 32.0,
     )
-
-
-_H_REGISTRY: dict[str, Callable[[], TestFunction]] = {
-    "paper": reference_test_function,
-}
-
-
-def get_test_function(name: str) -> TestFunction:
-    """Look up a built-in test function by its registry id."""
-    builder = _H_REGISTRY.get(name)
-    if builder is None:
-        raise DomainError(
-            f"unknown test function {name!r}; available: {sorted(_H_REGISTRY)}"
-        )
-    return builder()
 
 
 # The kind of real number each numeric BoundInputs field must be.

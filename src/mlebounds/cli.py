@@ -21,8 +21,8 @@ from .bounds import (
     exp_canonical_bound,
     exp_noncanonical_bound,
     expfam_bound,
-    get_test_function,
     gg_bound,
+    reference_test_function,
 )
 from .errors import DomainError
 from .models import GeneralizedGammaParams, make_model
@@ -57,18 +57,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     Parsing leaves the parser unchanged (each call gets a fresh namespace),
     so one instance serves every ``main`` call; it is not built at import
-    so that importing the package stays cheap.
+    so that importing the package stays cheap.  Flags must be spelled in
+    full: an abbreviation such as ``--h`` would silently mean ``--help``.
     """
     parser = argparse.ArgumentParser(
         prog="mlebounds",
         description="Explicit normal-approximation bounds for MLEs, with a Monte Carlo check.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("human", "csv", "json"), default="human")
         p.add_argument("--out", default=None, help="write the report to this file instead of stdout")
-        p.add_argument("--h", dest="h_name", default="paper", help="test function registry id")
 
     def add_model_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", default=None, help="model id (e.g. exp-noncanonical, gg, weibull)")
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in _MODEL_PARAM_FLAGS:
             p.add_argument(f"--{name}", type=float, default=None)
 
-    pb = sub.add_parser("bound", help="evaluate one bound formula")
+    pb = add_parser("bound", help="evaluate one bound formula")
     pb.add_argument("--formula", choices=FORMULAS, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--epsilon-frac", type=float, default=0.5,
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(pb)
     pb.set_defaults(func=cmd_bound)
 
-    ps = sub.add_parser("simulate", help="run one seeded simulation")
+    ps = add_parser("simulate", help="run one seeded simulation")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--trials", type=int, default=10000)
     ps.add_argument("--seed", type=int, default=0)
@@ -93,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(ps)
     ps.set_defaults(func=cmd_simulate)
 
-    pt = sub.add_parser("table1", help="emit the bundled five-row verification table")
+    pt = add_parser("table1", help="emit the bundled five-row verification table")
     pt.add_argument("--trials", type=int, default=10000)
     pt.add_argument("--seed", type=int, default=TABLE_SEED)
     add_common(pt)
@@ -146,7 +148,7 @@ def _report(fields: dict, fmt: str) -> str:
 
 
 def cmd_bound(args) -> int:
-    h = get_test_function(args.h_name)
+    h = reference_test_function()
     n = args.n
     formula = args.formula
 
@@ -211,7 +213,7 @@ def cmd_simulate(args) -> int:
         n=args.n,
         trials=args.trials,
         seed=args.seed,
-        h=get_test_function(args.h_name),
+        h=reference_test_function(),
         model_params=_model_params(args),
     )
     row = run_simulation(config)

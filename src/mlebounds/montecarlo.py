@@ -76,8 +76,11 @@ _CHUNK = 4096
 
 
 def sample_model(m: ExpFamilyModel, theta0: float, rng: np.random.Generator, size=None):
-    """Draw from f(. | theta0) through the model's ``sample`` field."""
+    """Draw from f(. | theta0) through the model's ``sample`` field: one
+    draw when ``size`` is None, else an array of ``size`` >= 0 draws."""
     t0 = _require_theta(m, theta0, "theta0")
+    if size is not None:
+        size = _require_int(size, "size", 0)
     if m.sample is None:
         raise DomainError(f"model {m.name!r} has no per-observation sampler")
     return m.sample(t0, rng, size)

@@ -81,7 +81,8 @@ def log_gamma_shift(z: float, a: float) -> float:
 
 def std_normal_pdf(x: float) -> float:
     """Standard normal density phi(x)."""
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    v = _require_real(x, "x", "finite")
+    return math.exp(-0.5 * v * v) / _SQRT_2PI
 
 
 def std_normal_cdf(x: float) -> float:

@@ -21,7 +21,6 @@ from mlebounds import (
     exp_noncanonical_model,
     expfam_bound,
     generalized_gamma_model,
-    get_test_function,
     gg_bound,
     lemma_clt_bound,
     mse_closed_form,
@@ -61,11 +60,6 @@ class TestReferenceTestFunction:
     def test_h_values(self):
         assert H.h(0.0) == 0.5
         assert H.h(1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-    def test_registry(self):
-        assert get_test_function("paper").name == "paper"
-        with pytest.raises(DomainError):
-            get_test_function("nope")
 
     def test_norm_certificates_enforced(self):
         with pytest.raises(DomainError):

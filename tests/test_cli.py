@@ -20,8 +20,7 @@ def run_cli(capsys, *argv):
 
 class TestBoundCommand:
     def test_exp_noncanonical_human(self, capsys):
-        code, out, _ = run_cli(capsys, "bound", "--formula", "exp-noncanonical",
-                               "--n", "10", "--h", "paper")
+        code, out, _ = run_cli(capsys, "bound", "--formula", "exp-noncanonical", "--n", "10")
         assert code == 0
         assert "0.320578" in out
 
@@ -66,12 +65,6 @@ class TestBoundCommand:
                                "--n", "10")
         assert code == 2
         assert "canonical" in err
-
-    def test_unknown_h(self, capsys):
-        code, _, err = run_cli(capsys, "bound", "--formula", "exp-noncanonical",
-                               "--n", "10", "--h", "mystery")
-        assert code == 2
-        assert "test function" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--formula", "exp-noncanonical",
@@ -232,6 +225,17 @@ class TestArgumentParsing:
             main(["simulate", "--model", "exp-noncanonical", "--theta0", "2", "--n", "10",
                   "--chunk-size", "8"])
         assert exc.value.code == 2
+
+    def test_h_is_not_a_flag(self):
+        # The CLI always uses the reference h; custom ones are library-only.
+        for argv in (
+            ["bound", "--formula", "exp-noncanonical", "--n", "10"],
+            ["simulate", "--model", "exp-noncanonical", "--theta0", "2", "--n", "10"],
+            ["table1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--h", "paper"])
+            assert exc.value.code == 2, argv
 
     def test_shared_parser_does_not_leak_between_calls(self, capsys, tmp_path):
         # The parser is built once; flags given to one call must not be

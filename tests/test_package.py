@@ -6,6 +6,7 @@ import contextlib
 import importlib
 import io
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 import mlebounds
 from mlebounds import cli
+from mlebounds.models import MODEL_FAMILIES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -45,15 +47,14 @@ def test_package_exports_exactly_the_modules_all():
     assert sorted(declared - exported) == []
 
 
-def test_every_name_the_package_imports_resolves():
+def test_package_star_imports_exactly_the_public_modules():
+    # Each module's __all__ is the only export list; the package keeps none.
     tree = ast.parse((SRC / "mlebounds" / "__init__.py").read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    missing = []
-    for node in imports:
-        module = importlib.import_module(f"mlebounds.{node.module}")
-        missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
-    assert missing == []
+    imports = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == [f"from .{name} import *" for name in PUBLIC_MODULES]
 
 
 # Each module may import only from modules before it.
@@ -97,10 +98,14 @@ def test_demo_runs(demo):
     assert done.stdout
 
 
+def _readme_section(heading: str) -> str:
+    """The text under the README's ``## heading``."""
+    return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_block(heading: str) -> str:
     """The first fenced block under the README's ``## heading``."""
-    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    return section.split("```", 2)[1].split("\n", 1)[1]
+    return _readme_section(heading).split("```", 2)[1].split("\n", 1)[1]
 
 
 def test_readme_command_lines_succeed(capsys):
@@ -118,3 +123,17 @@ def test_readme_quick_start_runs_and_prints_its_total():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README quick start", "exec"), {})
     assert out.getvalue().startswith(comment.strip().rstrip(".")), out.getvalue()
+
+
+def test_readme_lists_the_cli_vocabulary():
+    prose = _readme_section("Command line")
+    formulas = prose.split("Formulas:", 1)[1].split("Models:", 1)[0]
+    models, flags = prose.split("Models:", 1)[1].split("shape flags", 1)
+    flags = flags.split(")", 1)[0]
+
+    def ticked(text):
+        return set(re.findall(r"`([^`]+)`", text))
+
+    assert ticked(formulas) == set(cli.FORMULAS)
+    assert ticked(models) == set(MODEL_FAMILIES)
+    assert ticked(flags) == {f"--{name}" for name in cli._MODEL_PARAM_FLAGS}

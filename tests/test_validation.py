@@ -54,6 +54,7 @@ from mlebounds.special import (
     integrate_interval,
     log_gamma_shift,
     std_normal_cdf,
+    std_normal_pdf,
 )
 
 # D(theta) = -1/theta is not the identity, so every epsilon path runs.
@@ -101,6 +102,7 @@ REAL_ARGS = [
     ("log_gamma_shift.z", lambda v: log_gamma_shift(v, 0.5), 3.5),
     ("log_gamma_shift.a", lambda v: log_gamma_shift(3.5, v), 0.5),
     ("std_normal_cdf.x", std_normal_cdf, 0.5),
+    ("std_normal_pdf.x", std_normal_pdf, 0.5),
     ("integrate_interval.a", lambda v: integrate_interval(math.cos, v, 1.0), -0.5),
     ("integrate_interval.b", lambda v: integrate_interval(math.cos, 0.0, v), 1.5),
     ("integrate_interval.tol", lambda v: integrate_interval(math.cos, 0.0, 1.0, v), 0.5),
@@ -234,6 +236,19 @@ FORMER_FAULTS = [
 def test_former_faults_raise_domain_error(case, call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_sample_model_size_is_none_or_a_count():
+    # None (one draw) is valid here, so size cannot be an INT_ARGS row.
+    def draw(size):
+        return sample_model(M, 1.5, np.random.default_rng(0), size)
+
+    assert np.ndim(draw(None)) == 0
+    assert draw(0).shape == (0,)
+    assert _same(draw(np.int64(5)), draw(5))
+    for bad in (True, 2.5, "3", -1, [3]):
+        with pytest.raises(DomainError, match="size"):
+            draw(bad)
 
 
 class TestFastPathMatchesAbcPath:
