@@ -74,9 +74,11 @@ _CERT_GRID = np.linspace(-50.0, 50.0, 4001)
 class TestFunction:
     """A bounded absolutely continuous test function with certified norms.
 
-    ``norm_h`` and ``norm_h_prime`` are sup-norm certificates supplied by
-    whoever constructs the function; they are never inferred.  Construction
-    checks them against h on a dense grid of [-50, 50]: |h| must not exceed
+    ``h`` maps an array of points to an array of values of the same shape
+    (wrap a scalar function in ``np.vectorize``).  ``norm_h`` and
+    ``norm_h_prime`` are sup-norm certificates supplied by whoever
+    constructs the function; they are never inferred.  Construction checks
+    them against h on a dense grid of [-50, 50]: |h| must not exceed
     norm_h, and no secant slope may exceed norm_h_prime (up to 1e-6
     relative slack for roundoff).  ``expected_h`` is E[h(Z)], computed on
     first use and kept on the instance.
@@ -93,9 +95,12 @@ class TestFunction:
         try:
             values = np.asarray(self.h(_CERT_GRID), dtype=float)
             if values.shape != _CERT_GRID.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            values = np.array([float(self.h(x)) for x in _CERT_GRID])
+                raise ValueError(f"returned shape {values.shape}")
+        except (TypeError, ValueError) as exc:
+            raise DomainError(
+                f"test function {self.name!r} must map an array of points to an array "
+                f"of values of the same shape ({exc}); wrap a scalar h in np.vectorize"
+            ) from exc
         if not np.all(np.isfinite(values)):
             raise DomainError(f"test function {self.name!r} is not finite on [-50, 50]")
         if np.max(np.abs(values)) > self.norm_h * (1.0 + 1e-9):
@@ -116,11 +121,13 @@ class TestFunction:
         return expected_h_of_z(self)
 
 
+@functools.cache
 def reference_test_function() -> TestFunction:
     """The built-in test function h(x) = 1/(x^2 + 2).
 
     Its exact sup norms are ||h|| = 1/2 (attained at 0) and
-    ||h'|| = 3 sqrt(6) / 32 (attained at x^2 = 2/3).
+    ||h'|| = 3 sqrt(6) / 32 (attained at x^2 = 2/3).  Certified on first
+    use; every call returns that one instance and its ``expected_h``.
     """
     return TestFunction(
         name="paper",
@@ -176,20 +183,11 @@ class BoundBreakdown:
     stein_term: float
     tail_term: float
     taylor_term: float
-    total: float
+    total: float = dataclasses.field(init=False)
     formula_id: str
 
-    @classmethod
-    def from_terms(
-        cls, stein: float, tail: float, taylor: float, formula_id: str
-    ) -> "BoundBreakdown":
-        return cls(
-            stein_term=stein,
-            tail_term=tail,
-            taylor_term=taylor,
-            total=stein + tail + taylor,
-            formula_id=formula_id,
-        )
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total", self.stein_term + self.tail_term + self.taylor_term)
 
 
 def lemma_clt_bound(
@@ -233,7 +231,7 @@ def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
     else:
         tail = i.mse * 2.0 * i.h.norm_h / i.epsilon**2
         taylor = i.mse * hp * math.sqrt(i.n * i.fisher) / (2.0 * i.q_prime_abs) * i.sup_q_second
-    return BoundBreakdown.from_terms(stein, tail, taylor, "theorem")
+    return BoundBreakdown(stein, tail, taylor, "theorem")
 
 
 def expfam_bound(
@@ -305,12 +303,12 @@ def gg_bound(n: int, params: GeneralizedGammaParams, h: TestFunction) -> BoundBr
     d, p = params.d, params.p
     stein = h.norm_h_prime / math.sqrt(n) * (2.0 + (3.0 + 6.0 * p / d) ** 0.75)
     if d == 1.0 and p == 1.0:
-        return BoundBreakdown.from_terms(stein, 0.0, 0.0, "gg")
+        return BoundBreakdown(stein, 0.0, 0.0, "gg")
     factor = gg_mse_factor(n, d, p)
     tail = 8.0 * h.norm_h * factor
     edge = 2.0 ** (2.0 - p) if p < 2.0 else 1.5 ** (p - 2.0)
     taylor = factor * h.norm_h_prime * math.sqrt(n * d * p) * abs(p - 1.0) / 2.0 * edge
-    return BoundBreakdown.from_terms(stein, tail, taylor, "gg")
+    return BoundBreakdown(stein, tail, taylor, "gg")
 
 
 def exp_canonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
@@ -329,7 +327,7 @@ def exp_canonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
     tail = 8.0 * h.norm_h * ratio
     taylor = 8.0 * h.norm_h_prime * math.sqrt(n) * ratio
-    return BoundBreakdown.from_terms(stein, tail, taylor, "exp-canonical")
+    return BoundBreakdown(stein, tail, taylor, "exp-canonical")
 
 
 def exp_noncanonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
@@ -340,7 +338,7 @@ def exp_noncanonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     """
     n = _require_int(n, "n")
     stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
-    return BoundBreakdown.from_terms(stein, 0.0, 0.0, "exp-noncanonical")
+    return BoundBreakdown(stein, 0.0, 0.0, "exp-noncanonical")
 
 
 def ar_bound_exp_noncanonical(n: int, h: TestFunction) -> float:

@@ -31,6 +31,7 @@ from .montecarlo import (
     SimulationConfig,
     SimulationResult,
     TABLE_SEED,
+    _csv_line,
     _default_epsilon,
     result_rows_to_csv,
     result_rows_to_json,
@@ -135,11 +136,7 @@ def _report(fields: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(fields, indent=2) + "\n"
     if fmt == "csv":
-        head = ",".join(fields)
-        vals = ",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in fields.values()
-        )
-        return f"{head}\n{vals}\n"
+        return f"{_csv_line(fields)}\n{_csv_line(fields.values())}\n"
     lines = [
         f"{key:<12} {value}" if key in ("formula", "n") else f"{key:<12} {value:.6g}"
         for key, value in fields.items()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -277,43 +278,25 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
     def g(th: float) -> float:
         return sign * (float(m.A1(th)) / float(m.k1(th)) - y)
 
-    def toward_lower(step: int) -> float:
-        if math.isfinite(lo_b):
-            return lo_b + (x0 - lo_b) / 2.0**step
-        return x0 - 2.0**step
-
-    def toward_upper(step: int) -> float:
-        if math.isfinite(hi_b):
-            return hi_b - (hi_b - x0) / 2.0**step
-        return x0 + 2.0**step
-
     g0 = g(x0)
     if g0 == 0.0:
         return x0
-    lo, hi = x0, x0
-    if g0 > 0.0:
-        # g increases with theta: look for g <= 0 toward the lower end.
-        for step in range(1, 200):
-            cand = toward_lower(step)
-            gc = g(cand)
-            if math.isfinite(gc) and gc <= 0.0:
-                lo = cand
-                break
+    # g increases with theta: step toward the lower end when g0 > 0, else
+    # the upper, until g takes the sign of the direction (or is zero).
+    direction, end = (-1.0, lo_b) if g0 > 0.0 else (1.0, hi_b)
+    for step in range(1, 200):
+        if math.isfinite(end):
+            cand = end - (end - x0) / 2.0**step
         else:
-            raise DomainError(
-                f"target {y!r} is not attained by D on the parameter space of {m.name!r}"
-            )
+            cand = x0 + direction * 2.0**step
+        gc = g(cand)
+        if math.isfinite(gc) and direction * gc >= 0.0:
+            break
     else:
-        for step in range(1, 200):
-            cand = toward_upper(step)
-            gc = g(cand)
-            if math.isfinite(gc) and gc >= 0.0:
-                hi = cand
-                break
-        else:
-            raise DomainError(
-                f"target {y!r} is not attained by D on the parameter space of {m.name!r}"
-            )
+        raise DomainError(
+            f"target {y!r} is not attained by D on the parameter space of {m.name!r}"
+        )
+    lo, hi = (cand, x0) if g0 > 0.0 else (x0, cand)
 
     # Safeguarded Newton/bisection.  g is monotone increasing on [lo, hi].
     abs_tol = 1e-12 * max(1.0, abs(y))
@@ -708,4 +691,7 @@ def make_model(model_id: str, **params) -> ExpFamilyModel:
     try:
         return builder(**params)
     except TypeError as exc:
-        raise DomainError(f"invalid parameters for model {model_id!r}: {exc}") from exc
+        accepted = list(inspect.signature(builder).parameters)
+        raise DomainError(
+            f"model {model_id!r} takes the parameters {accepted}, got {sorted(params)}"
+        ) from exc

@@ -355,16 +355,16 @@ def _row_fields(r: SimulationResult) -> dict:
     }
 
 
+def _csv_line(values) -> str:
+    """One CSV line: floats by ``repr``, None as empty, the rest by ``str``."""
+    return ",".join(
+        repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in values
+    )
+
+
 def result_rows_to_csv(rows: list[SimulationResult]) -> str:
     """Serialize result rows as CSV with round-trip float precision."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        f = _row_fields(r)
-        ar = "" if f["ar_bound"] is None else repr(f["ar_bound"])
-        lines.append(
-            f"{f['n']},{f['empirical_distance']!r},{f['standard_error']!r},"
-            f"{f['new_bound']!r},{ar},{f['seed']},{f['trials']}"
-        )
+    lines = [CSV_HEADER] + [_csv_line(_row_fields(r).values()) for r in rows]
     return "\n".join(lines) + "\n"
 
 

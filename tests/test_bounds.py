@@ -1,5 +1,6 @@
 """Tests for the bound formulas and their closed-form specializations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlebounds import (
+    BoundBreakdown,
     BoundInputs,
     DomainError,
     EXP_STEIN_CONST,
@@ -71,6 +73,26 @@ class TestReferenceTestFunction:
         with pytest.raises(DomainError):
             HFunc(name="bad", h=lambda x: x * 0 + math.nan, norm_h=1.0,
                   norm_h_prime=1.0)
+
+    @pytest.mark.parametrize("h", [lambda x: 0.5, lambda x: math.exp(-x * x)])
+    def test_h_must_be_vectorized(self, h):
+        # A constant would broadcast to one value and a scalar-only h
+        # cannot take an array; the simulator needs one value per point.
+        with pytest.raises(DomainError, match="np.vectorize"):
+            HFunc(name="scalar", h=h, norm_h=1.0, norm_h_prime=1.0)
+        vectorized = HFunc(name="scalar", h=np.vectorize(h), norm_h=1.0, norm_h_prime=1.0)
+        assert vectorized.h(np.zeros(3)).shape == (3,)
+
+
+class TestBoundBreakdown:
+    def test_total_is_the_sum_of_the_terms(self):
+        bd = BoundBreakdown(1.0, 2.0, 3.0, "x")
+        assert bd.total == 6.0
+        assert dataclasses.replace(bd, tail_term=5.0).total == 9.0
+        assert dataclasses.replace(bd, formula_id="y").total == 6.0
+        assert list(dataclasses.asdict(bd)) == [
+            "stein_term", "tail_term", "taylor_term", "total", "formula_id"
+        ]
 
 
 class TestLemmaCltBound:

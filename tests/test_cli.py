@@ -208,6 +208,16 @@ class TestTableCommand:
         assert text.startswith("n,empirical_distance")
 
 
+class TestModelParameters:
+    def test_unknown_parameter_names_the_accepted_ones(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--formula", "expfam", "--model",
+                                 "normal-variance", "--sigma", "1", "--theta0", "2",
+                                 "--n", "20")
+        assert code == 2 and out == ""
+        assert "'mu'" in err and "'sigma'" in err
+        assert "normal_variance_model" not in err
+
+
 class TestArgumentParsing:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -210,6 +210,18 @@ class TestMLE:
         with pytest.raises(DomainError):
             mle(m, [1.0, -2.0])
 
+    def test_invert_d_matches_closed_form_both_sides(self):
+        # The generic inverse starts at 1 on (0, inf) and at 0 on the real
+        # line, then searches toward one end; every family's thetas lie on
+        # both sides of that start, so both directions are exercised.
+        for m, thetas in all_builtin_cases():
+            generic = dataclasses.replace(m, d_inverse=None)
+            for theta in thetas:
+                target = float(d_value(m, theta))
+                assert invert_d(generic, target) == pytest.approx(
+                    m.d_inverse(target), rel=1e-12
+                ), (m.name, theta)
+
     def test_invert_d_out_of_range(self):
         # D of the canonical exponential maps onto (-inf, 0); positive
         # targets are unreachable.
@@ -386,6 +398,12 @@ class TestMakeModel:
             make_model("weibull", alpha=-1.0)
         with pytest.raises(DomainError):
             make_model("normal-mean", sigma=0.0)
+
+    def test_bad_params_name_the_accepted_ones(self):
+        with pytest.raises(DomainError, match=r"'normal-variance' takes the parameters \['mu'\], got \['sigma'\]"):
+            make_model("normal-variance", sigma=1.0)
+        with pytest.raises(DomainError, match=r"takes the parameters \['d', 'p'\], got \['d'\]"):
+            make_model("gg", d=2.0)
 
     def test_gg_params_validation(self):
         with pytest.raises(DomainError):

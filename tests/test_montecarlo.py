@@ -29,6 +29,7 @@ from mlebounds import (
     table1,
 )
 from mlebounds import bounds, montecarlo
+from mlebounds.bounds import TestFunction as HFunc
 from mlebounds.montecarlo import _chunk_rng, iter_mle_chunks
 
 H = reference_test_function()
@@ -247,13 +248,35 @@ class TestRunSimulation:
             return expected_h_of_z(h, *args)
 
         monkeypatch.setattr(bounds, "expected_h_of_z", counted)
-        h = reference_test_function()
+        h = dataclasses.replace(reference_test_function())  # a fresh, uncomputed instance
         rows = [
             run_simulation(SimulationConfig("exp-noncanonical", 2.0, n, 1000, 5, h))
             for n in (10, 20)
         ]
         assert calls == [h]
         assert rows[0].expected_h == rows[1].expected_h == expected_h_of_z(h)
+
+    def test_reference_h_is_shared_and_integrated_once(self, monkeypatch):
+        calls = []
+
+        def counted(h, *args):
+            calls.append(h)
+            return expected_h_of_z(h, *args)
+
+        monkeypatch.setattr(bounds, "expected_h_of_z", counted)
+        reference_test_function.cache_clear()
+        first = table1(trials=1000)
+        second = table1(trials=1000)
+        shared = reference_test_function()
+        assert shared is reference_test_function()
+        assert len(calls) == 1 and calls[0] is shared
+        assert all(r.config.h is shared for r in first + second)
+
+    def test_vectorized_scalar_h_simulates(self):
+        h = HFunc("gauss", np.vectorize(lambda x: math.exp(-x * x)), 1.0, 1.0)
+        r = run_simulation(SimulationConfig("exp-noncanonical", 2.0, 100, 2000, 3, h))
+        assert 0.0 < r.mean_h < 1.0
+        assert r.expected_h == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-9)
 
     def test_standardization_sanity(self):
         # Mean and second moment of sqrt(n i(theta0)) (theta_hat - theta0)
