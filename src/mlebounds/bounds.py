@@ -249,9 +249,9 @@ def expfam_bound(
     :func:`theorem_bound`.  The caller supplies the MSE (closed forms for
     all built-ins live in :func:`mlebounds.moments.mse_closed_form`).
     The model's certified ``bound_moment`` stands in for the third moment
-    where the exact one is intractable (the generalized gamma and Weibull
-    families, keeping the whole result a certified upper bound); every
-    other model uses :func:`mlebounds.moments.third_abs_moment`.
+    where it has one (the generalized gamma and Weibull families, whose
+    bounds keep the paper's Holder step); every other model uses
+    :func:`mlebounds.moments.third_abs_moment`.
 
     The equivalent family-native form of the Stein factor,
     |k'|^3 E|T - D|^3 / |A'' - k'' D|^{3/2}, is exactly i^{3/2}/|D'|^3

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, RootFindError, _require_int, _require_real
-from .special import log_gamma_shift
+from .special import _log_gamma_excess, gamma_third_abs_moment
 
 __all__ = [
     "EXP_THIRD_ABS_MOMENT",
@@ -115,8 +115,9 @@ class ExpFamilyModel:
       eps)`` is the supremum of |D''| over the eps-ball;
     * ``third_moment(theta0)`` is E|T - D(theta0)|^3 exactly, and
       ``bound_moment(theta0)`` a certified upper bound on it that the
-      bounds use instead, for families whose exact moment is intractable
-      in general (the generalized gamma, and so Weibull);
+      bounds use instead: the paper bounds the generalized-gamma (and so
+      Weibull) moment by Holder's inequality, and its bounds keep that
+      step although the exact moment is known;
     * ``mse(n, theta0)`` is the mean squared error of the MLE;
     * ``sample(theta0, rng, size)`` draws observations, and
       ``sample_tbar(theta0, n, rng, size)`` draws ``size`` values of mean T
@@ -396,8 +397,8 @@ def density(m: ExpFamilyModel, x, theta: float):
 def third_abs_moment_holder_gg(params: GeneralizedGammaParams) -> float:
     """Upper bound on E|X^p - (d/p) theta^p|^3 for the generalized gamma.
 
-    The exact moment is intractable, so it is bounded through the fourth
-    central moment of the Gamma(d/p) law of X^p:
+    The paper bounds the moment through the fourth central moment of the
+    Gamma(d/p) law of X^p:
 
         E|T - D|^3  <=  (E[(T - D)^4])^(3/4)  =  theta^{3p} (d/p)^{3/4} (6 + 3 d/p)^{3/4}.
 
@@ -421,23 +422,26 @@ def mse_exp_canonical(n: int, theta0: float) -> float:
 def gg_mse_factor(n: int, d: float, p: float) -> float:
     """The theta-free factor of the generalized-gamma MSE.
 
-    Returns 1 - 2 (p/(nd))^{1/p} G((nd+1)/p)/G(nd/p)
-              + (p/(nd))^{2/p} G((nd+2)/p)/G(nd/p),
+    With z = nd/p, the factor
 
-    evaluated entirely in log space so that nd/p up to 1e9 and beyond stays
-    exact to roundoff: the gamma ratios go through
-    :func:`~mlebounds.special.log_gamma_shift`, which takes the shifts 1/p
-    and 2/p as given instead of rounding z + 1/p to a float first.
-    Multiplied by theta^2 this is the MSE of the GG scale MLE; it is O(1/n).
+        1 - 2 z^{-1/p} Gamma(z + 1/p)/Gamma(z) + z^{-2/p} Gamma(z + 2/p)/Gamma(z)
+
+    is expm1(G(z, 2/p)) - 2 expm1(G(z, 1/p)), with G(z, a) = ln Gamma(z + a)
+    - ln Gamma(z) - a ln z from
+    :func:`~mlebounds.special.log_gamma_shift_excess`.  Both G are O(1/z)
+    and computed as small quantities, so the O(1/n) result keeps its
+    relative accuracy for nd/p up to 1e9 and beyond, where 1 - 2 t1 + t2
+    with t1, t2 near 1 would lose it to cancellation.  Multiplied by
+    theta^2 this is the MSE of the GG scale MLE.
     """
     n = _require_int(n, "n")
     d = _require_real(d, "generalized gamma shape d")
     p = _require_real(p, "generalized gamma shape p")
     z = n * d / p
-    log_scale = math.log(p) - math.log(n * d)
-    t1 = math.exp(log_scale / p + log_gamma_shift(z, 1.0 / p))
-    t2 = math.exp(2.0 * log_scale / p + log_gamma_shift(z, 2.0 / p))
-    return 1.0 - 2.0 * t1 + t2
+    # z and both shifts are positive, so the unchecked core serves.
+    g1 = _log_gamma_excess(z, 1.0 / p)
+    g2 = _log_gamma_excess(z, 2.0 / p)
+    return math.expm1(g2) - 2.0 * math.expm1(g1)
 
 
 def mse_gg(n: int, params: GeneralizedGammaParams) -> float:
@@ -611,11 +615,9 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     """Generalized gamma GG(theta, d, p) with known shapes d, p > 0.
 
     T(x) = x^p follows a Gamma(d/p, rate theta^-p) law, D(theta) =
-    (d/p) theta^p, and the MLE is ((p/(n d)) sum x_i^p)^(1/p).
-
-    Moment integrals by quadrature require d >= 1: for d < 1 the density
-    blows up at the origin and the adaptive integrator cannot resolve it
-    (the closed-form fourth-moment route stays available there).
+    (d/p) theta^p, and the MLE is ((p/(n d)) sum x_i^p)^(1/p).  So
+    E|T - D|^3 = theta^{3p} m3(d/p), with m3 the Gamma third absolute
+    moment of :func:`~mlebounds.special.gamma_third_abs_moment`.
     """
     dv = _require_real(d, "generalized gamma shape d")
     pv = _require_real(p, "generalized gamma shape p")
@@ -645,8 +647,7 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         d_second=lambda th: dv * (pv - 1.0) * th ** (pv - 2.0),
         d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
         sup_d_second=sup_d2,
-        # With d = p, T = X^p is exponential with mean theta^p.
-        third_moment=(lambda t0: EXP_THIRD_ABS_MOMENT * t0 ** (3.0 * pv)) if dv == pv else None,
+        third_moment=lambda t0: gamma_third_abs_moment(a) * t0 ** (3.0 * pv),
         bound_moment=lambda t0: third_abs_moment_holder_gg(GeneralizedGammaParams(t0, dv, pv)),
         mse=lambda n, t0: mse_gg(n, GeneralizedGammaParams(t0, dv, pv)),
         # T = X^p is Gamma(d/p, scale theta^p), so X = T^(1/p) and the sum

@@ -9,8 +9,9 @@ Closed forms live on the model itself (:class:`~mlebounds.models.ExpFamilyModel`
 fields set by each built-in constructor, with the generalized-gamma and
 exponential formulas defined in :mod:`.models`) and take precedence; the
 adaptive quadrature of :mod:`.special` provides the independent oracle that
-every closed form is shadow-tested against, plus the fallback for models
-without one.  The seeded Monte Carlo MSE lives beside its sampler in
+every closed form is shadow-tested against.  As a third moment it now
+serves only the normal-variance model, which has no ``third_moment`` yet,
+and custom models.  The seeded Monte Carlo MSE lives beside its sampler in
 :mod:`.montecarlo`.
 """
 

@@ -18,6 +18,7 @@ from mlebounds import (
     expected_h_of_z,
     expfam_bound,
     fisher_info,
+    gamma_third_abs_moment,
     generalized_gamma_model,
     gg_bound,
     gg_mse_factor,
@@ -95,13 +96,13 @@ class TestThirdAbsMoment:
         assert third_abs_moment(m, 0.7) == pytest.approx(expected, rel=1e-14)
         assert third_abs_moment(m, 0.7) == pytest.approx(quad_third_moment(m, 0.7), rel=1e-8)
 
-    def test_normal_variance_quadrature_path(self):
-        # No closed form is registered here; the quadrature fallback must
-        # agree with the independent integrator.
-        m = normal_variance_model(mu=0.0)
-        theta0 = 1.3
-        assert third_abs_moment(m, theta0) == pytest.approx(
-            quad_third_moment(m, theta0), rel=1e-8
+    @pytest.mark.parametrize("theta0", [0.5, 1.3, 2.7])
+    def test_normal_variance_quadrature_path(self, theta0):
+        # No closed form is registered here, so the quadrature fallback
+        # runs.  T = theta chi^2_1 = 2 theta Gamma(1/2), so it must give
+        # E|T - theta|^3 = 8 m3(1/2) theta^3.
+        assert third_abs_moment(normal_variance_model(), theta0) == pytest.approx(
+            8.0 * gamma_third_abs_moment(0.5) * theta0**3, rel=1e-12
         )
 
     def test_weibull_exact_exponential_form(self):
@@ -122,6 +123,22 @@ class TestThirdAbsMoment:
             quad_third_moment(m, theta0), rel=1e-7
         )
 
+    @pytest.mark.parametrize("d,p", [(0.5, 3.0), (0.8, 1.0), (2.0, 1.5), (5.0, 0.5)])
+    def test_gg_forty_digit_reference(self, d, p):
+        # E|T - D|^3 = theta^{3p} E|G - a|^3 with G ~ Gamma(a = d/p), built
+        # here from mpmath.gammainc.  For d < 1 the density is singular at 0
+        # and quadrature misses its own tolerance.
+        mpmath = pytest.importorskip("mpmath")
+        theta0 = 1.3
+        with mpmath.workdps(40):
+            a = mpmath.mpf(d) / mpmath.mpf(p)
+            phi = mpmath.exp(a * mpmath.log(a) - a - mpmath.loggamma(a))
+            prob = mpmath.gammainc(a, 0, a, regularized=True)
+            m3 = 4 * (a + 1) * phi + 2 * a * (1 - 2 * prob)
+            want = float(m3 * mpmath.mpf(theta0) ** (3 * mpmath.mpf(p)))
+        got = third_abs_moment(generalized_gamma_model(d=d, p=p), theta0)
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestHolderBound:
     def test_unit_shapes(self):
@@ -136,7 +153,7 @@ class TestHolderBound:
     @pytest.mark.parametrize("d,p", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (3.0, 2.0)])
     def test_dominates_exact_moment(self, d, p):
         m = generalized_gamma_model(d=d, p=p)
-        exact = third_abs_moment(m, 1.0) if d != p else quad_third_moment(m, 1.0)
+        exact = third_abs_moment(m, 1.0)
         holder = third_abs_moment_holder_gg(GeneralizedGammaParams(theta=1.0, d=d, p=p))
         assert exact <= holder
 
@@ -186,23 +203,21 @@ class TestMseGG:
         assert vals[-1] == pytest.approx(1.0 / 3.0, rel=1e-3)
 
     @pytest.mark.parametrize(
-        "d,p", [(2.0, 1.5), (1.5, 1.5), (3.0, 2.0), (2.0, 0.5), (1.5, 1.0)]
+        "d,p", [(2.0, 1.5), (3.0, 2.0), (2.0, 2.0), (0.5, 3.0), (1.5, 1.5), (2.0, 0.5), (1.5, 1.0)]
     )
-    def test_forty_digit_oracle(self, d, p):
-        # The factor is 1 - 2 t1 + t2 with t1, t2 exponentials of sums of
-        # size ln z, so double precision allows a few eps (1 + ln z).
+    def test_fifty_digit_oracle(self, d, p):
+        # expm1 of the small log ratios keeps the O(1/n) factor relative:
+        # 1 - 2 t1 + t2 was 1.1e-5 off at n = 1e9 for (2, 1.5).
         mpmath = pytest.importorskip("mpmath")
-        for k in range(2, 10):
-            n = 10**k
-            with mpmath.workdps(40):
+        for n in [1, 3, 10, 100, 10**3, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9]:
+            with mpmath.workdps(50):
                 nd, pm = mpmath.mpf(n) * mpmath.mpf(d), mpmath.mpf(p)
                 z = nd / pm
-                log_r, log_g = mpmath.log(pm / nd), mpmath.loggamma(z)
-                t1 = mpmath.exp(log_r / pm + mpmath.loggamma(z + 1 / pm) - log_g)
-                t2 = mpmath.exp(2 * log_r / pm + mpmath.loggamma(z + 2 / pm) - log_g)
+                log_g = mpmath.loggamma(z)
+                t1 = mpmath.exp(mpmath.loggamma(z + 1 / pm) - log_g - mpmath.log(z) / pm)
+                t2 = mpmath.exp(mpmath.loggamma(z + 2 / pm) - log_g - 2 * mpmath.log(z) / pm)
                 want = float(1 - 2 * t1 + t2)
-            tol = 64.0 * np.finfo(float).eps * (1.0 + math.log(n * d / p))
-            assert abs(gg_mse_factor(n, d, p) - want) <= tol, (n, d, p)
+            assert gg_mse_factor(n, d, p) == pytest.approx(want, rel=1e-12), (n, d, p)
 
     def test_bounds_stay_valid_at_n_1e9(self):
         # A rounded z + 1/p once made the factor negative here.

@@ -10,48 +10,96 @@ from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 from mlebounds import (
+    EXP_THIRD_ABS_MOMENT,
     DomainError,
     QuadratureError,
     exact_sum,
+    gamma_third_abs_moment,
     integrate_interval,
+    log_gamma_shift_excess,
     std_normal_cdf,
     std_normal_pdf,
 )
-from mlebounds.special import log_gamma_shift
 
 
-class TestLogGammaShift:
-    @pytest.mark.parametrize("z", [0.7, 5.0, 29.5, 30.0, 1234.5, 1e6, 4e9 / 3.0, 1.5e12])
-    @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0, 4.0 / 3.0, 2.0, 3.0])
+def _excess_oracle(z, a):
+    """ln Gamma(z + a) - ln Gamma(z) - a ln z in 40 digits; the float a is
+    the shift, so the oracle adds it exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        zm, am = mpmath.mpf(z), mpmath.mpf(a)
+        return float(mpmath.loggamma(zm + am) - mpmath.loggamma(zm) - am * mpmath.log(zm))
+
+
+class TestLogGammaShiftExcess:
+    @pytest.mark.parametrize("z", [0.7, 5.0, 9.5, 10.0, 29.5, 1234.5, 1e6, 4e9 / 3.0, 1.5e12])
+    @pytest.mark.parametrize("a", [0.5, 2.0 / 3.0, 4.0 / 3.0, 2.0, 3.0, 7.5])
     def test_forty_digit_oracle(self, z, a):
-        # The shift is the float a itself, so the oracle adds it exactly.
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            zm, am = mpmath.mpf(z), mpmath.mpf(a)
-            want = float(mpmath.loggamma(zm + am) - mpmath.loggamma(zm))
-        assert log_gamma_shift(z, a) == pytest.approx(want, rel=1e-14, abs=1e-15)
+        # G is about a (a - 1)/(2 z), far from 0 for these shifts, so the
+        # lifted (z < 10) and Stirling branches both hold it relatively.
+        assert log_gamma_shift_excess(z, a) == pytest.approx(_excess_oracle(z, a), rel=1e-13)
 
     @given(st.floats(min_value=0.5, max_value=1e12))
-    def test_unit_shift_is_log(self, z):
-        # ln Gamma(z + 1) - ln Gamma(z) = ln z exactly.
-        assert log_gamma_shift(z, 1.0) == pytest.approx(math.log(z), rel=1e-13, abs=1e-14)
+    def test_unit_shift_vanishes(self, z):
+        # ln Gamma(z + 1) - ln Gamma(z) = ln z exactly, so G(z, 1) = 0; what
+        # is left is roundoff on terms of size 1/z.
+        assert abs(log_gamma_shift_excess(z, 1.0)) <= 1e-15 / z
 
-    def test_exact_where_rounding_z_plus_a_is_not(self):
-        # At z = 4e9/3 the float z + 2/3 is off by about ulp(z), which moves
-        # the result by ulp(z) ln z; log_gamma_shift never forms z + a.
+    def test_small_where_the_log_gamma_difference_is_not(self):
+        # At z = 4e9/3 each ln Gamma is 2.7e10, so their difference keeps no
+        # digit of G = 1.7e-10; two terms of the asymptotic series in 1/z
+        # give G to 1e-18 relative.
         z, a = 4e9 / 3.0, 2.0 / 3.0
-        exact = a * math.log(z) + (a * (a - 1.0) / 2.0) / z
-        assert log_gamma_shift(z, a) == pytest.approx(exact, rel=1e-15)
-        assert abs(log_gamma_shift(z, (z + a) - z) - exact) > 1e-9
-
-    def test_matches_lgamma_below_the_switch(self):
-        for z in (0.5, 3.0, 29.9):
-            assert log_gamma_shift(z, 0.75) == math.lgamma(z + 0.75) - math.lgamma(z)
+        exact = (a * a - a) / (2.0 * z) - (a**3 - 1.5 * a * a + 0.5 * a) / (6.0 * z * z)
+        assert log_gamma_shift_excess(z, a) == pytest.approx(exact, rel=1e-14)
+        naive = math.lgamma(z + a) - math.lgamma(z) - a * math.log(z)
+        assert abs(naive - exact) > 1e3 * abs(exact)
 
     @pytest.mark.parametrize("z,a", [(0.0, 1.0), (-1.0, 3.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)])
     def test_domain_errors(self, z, a):
         with pytest.raises(DomainError):
-            log_gamma_shift(z, a)
+            log_gamma_shift_excess(z, a)
+
+
+def _gamma_third_oracle(a):
+    """4 (a + 1) phi(a) + 2 a (1 - 2 P(a, a)) in 40 digits, P from
+    mpmath.gammainc rather than a quadrature, whose integrand is singular at
+    0 for a < 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        am = mpmath.mpf(a)
+        phi = mpmath.exp(am * mpmath.log(am) - am - mpmath.loggamma(am))
+        p = mpmath.gammainc(am, 0, am, regularized=True)
+        return float(4 * (am + 1) * phi + 2 * am * (1 - 2 * p))
+
+
+class TestGammaThirdAbsMoment:
+    # Log-spaced from 0.05 to 1e6, eight per decade, and both sides of the
+    # switch from the power series to Temme's expansion at a = 10.
+    SHAPES = [0.05 * 10 ** (k / 8) for k in range(59)] + [1e6, 9.999999, 10.0]
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_forty_digit_gammainc_reference(self, a):
+        assert gamma_third_abs_moment(a) == pytest.approx(_gamma_third_oracle(a), rel=1e-12)
+
+    def test_exponential_case(self):
+        assert gamma_third_abs_moment(1.0) == pytest.approx(EXP_THIRD_ABS_MOMENT, rel=1e-15)
+
+    def test_half_shape_from_erf(self):
+        # P(1/2, 1/2) = erf(1/sqrt 2) and phi(1/2) = e^-1/2 / sqrt(2 pi);
+        # 8 m3(1/2) is E|chi^2_1 - 1|^3, the normal-variance constant.
+        want = 6.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi) + 1.0 - 2.0 * math.erf(math.sqrt(0.5))
+        assert gamma_third_abs_moment(0.5) == pytest.approx(want, rel=1e-14)
+        assert 8.0 * gamma_third_abs_moment(0.5) == pytest.approx(8.691562902725508, rel=1e-15)
+
+    @given(st.floats(min_value=1e-3, max_value=1e9))
+    def test_lyapunov_and_the_normal_limit(self, a):
+        # Lyapunov: m3 >= (E|G - a|^2)^(3/2) = a^(3/2); and m3 / a^(3/2)
+        # tends to E|Z|^3 = 2 sqrt(2/pi), with a gap of 2/(3a) relative.
+        m3 = gamma_third_abs_moment(a)
+        assert a**1.5 <= m3
+        if a >= 100.0:
+            assert m3 / a**1.5 == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=2.0 / math.sqrt(a))
 
 
 def _fsum_outcome(fn, values):

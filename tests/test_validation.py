@@ -51,8 +51,9 @@ from mlebounds.bounds import TestFunction as HFunc
 from mlebounds.errors import _require_int, _require_real
 from mlebounds.montecarlo import iter_mle_chunks
 from mlebounds.special import (
+    gamma_third_abs_moment,
     integrate_interval,
-    log_gamma_shift,
+    log_gamma_shift_excess,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -99,8 +100,9 @@ def _table1(**override):
 
 # (argument, call with the value in that argument, a valid Python float)
 REAL_ARGS = [
-    ("log_gamma_shift.z", lambda v: log_gamma_shift(v, 0.5), 3.5),
-    ("log_gamma_shift.a", lambda v: log_gamma_shift(3.5, v), 0.5),
+    ("log_gamma_shift_excess.z", lambda v: log_gamma_shift_excess(v, 0.5), 3.5),
+    ("log_gamma_shift_excess.a", lambda v: log_gamma_shift_excess(3.5, v), 0.5),
+    ("gamma_third_abs_moment.a", gamma_third_abs_moment, 0.5),
     ("std_normal_cdf.x", std_normal_cdf, 0.5),
     ("std_normal_pdf.x", std_normal_pdf, 0.5),
     ("integrate_interval.a", lambda v: integrate_interval(math.cos, v, 1.0), -0.5),
