@@ -72,16 +72,19 @@ _CERT_GRID = np.linspace(-50.0, 50.0, 4001)
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A bounded absolutely continuous test function with certified norms.
+    """A bounded absolutely continuous test function with stated sup norms.
 
     ``h`` maps an array of points to an array of values of the same shape
     (wrap a scalar function in ``np.vectorize``).  ``norm_h`` and
-    ``norm_h_prime`` are sup-norm certificates supplied by whoever
-    constructs the function; they are never inferred.  Construction checks
-    them against h on a dense grid of [-50, 50]: |h| must not exceed
-    norm_h, and no secant slope may exceed norm_h_prime (up to 1e-6
-    relative slack for roundoff).  ``expected_h`` is E[h(Z)], computed on
-    first use and kept on the instance.
+    ``norm_h_prime`` are the sup norms claimed by whoever constructs the
+    function; they are never inferred.  Construction runs a consistency
+    check, not a proof: on a grid of [-50, 50] with step 0.025, |h| must not
+    exceed norm_h and no secant slope may exceed norm_h_prime (up to 1e-6
+    relative slack).  A secant slope is a lower estimate of sup|h'| and
+    nothing off the grid is seen, so the check catches typos but certifies
+    nothing; the reference h's norms are proven in
+    :func:`reference_test_function`.  ``expected_h`` is E[h(Z)], computed
+    on first use and kept on the instance.
     """
 
     name: str
@@ -105,13 +108,13 @@ class TestFunction:
             raise DomainError(f"test function {self.name!r} is not finite on [-50, 50]")
         if np.max(np.abs(values)) > self.norm_h * (1.0 + 1e-9):
             raise DomainError(
-                f"certified norm_h={self.norm_h} is violated by {self.name!r} "
+                f"stated norm_h={self.norm_h} is violated by {self.name!r} "
                 f"(observed {np.max(np.abs(values))})"
             )
         slopes = np.abs(np.diff(values)) / np.diff(_CERT_GRID)
         if np.max(slopes) > self.norm_h_prime * (1.0 + 1e-6):
             raise DomainError(
-                f"certified norm_h_prime={self.norm_h_prime} is violated by {self.name!r} "
+                f"stated norm_h_prime={self.norm_h_prime} is violated by {self.name!r} "
                 f"(observed secant slope {np.max(slopes)})"
             )
 
@@ -126,8 +129,8 @@ def reference_test_function() -> TestFunction:
     """The built-in test function h(x) = 1/(x^2 + 2).
 
     Its exact sup norms are ||h|| = 1/2 (attained at 0) and
-    ||h'|| = 3 sqrt(6) / 32 (attained at x^2 = 2/3).  Certified on first
-    use; every call returns that one instance and its ``expected_h``.
+    ||h'|| = 3 sqrt(6) / 32 (attained at x^2 = 2/3).  Built on first use;
+    every call returns that one instance and its ``expected_h``.
     """
     return TestFunction(
         name="paper",
@@ -266,10 +269,7 @@ def expfam_bound(
         # the ball-inside-the-space constraint is enforced exactly when
         # those terms exist.
         sup_q2 = sup_abs_d_second(m, theta0, epsilon)
-    if m.bound_moment is not None:
-        third_moment = m.bound_moment(theta0)
-    else:
-        third_moment = third_abs_moment(m, theta0)
+    third_moment = third_abs_moment(m, theta0) if m.bound_moment is None else m.bound_moment(theta0)
     inputs = BoundInputs(
         n=n,
         theta0=theta0,

@@ -311,14 +311,8 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
         else:
             lo = x
         dp = d_prime(m, x) * sign
-        step_ok = False
-        if math.isfinite(dp) and dp > 0.0:
-            cand = x - gx / dp
-            if lo < cand < hi:
-                x = cand
-                step_ok = True
-        if not step_ok:
-            x = 0.5 * (lo + hi)
+        cand = x - gx / dp if math.isfinite(dp) and dp > 0.0 else math.nan
+        x = cand if lo < cand < hi else 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
             return 0.5 * (lo + hi)
     raise RootFindError(
@@ -384,9 +378,7 @@ def density(m: ExpFamilyModel, x, theta: float):
     if np.any(inside):
         xs = arr[inside]
         out[inside] = np.exp(m.k(t) * m.T(xs) - m.A(t) + m.S(xs))
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +452,7 @@ _REAL = (-math.inf, math.inf)
 def _const(value: float) -> Callable:
     def fn(th):
         arr = np.asarray(th, dtype=float)
-        if arr.ndim == 0:
-            return float(value)
-        return np.full(arr.shape, float(value))
+        return float(value) if arr.ndim == 0 else np.full(arr.shape, float(value))
 
     return fn
 
@@ -617,7 +607,11 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     T(x) = x^p follows a Gamma(d/p, rate theta^-p) law, D(theta) =
     (d/p) theta^p, and the MLE is ((p/(n d)) sum x_i^p)^(1/p).  So
     E|T - D|^3 = theta^{3p} m3(d/p), with m3 the Gamma third absolute
-    moment of :func:`~mlebounds.special.gamma_third_abs_moment`.
+    moment of :func:`~mlebounds.special.gamma_third_abs_moment`.  The
+    integration window starts at 1e-13 times its upper end, so for d < 1,
+    where the density is singular at 0, a copy without ``third_moment``
+    gets a quadrature moment that misses its tolerance with no error: 8.9e-9
+    relative off at (d, p) = (0.5, 3) and 4.0e-10 at (0.8, 1), theta0 = 1.3.
     """
     dv = _require_real(d, "generalized gamma shape d")
     pv = _require_real(p, "generalized gamma shape p")

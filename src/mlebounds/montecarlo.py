@@ -16,11 +16,12 @@ Reproducibility contract: trials are processed in fixed chunks of 4096,
 each chunk drawing from its own counter-based Philox stream derived by
 hashing (seed, chunk_index) through numpy's SeedSequence spawn keys, so the
 random stream depends on the seed alone and the first k * 4096 trials of a
-run do not depend on ``trials``.  Each per-chunk sum is exactly rounded by
-:func:`~mlebounds.special.exact_sum`, which equals ``math.fsum`` bit for
-bit, and the chunk sums are combined by ``math.fsum`` in chunk order, so
-the result is bit-identical for a fixed config regardless of how chunks
-might be scheduled.
+run do not depend on ``trials``.  A chunk's accumulators are stacked into
+one block and summed by one exact extraction, which equals ``math.fsum`` of
+each accumulator bit for bit, and the chunk sums are combined by
+``math.fsum`` in chunk order, so the result is bit-identical for a fixed
+config regardless of how chunks might be scheduled, and a call holds one
+chunk's arrays at a time, whatever ``trials`` is.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .bounds import (
 )
 from .models import ExpFamilyModel, _require_theta, fisher_info, make_model
 from .moments import mse_closed_form
-from .special import exact_sum
+from .special import _exact_row_sums
 
 __all__ = [
     "MonteCarloEstimate",
@@ -156,7 +157,8 @@ def iter_mle_chunks(
     stream through the model's ``sample_tbar`` (the closed-form law of the
     sum of T over n observations), solves D(theta_hat) = mean T by
     the model's closed-form ``d_inverse``, and verifies the defining
-    identity |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial.
+    identity |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial;
+    a NaN or infinite theta_hat fails it, naming the first failing trial.
     Memory and time per chunk do not depend on n.
 
     The arguments are checked when the first chunk is asked for: theta0
@@ -176,11 +178,14 @@ def iter_mle_chunks(
         count = min(_CHUNK, trials - start)
         tbar = np.asarray(m.sample_tbar(theta0, n, _chunk_rng(seed, chunk_index), count))
         theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
-        dval = np.asarray(m.A1(theta_hat)) / np.asarray(m.k1(theta_hat))
-        gap = np.abs(dval - tbar)
-        violated = gap > 1e-10 * np.maximum(1.0, np.abs(tbar))
-        if np.any(violated):
-            bad = int(np.argmax(violated))
+        with np.errstate(all="ignore"):  # a non-finite theta_hat fails the check
+            gap = np.asarray(m.A1(theta_hat), dtype=float) / np.asarray(m.k1(theta_hat))
+            gap -= tbar
+        limit = np.abs(tbar)
+        np.maximum(limit, 1.0, out=limit)
+        held = np.abs(gap, out=gap) <= np.multiply(limit, 1e-10, out=limit)
+        if not held.all():
+            bad = int(np.argmin(held))
             raise ConsistencyError(
                 f"MLE identity violated at trial {start + bad}: "
                 f"|D(theta_hat) - mean T| = {float(gap[bad])!r}"
@@ -190,20 +195,18 @@ def iter_mle_chunks(
 
 def _chunk_sums(chunks: Iterator[np.ndarray], terms) -> list[float]:
     """The exactly rounded sum over every trial of each array that
-    ``terms(theta_hats)`` returns for a chunk: ``exact_sum`` within a chunk,
-    then ``math.fsum`` across chunks in chunk order."""
-    per_chunk = [[exact_sum(a) for a in terms(theta_hats)] for theta_hats in chunks]
+    ``terms(theta_hats)`` returns for a chunk.  A chunk's arrays are stacked
+    into one block and summed by one extraction, ``_exact_row_sums``, which
+    equals ``math.fsum`` of each array bit for bit; the chunk sums are then
+    combined by ``math.fsum`` in chunk order."""
+    per_chunk = [_exact_row_sums(np.array(terms(theta_hats))) for theta_hats in chunks]
     return [math.fsum(sums) for sums in zip(*per_chunk)]
 
 
 def _mean_and_se(total: float, total_sq: float, trials: int) -> tuple[float, float]:
     """Sample mean and its standard error from the sums of x and x^2."""
-    mean = total / trials
-    if trials > 1:
-        var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
-    else:
-        var = 0.0
-    return mean, math.sqrt(var / trials)
+    var = max(0.0, (total_sq - total * total / trials) / (trials - 1)) if trials > 1 else 0.0
+    return total / trials, math.sqrt(var / trials)
 
 
 @dataclass(frozen=True)
@@ -226,18 +229,17 @@ def mse_monte_carlo(
     """Empirical MSE of the MLE: the mean of (theta_hat - theta0)^2 over
     seeded trials, with its standard error.
 
-    Sampling uses the same fixed chunk layout as the simulation harness
-    (independent per-chunk streams of 4096 trials each), and every sum is
-    exactly rounded: per chunk by :func:`~mlebounds.special.exact_sum`,
-    across chunks by ``math.fsum``.  So the result is bit-reproducible for
-    a fixed seed.
+    Sampling and the exactly rounded sums are those of
+    :func:`run_simulation`, so the result is bit-reproducible for a fixed
+    seed.
     """
     # iter_mle_chunks checks the rest; these two are used here as well.
     trials = _require_int(trials, "trials", 1000)
     seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
 
     def terms(theta_hats):
-        sq = (theta_hats - theta0) ** 2
+        sq = theta_hats - theta0
+        sq *= sq
         return sq, sq * sq
 
     total, total_sq = _chunk_sums(iter_mle_chunks(m, theta0, n, trials, seed), terms)
@@ -287,7 +289,8 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     scale = math.sqrt(n * fisher_info(m, theta0))
 
     def terms(theta_hats):
-        u = scale * (theta_hats - theta0)
+        u = theta_hats - theta0
+        u *= scale
         hv = np.asarray(h_fn(u), dtype=float)
         return hv, hv * hv, u, u * u
 
@@ -322,18 +325,10 @@ def table1(trials: int = 10000, seed: int = TABLE_SEED) -> list[SimulationResult
     """
     trials = _require_int(trials, "trials", 1000)
     h = reference_test_function()
-    rows = []
-    for n in TABLE_SAMPLE_SIZES:
-        config = SimulationConfig(
-            model_id="exp-noncanonical",
-            theta0=2.0,
-            n=n,
-            trials=trials,
-            seed=seed,
-            h=h,
-        )
-        rows.append(run_simulation(config))
-    return rows
+    return [
+        run_simulation(SimulationConfig("exp-noncanonical", 2.0, n, trials, seed, h))
+        for n in TABLE_SAMPLE_SIZES
+    ]
 
 
 # ---------------------------------------------------------------------------

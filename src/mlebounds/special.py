@@ -3,8 +3,8 @@
 These are the numerical primitives every other module leans on: the log
 of a gamma-function ratio less its limit, kept as a small quantity, the
 third absolute central moment of a Gamma law, the standard normal pdf/cdf,
-the exactly rounded sum of an array, and an adaptive Simpson integrator
-with explicit, testable error control.
+exactly rounded sums of an array or of each row of a block, and an
+adaptive Simpson integrator with explicit, testable error control.
 
 All functions here are pure and stateless, so they are safe to call from
 concurrent code without any locking.
@@ -193,56 +193,64 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-v / _SQRT_2)
 
 
-# exact_sum hands inputs at or above this magnitude to math.fsum, so that
-# sigma below stays far from overflow.
+# Rows at or above this magnitude go to math.fsum, so that sigma below
+# stays far from overflow.
 _EXACT_SUM_LIMIT = 2.0**900
 
-# Extraction passes before the remainders go to math.fsum; each pass takes
-# 53 - ceil(log2(len + 2)) bits off the remainders (40 for 4096 elements),
-# so two passes clear every element within 2^27 of the largest.
+# At most this many extraction passes; each takes 53 - ceil(log2(width + 2))
+# bits off the remainders (40 for 4096 columns), so two clear every element
+# within 2^27 of the largest.  The passes stop early once at most 1/64 of
+# the remainders are non-zero: math.fsum takes that few faster than a pass.
 _EXACT_SUM_PASSES = 3
 
 
-def exact_sum(values) -> float:
-    """The correctly rounded sum of a float64 array, equal to ``math.fsum``.
+def _exact_row_sums(block) -> list[float]:
+    """``math.fsum`` of each row of a 2-d float64 array, bit for bit.
 
     Vectorized error-free extraction (Rump, Ogita and Oishi 2008,
-    "ExtractVector"): with 2^m >= len + 2 and sigma = 2^m 2^e above
-    2^m max|r|, q = (sigma + r) - sigma and r - q are both exact, and every
-    q is a multiple of 2^-53 sigma at most sigma / 2^m in magnitude, so
-    ``np.sum(q)`` is exact in any order.  Each pass leaves |r| <= 2^-53
-    sigma, so the next sigma is 2^(m - 53) sigma.  The pass sums and the
-    remainders still non-zero after the last pass then hold the exact sum,
-    which ``math.fsum`` rounds once.  So the result is bit-identical to
-    ``math.fsum(values)``: all-zero, non-finite or huge input (max|x| >= 2^900)
-    goes to ``math.fsum`` itself, which keeps its value, its sign of zero
-    and its exceptions.
-
-    Every pass works in place on the same two arrays, q and r, so a call
-    allocates two arrays whatever the number of passes.
+    "ExtractVector") over the whole block at once: with 2^m >= width + 2
+    and sigma = 2^m 2^e above 2^m max|x| of the block, q = (sigma + r) -
+    sigma and r - q are both exact, and every q is a multiple of 2^-53 sigma
+    at most sigma / 2^m in magnitude, so each row sum of q is exact in any
+    order.  Each pass leaves |r| <= 2^-53 sigma, so the next sigma is
+    2^(m - 53) sigma.  A row's pass sums and its remainders still non-zero
+    after the last pass hold its exact sum, which ``math.fsum`` rounds once.
+    Rows that are all zero, non-finite or huge (max|x| >= 2^900) go to
+    ``math.fsum`` itself, which keeps its value, its sign of zero and its
+    exceptions.  Every pass works in place on the same two blocks, q and r.
     """
-    x = np.asarray(values, dtype=float).reshape(-1)
-    # Both ends are NaN when any element is, so NaN reaches math.fsum too.
-    top = max(-x.min(), x.max()) if x.size else 0.0
-    if not 0.0 < top < _EXACT_SUM_LIMIT:
-        return math.fsum(x.tolist())
-    m = (x.size + 1).bit_length()
-    sigma = math.ldexp(1.0, m + math.frexp(top)[1])
-    q = x + sigma
+    x = np.asarray(block, dtype=float)
+    if not x.size:
+        return [0.0] * len(x)
+    q = np.abs(x)
+    # max propagates NaN, so NaN rows reach math.fsum too.
+    tops = q.max(axis=1).tolist()
+    fast = [0.0 < top < _EXACT_SUM_LIMIT for top in tops]
+    if not all(fast):
+        sums = iter(_exact_row_sums(x[fast]))
+        return [next(sums) if ok else math.fsum(row.tolist()) for ok, row in zip(fast, x)]
+    m = (x.shape[1] + 1).bit_length()
+    sigma = math.ldexp(1.0, m + math.frexp(max(tops))[1])
+    np.add(x, sigma, out=q)
     q -= sigma
-    parts = [float(q.sum())]
+    parts = [q.sum(axis=1).tolist()]
     r = x - q
-    for _ in range(_EXACT_SUM_PASSES - 1):
-        if not r.any():
-            break
+    left = r != 0.0
+    while (count := np.count_nonzero(left)) > x.size >> 6 and len(parts) < _EXACT_SUM_PASSES:
         sigma = math.ldexp(sigma, m - 53)
         np.add(r, sigma, out=q)
         q -= sigma
-        parts.append(float(q.sum()))
+        parts.append(q.sum(axis=1).tolist())
         r -= q
-    else:
-        parts.extend(r[r != 0.0].tolist())
-    return math.fsum(parts)
+        np.not_equal(r, 0.0, out=left)
+    rests = [rest[kept].tolist() for rest, kept in zip(r, left)] if count else [[]] * len(x)
+    return [math.fsum([*p, *rest]) for p, rest in zip(zip(*parts), rests)]
+
+
+def exact_sum(values) -> float:
+    """The correctly rounded sum of a float64 array, equal to ``math.fsum``
+    bit for bit: the one-row case of :func:`_exact_row_sums`."""
+    return _exact_row_sums(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,9 +100,10 @@ class TestSufficientStatisticSampler:
             assert abs(est.value - exact) <= 4.0 * est.standard_error, (model_id, n)
 
     def test_reductions_equal_fsum(self, monkeypatch):
-        # exact_sum must equal math.fsum bit for bit, so every output of
-        # both harnesses equals the one reduced by math.fsum itself.  Three
-        # chunks per run, the last one partial.
+        # The block reduction must equal math.fsum of each row bit for bit,
+        # so every output of both harnesses equals the one reduced row by
+        # row by math.fsum itself.  Three chunks per run, the last one
+        # partial.
         def outputs():
             rows, estimates = [], []
             for i, (model_id, params, theta0) in enumerate(self.FAMILIES):
@@ -113,7 +115,9 @@ class TestSufficientStatisticSampler:
             return rows, estimates
 
         got = outputs()
-        monkeypatch.setattr(montecarlo, "exact_sum", math.fsum)
+        monkeypatch.setattr(
+            montecarlo, "_exact_row_sums", lambda block: [math.fsum(row.tolist()) for row in block]
+        )
         assert outputs() == got
 
     def test_model_without_sampler_rejected(self):
@@ -137,6 +141,29 @@ class TestSufficientStatisticSampler:
         next(chunks)
         with pytest.raises(ConsistencyError, match="at trial 4101:"):
             next(chunks)
+
+    @pytest.mark.parametrize("bad_value", [math.nan, math.inf])
+    @pytest.mark.parametrize("harness", ["run_simulation", "mse_monte_carlo"])
+    def test_non_finite_mle_fails_the_identity_check(self, bad_value, harness, monkeypatch):
+        # A NaN or infinite theta_hat compares False against any tolerance,
+        # so it must be reported, not summed into the estimate.  Here the
+        # inverse goes bad from global trial 4096 + 5 on.
+        calls = []
+
+        def inverse(t):
+            calls.append(1)
+            bad = (np.arange(np.size(t)) >= 5) & (len(calls) > 1)
+            return np.where(bad, bad_value, t)
+
+        m = dataclasses.replace(exp_noncanonical_model(), d_inverse=inverse)
+        # run_simulation builds its model from the config's id.
+        monkeypatch.setattr(montecarlo, "make_model", lambda model_id: m)
+        config = SimulationConfig("exp-noncanonical", 2.0, 10, 8192, 1, H)
+        with pytest.raises(ConsistencyError, match="at trial 4101:"):
+            if harness == "mse_monte_carlo":
+                mse_monte_carlo(m, 2.0, 10, 8192, 1)
+            else:
+                run_simulation(config)
 
     def test_identity_tolerance_is_per_trial(self):
         # The tolerance is 1e-10 * max(1, |mean T|) for each trial on its
@@ -180,6 +207,25 @@ class TestSufficientStatisticSampler:
         assert abs(r.mean_h - r.expected_h) <= 5.0 * r.standard_error
         assert abs(r.std_mean) <= 5.0 / math.sqrt(config.trials)
         assert abs(r.std_second_moment - 1.0) <= 5.0 * math.sqrt(2.0 / config.trials)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Each chunk is reduced as soon as it is drawn, so the traced peak
+        # of a run of 100 chunks is that of one chunk, and under 1 MiB.
+        def config(trials):
+            return SimulationConfig("gg", 0.9, 8, trials, 1, H, {"d": 2.0, "p": 1.5})
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_simulation(config(trials))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_simulation(config(4096))
+        small, large = peak(4096), peak(409_600)
+        assert abs(large - small) <= 0.1 * small
+        assert large < 2**20
 
 
 class TestSimulationConfig:

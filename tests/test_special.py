@@ -20,6 +20,7 @@ from mlebounds import (
     std_normal_cdf,
     std_normal_pdf,
 )
+from mlebounds.special import _exact_row_sums
 
 
 def _excess_oracle(z, a):
@@ -183,7 +184,70 @@ class TestExactSum:
         for view in (block[:, 5], block[::-1, 3], block.T[7], block[::3, ::2].ravel()[::5]):
             assert not view.flags.c_contiguous
             assert exact_sum(view) == math.fsum(view.tolist())
+        assert _exact_row_sums(block[::2, ::3]) == [math.fsum(row.tolist()) for row in block[::2, ::3]]
         assert np.array_equal(block, original)
+
+
+def assert_rows_same_as_fsum(block):
+    """Each row of the block reduction equals math.fsum of that row; where
+    a row's fsum raises, the whole call raises the first such exception."""
+    block = np.asarray(block, dtype=float)
+    want = [_fsum_outcome(lambda v: math.fsum(v.tolist()), row) for row in block]
+    raised = [w for w in want if isinstance(w, type)]
+    try:
+        got = [struct.pack("<d", s) for s in _exact_row_sums(block)]
+    except (OverflowError, ValueError) as exc:
+        got = type(exc)
+    assert got == (raised[0] if raised else want)
+
+
+def _padded_block(rows):
+    width = max(len(r) for r in rows)
+    return np.stack([np.concatenate([r, np.zeros(width - len(r))]) for r in rows])
+
+
+class TestExactRowSums:
+    @given(st.lists(summands(), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_bit_identical_to_fsum(self, rows):
+        # Rows of unrelated magnitudes share one sigma; short rows are
+        # zero-padded, which leaves their fsum unchanged.
+        assert_rows_same_as_fsum(_padded_block(rows))
+
+    @given(summands())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_sum_is_the_one_row_case(self, values):
+        assert _fsum_outcome(exact_sum, values) == _fsum_outcome(
+            lambda v: _exact_row_sums(v[None])[0], values
+        )
+
+    def test_rows_far_apart_and_signed_zeros(self):
+        # The small row is 2^-1000 below the sigma set by the large one, so
+        # the passes leave all of it to the per-row fsum.
+        x = np.random.default_rng(11).normal(size=4096)
+        block = np.stack([np.ldexp(x, 500), np.ldexp(x, -500), np.zeros(4096), -np.zeros(4096), x])
+        # Bits are compared, so the zero rows keep fsum's sign of zero.
+        assert_rows_same_as_fsum(block)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**900, -(2.0**901)])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_non_finite_or_huge_row_beside_finite_rows(self, bad, where):
+        x = np.random.default_rng(12).normal(size=(3, 1808))
+        x[where, 77] = bad
+        assert_rows_same_as_fsum(x)
+
+    def test_raising_rows_raise_like_fsum(self):
+        x = np.ones((3, 64))
+        x[1, :2] = (math.inf, -math.inf)
+        x[2, :2] = (1.7e308, 1.7e308)
+        assert_rows_same_as_fsum(x)
+        assert_rows_same_as_fsum(x[::-1])
+
+    @pytest.mark.parametrize("width", [0, 1, 1808, 4096])
+    def test_widths(self, width):
+        gen = np.random.default_rng(width)
+        block = gen.normal(size=(4, width)) * np.array([[1e-8], [1.0], [1e8], [1e300]])
+        assert_rows_same_as_fsum(block)
 
 
 def _cdf_series(x: float) -> float:
