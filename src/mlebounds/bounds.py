@@ -202,8 +202,10 @@ def lemma_clt_bound(
 
         |E h(W) - E h(K)|  <=  ||h'|| / sqrt(n) * (2 + E|Y_1|^3 / sigma^3),
 
-    with K normal with variance sigma^2.  This is the building block behind
-    the Stein term of every bound in this module.
+    with K normal with variance sigma^2.  The Stein term of every bound in
+    this module has this form, but no bound calls this function:
+    :func:`theorem_bound` writes the term inline, because routing it
+    through here would move bounds by an ulp.
     """
     n = _require_int(n, "n")
     norm_h_prime = _require_real(norm_h_prime, "norm_h_prime")

@@ -63,11 +63,6 @@ __all__ = [
 
 Interval = tuple[float, float]
 
-# Grid resolution mandated for the sup|D''| fallback.  The grid includes both
-# endpoints, so for models with monotone |D''| the result is exact; otherwise
-# it is a lower estimate of the true supremum.
-_SUP_GRID_POINTS = 10_001
-
 # Relative disagreement between the two algebraic forms of the Fisher
 # information that is treated as lost precision.
 _FISHER_CONSISTENCY_RTOL = 1e-9
@@ -104,9 +99,7 @@ class ExpFamilyModel:
 
     ``k, k1, k2`` and ``A, A1, A2`` are the parameter functions and their
     first two derivatives; ``T`` is the natural statistic and ``S`` the
-    data-only carrier term.  ``d_second`` is the analytic second derivative
-    of D = A'/k' (it involves third derivatives of k and A, so each model
-    supplies it directly rather than having it reconstructed numerically).
+    data-only carrier term.
 
     The optional fields hold the family's closed forms; each built-in sets
     those its family has:
@@ -125,9 +118,10 @@ class ExpFamilyModel:
       T, which the simulation harness samples through.
 
     A model without them takes the generic paths: root finding for the
-    MLE, a grid for sup|D''|, quadrature for the third moment (which the
-    bounds then use).  It has no closed-form MSE, no sampler and no
-    simulation; asking for one raises DomainError.
+    MLE, quadrature for the third moment (which the bounds then use).  It
+    has no sup|D''|, so every bound refuses it unless D is the identity,
+    and no closed-form MSE, sampler or simulation; asking for one raises
+    DomainError.
     ``integration_window`` maps theta0 to an interval of the data axis that
     carries essentially all of the mass of moment integrands, for the
     quadrature oracles.
@@ -148,7 +142,6 @@ class ExpFamilyModel:
     S: Callable
     support: Interval
     param_space: Interval
-    d_second: Callable
     d_inverse: Callable | None = None
     sup_d_second: Callable | None = None
     third_moment: Callable | None = None
@@ -342,12 +335,11 @@ def mle(m: ExpFamilyModel, sample) -> float:
 
 
 def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
-    """sup of |D''(theta)| over the ball |theta - theta0| <= epsilon.
+    """sup of |D''(theta)| over the ball |theta - theta0| <= epsilon, from
+    the model's ``sup_d_second``.
 
-    Uses the model's closed form when registered.  The fallback evaluates
-    |D''| on a 10001-point grid spanning the ball (endpoints included);
-    this is exact whenever |D''| is monotone on the ball and otherwise a
-    lower estimate.
+    A model without it raises DomainError: |D''| sampled on the ball would
+    only be a lower estimate, and a bound built on it would not be certified.
     """
     t0 = _require_theta(m, theta0, "theta0")
     eps = _require_real(epsilon, "epsilon")
@@ -356,10 +348,12 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
         raise DomainError(
             f"the ball [{t0 - eps}, {t0 + eps}] leaves the parameter space {m.param_space}"
         )
-    if m.sup_d_second is not None:
-        return float(m.sup_d_second(t0, eps))
-    grid = np.linspace(t0 - eps, t0 + eps, _SUP_GRID_POINTS)
-    return float(np.max(np.abs(m.d_second(grid))))
+    if m.sup_d_second is None:
+        raise DomainError(
+            f"model {m.name!r} has no sup_d_second, so sup|D''| on the ball has no certified "
+            "value; where |D''| is monotone on the ball, the larger of its two end values is one"
+        )
+    return float(m.sup_d_second(t0, eps))
 
 
 def d_is_identity(m: ExpFamilyModel) -> bool:
@@ -475,7 +469,6 @@ def exp_canonical_model() -> ExpFamilyModel:
         S=_const(0.0),
         support=_POS,
         param_space=_POS,
-        d_second=lambda th: -2.0 / th**3,
         d_inverse=lambda t: -1.0 / t,
         sup_d_second=lambda t0, eps: 2.0 / (t0 - eps) ** 3,
         third_moment=lambda t0: EXP_THIRD_ABS_MOMENT / t0**3,
@@ -508,7 +501,6 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         S=_const(0.0),
         support=_POS,
         param_space=_POS,
-        d_second=_const(0.0),
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
         third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
@@ -559,7 +551,6 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         S=lambda x: -np.asarray(x, dtype=float) ** 2 / (2.0 * s2) - log_norm,
         support=_REAL,
         param_space=_REAL,
-        d_second=_const(0.0),
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
         third_moment=lambda t0: third,
@@ -589,7 +580,6 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         S=_const(-log_norm),
         support=_REAL,
         param_space=_POS,
-        d_second=_const(0.0),
         d_inverse=lambda t: t,
         sup_d_second=lambda t0, eps: 0.0,
         mse=lambda n, t0: 2.0 * t0**2 / n,
@@ -638,7 +628,6 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         S=lambda x: math.log(pv) + (dv - 1.0) * np.log(x) - log_gamma_a,
         support=_POS,
         param_space=_POS,
-        d_second=lambda th: dv * (pv - 1.0) * th ** (pv - 2.0),
         d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
         sup_d_second=sup_d2,
         third_moment=lambda t0: gamma_third_abs_moment(a) * t0 ** (3.0 * pv),

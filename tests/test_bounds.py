@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,12 +25,15 @@ from mlebounds import (
     expfam_bound,
     generalized_gamma_model,
     gg_bound,
+    laplace_scale_model,
     lemma_clt_bound,
     mse_closed_form,
     mse_exp_canonical,
     mse_gg,
     normal_mean_model,
+    normal_variance_model,
     reference_test_function,
+    sup_abs_d_second,
     theorem_bound,
     third_abs_moment_holder_gg,
 )
@@ -360,6 +364,43 @@ class TestARBoundCanonical:
             ar_bound_canonical_expfam(m, 2.0, 10, 1.0, H, 0.4)
         with pytest.raises(DomainError):
             ar_bound_canonical_expfam(normal_mean_model(sigma=2.0), 0.0, 10, 0.5, H, 0.4)
+
+
+class TestModelWithoutSupDSecond:
+    # A copy of a built-in without the sup|D''| closed form, as a custom
+    # model would be.  theta0 = 1.2, n = 50, epsilon = theta0 / 2.
+
+    @pytest.mark.parametrize(
+        "m", [exp_canonical_model(), generalized_gamma_model(d=2.0, p=1.5)], ids=lambda m: m.name
+    )
+    def test_non_identity_model_is_refused(self, m):
+        custom = dataclasses.replace(m, sup_d_second=None)
+        mse = mse_closed_form(custom, 50, 1.2)
+        with pytest.raises(DomainError, match=f"{re.escape(m.name)}.*sup_d_second"):
+            sup_abs_d_second(custom, 1.2, 0.6)
+        with pytest.raises(DomainError, match="sup_d_second"):
+            expfam_bound(custom, 1.2, 50, 0.6, H, mse)
+        # The AR bound reaches sup|D''| only for a canonical model; gg is
+        # refused before that, as not canonical.
+        reason = "sup_d_second" if m.is_canonical else "not canonical"
+        with pytest.raises(DomainError, match=reason):
+            ar_bound_canonical_expfam(custom, 1.2, 50, 0.6, H, mse)
+
+    @pytest.mark.parametrize(
+        "m",
+        [exp_noncanonical_model(), laplace_scale_model(), normal_mean_model(sigma=1.0),
+         normal_variance_model(mu=0.5)],
+        ids=lambda m: m.name,
+    )
+    def test_identity_model_keeps_its_bound(self, m):
+        # D = theta needs no sup|D''|: the bound is bit-equal to the built-in's.
+        custom = dataclasses.replace(m, sup_d_second=None)
+        mse = mse_closed_form(m, 50, 1.2)
+        assert expfam_bound(custom, 1.2, 50, 0.6, H, mse) == expfam_bound(m, 1.2, 50, 0.6, H, mse)
+        if m.is_canonical:
+            assert ar_bound_canonical_expfam(custom, 1.2, 50, 0.6, H, mse) == (
+                ar_bound_canonical_expfam(m, 1.2, 50, 0.6, H, mse)
+            )
 
 
 class TestOrderProperty:

@@ -166,7 +166,6 @@ class TestMLE:
             k=lambda th: -th,
             k1=lambda th: -1.0 + 0.0 * th,
             T=lambda x: x,
-            d_second=lambda th: 2.0 / th**3,
             d_inverse=None,
             sample_tbar=None,
         )
@@ -244,16 +243,35 @@ class TestSupAbsDSecond:
         m = generalized_gamma_model(d=1.0, p=3.0)
         assert sup_abs_d_second(m, 1.0, 0.5) == pytest.approx(2.0 * 1.5, rel=1e-13)
 
-    def test_grid_fallback_matches_closed_form(self):
-        import dataclasses
+    # Two (theta0, epsilon) balls per built-in family; gg(2, 1.5) has its
+    # sup|D''| at the lower end of the ball, Weibull(3) at the upper end.
+    BALLS = [
+        (exp_canonical_model(), [(1.0, 0.5), (2.5, 0.4)]),
+        (exp_noncanonical_model(), [(1.7, 0.85), (0.6, 0.2)]),
+        (laplace_scale_model(), [(0.8, 0.4), (2.0, 1.5)]),
+        (normal_mean_model(sigma=1.5), [(-0.4, 1.0), (2.0, 0.5)]),
+        (normal_variance_model(mu=0.5), [(1.3, 0.65), (0.5, 0.1)]),
+        (weibull_scale_model(alpha=3.0), [(1.2, 0.6), (0.8, 0.3)]),
+        (generalized_gamma_model(d=2.0, p=1.5), [(1.5, 0.75), (0.9, 0.2)]),
+    ]
 
-        for d, p, theta0, eps in [(1.0, 3.0, 1.0, 0.5), (2.0, 0.7, 1.2, 0.4), (1.5, 2.0, 1.0, 0.3)]:
-            m = generalized_gamma_model(d=d, p=p)
+    @pytest.mark.parametrize("m, balls", BALLS, ids=lambda v: getattr(v, "name", ""))
+    def test_closed_form_matches_finite_differences(self, m, balls):
+        # |D''| by the central second difference of d_value, step
+        # 1e-4 max(1, |theta|), on 2001 points of the ball: the closed form
+        # must dominate it and be attained, to 1e-6 relative.  For the
+        # identity families both are 0 to 1e-6.
+        for theta0, eps in balls:
             closed = sup_abs_d_second(m, theta0, eps)
-            gridded = sup_abs_d_second(
-                dataclasses.replace(m, sup_d_second=None), theta0, eps
-            )
-            assert gridded == pytest.approx(closed, rel=1e-7)
+            seen = 0.0
+            for th in np.linspace(theta0 - eps, theta0 + eps, 2001):
+                step = 1e-4 * max(1.0, abs(th))
+                second = d_value(m, th + step) - 2.0 * d_value(m, th) + d_value(m, th - step)
+                seen = max(seen, abs(second) / step**2)
+            if d_is_identity(m):
+                assert (closed, seen) == pytest.approx((0.0, 0.0), abs=1e-6), (theta0, eps)
+            else:
+                assert seen == pytest.approx(closed, rel=1e-6), (theta0, eps)
 
     def test_ball_must_stay_inside_space(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from mlebounds import (
     DomainError,
     SimulationConfig,
     SimulationResult,
+    d_prime,
     d_value,
     exp_noncanonical_model,
     expected_h_of_z,
@@ -98,6 +99,29 @@ class TestSufficientStatisticSampler:
             est = mse_monte_carlo(m, theta0, n, trials=100_000, seed=4200 + i)
             exact = mse_closed_form(m, n, theta0)
             assert abs(est.value - exact) <= 4.0 * est.standard_error, (model_id, n)
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_both_samplers_state_one_law(self, n):
+        # Mean T over n observations, drawn by sample_tbar and as the mean
+        # of T over n sample_model draws, must have mean D(theta0) and
+        # variance D'(theta0) / (n k'(theta0)), the exponential-family
+        # Var T = D'/k' read off the model's own k and A.  5 SE each, the
+        # variance's SE from the empirical fourth moment.
+        size = 200_000
+        for i, (model_id, params, theta0) in enumerate(self.FAMILIES):
+            m = make_model(model_id, **params)
+            direct = m.sample_tbar(theta0, n, rng(700 + 10 * n + i), size)
+            draws = sample_model(m, theta0, rng(800 + 10 * n + i), size * n)
+            via_sample = m.T(draws.reshape(size, n)).mean(axis=1)
+            mean = d_value(m, theta0)
+            var = d_prime(m, theta0) / (n * float(m.k1(theta0)))
+            for label, tbar in (("sample_tbar", direct), ("sample", via_sample)):
+                dev = tbar - tbar.mean()
+                s2 = float(np.mean(dev**2))
+                m4 = float(np.mean(dev**4))
+                where = (model_id, n, label)
+                assert abs(tbar.mean() - mean) <= 5.0 * math.sqrt(s2 / size), where
+                assert abs(s2 - var) <= 5.0 * math.sqrt((m4 - s2**2) / size), where
 
     def test_reductions_equal_fsum(self, monkeypatch):
         # The block reduction must equal math.fsum of each row bit for bit,

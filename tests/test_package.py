@@ -1,5 +1,5 @@
-"""Smoke tests of the package surface: public names resolve, demos and the
-README examples run."""
+"""Smoke tests of the package surface: public names, and those the
+benchmark looks up, resolve; demos and the README examples run."""
 
 import ast
 import contextlib
@@ -77,6 +77,74 @@ def test_modules_import_only_lower_layers(name):
 def test_layers_cover_the_package():
     modules = {p.stem for p in (SRC / "mlebounds").glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS)
+
+
+BENCHMARKS = ROOT / "benchmarks"
+
+
+def _literal(path: Path, name: str):
+    """The literal value assigned to ``name`` at the top of ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def _mb_chains(path: Path) -> set[tuple[str, ...]]:
+    """Every attribute chain the benchmark spells below ``env.mb``, also
+    through a function-local alias such as ``mc = env.mb.montecarlo``."""
+
+    def chain(node):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        return [node.id] + names[::-1] if isinstance(node, ast.Name) else []
+
+    chains = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (
+                    zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                    and isinstance(value, ast.Tuple) else [(target, value)]
+                )
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and chain(v)[:2] == ["env", "mb"]:
+                        aliases[t.id] = tuple(chain(v)[2:])
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                names = chain(node)
+                if names[:2] == ["env", "mb"]:
+                    chains.add(tuple(names[2:]))
+                elif names and names[0] in aliases:
+                    chains.add(aliases[names[0]] + tuple(names[1:]))
+    return chains
+
+
+def test_benchmark_names_resolve_in_the_package():
+    # The benchmark's tracer and workloads look these names up when they
+    # run; a name deleted or moved here would only break the benchmark.
+    missing = []
+    for module, attribute, _ in _literal(BENCHMARKS / "tracing.py", "TARGETS"):
+        if not hasattr(importlib.import_module(module), attribute):
+            missing.append(f"{module}.{attribute}")
+    for module, cls, method, _ in _literal(BENCHMARKS / "tracing.py", "CLASS_TARGETS"):
+        if not hasattr(getattr(importlib.import_module(module), cls, None), method):
+            missing.append(f"{module}.{cls}.{method}")
+    chains = _mb_chains(BENCHMARKS / "workloads.py")
+    assert {c[:2] for c in chains} >= {("models", "sup_abs_d_second"), ("montecarlo", "table1")}
+    for names in chains:
+        obj = mlebounds
+        for name in names:
+            obj = getattr(obj, name, missing)
+        if obj is missing:
+            missing.append("mlebounds." + ".".join(names))
+    assert missing == []
 
 
 def test_there_are_demos():
