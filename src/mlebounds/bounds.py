@@ -39,9 +39,9 @@ from .models import (
     EXP_THIRD_ABS_MOMENT,
     ExpFamilyModel,
     GeneralizedGammaParams,
+    _fisher_and_d_prime,
+    _require_theta,
     d_is_identity,
-    d_prime,
-    fisher_info,
     gg_mse_factor,
     sup_abs_d_second,
 )
@@ -140,9 +140,9 @@ def reference_test_function() -> TestFunction:
     )
 
 
-# The kind of real number each numeric BoundInputs field must be.
+# The kind of number each numeric BoundInputs field must be.
 _INPUT_KINDS = dict(
-    theta0="finite", epsilon="positive", fisher="positive", q_prime_abs="positive",
+    n="integer", theta0="finite", epsilon="positive", fisher="positive", q_prime_abs="positive",
     third_moment="non-negative", mse="positive", sup_q_second="non-negative",
 )
 
@@ -170,9 +170,16 @@ class BoundInputs:
     h: TestFunction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _require_int(self.n, "n"))
+        # A check returns its argument itself when that is already a Python
+        # number, so only a converted numpy scalar is written back.
         for name, kind in _INPUT_KINDS.items():
-            object.__setattr__(self, name, _require_real(getattr(self, name), name, kind))
+            value = getattr(self, name)
+            if kind == "integer":
+                checked = _require_int(value, name)
+            else:
+                checked = _require_real(value, name, kind)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
 
 
 @dataclass(frozen=True)
@@ -214,7 +221,7 @@ def lemma_clt_bound(
     return norm_h_prime / math.sqrt(n) * (2.0 + third_abs_moment / sigma**3)
 
 
-def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
+def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> BoundBreakdown:
     """The general three-term bound, assembled from raw inputs.
 
     stein  = ||h'||/sqrt(n) (2 + i^{3/2}/|q'|^3 E|g - q(theta0)|^3)
@@ -224,6 +231,9 @@ def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
     When q is the identity both correction terms are dropped outright: the
     indicator in the tail term is zero and sup|q''| vanishes, so this is
     exact rather than a convention.
+
+    ``_formula_id`` is private: the bounds that are this theorem under
+    another name pass theirs, so each breakdown is built once.
     """
     i = inputs
     hp = i.h.norm_h_prime
@@ -236,7 +246,25 @@ def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
     else:
         tail = i.mse * 2.0 * i.h.norm_h / i.epsilon**2
         taylor = i.mse * hp * math.sqrt(i.n * i.fisher) / (2.0 * i.q_prime_abs) * i.sup_q_second
-    return BoundBreakdown(stein, tail, taylor, "theorem")
+    return BoundBreakdown(stein, tail, taylor, _formula_id)
+
+
+def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
+                 epsilon: float, h: TestFunction, mse: float) -> BoundBreakdown:
+    """:func:`theorem_bound` on a model's own inputs, labelled ``formula_id``;
+    the one path of :func:`expfam_bound`, :func:`ar_bound_canonical_expfam`
+    and the CLI's ``theorem`` formula."""
+    epsilon = _require_real(epsilon, "epsilon")
+    t0 = _require_theta(m, theta0, "theta0")
+    identity = d_is_identity(m)
+    # epsilon enters the bound only through the tail/Taylor terms, so the
+    # ball-inside-the-space constraint is enforced exactly when they exist.
+    sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
+    third_moment = third_abs_moment(m, t0) if m.bound_moment is None else m.bound_moment(t0)
+    fisher, q_prime = _fisher_and_d_prime(m, t0)
+    inputs = BoundInputs(n, t0, epsilon, fisher, abs(q_prime), third_moment, mse, sup_q2,
+                         identity, h)
+    return theorem_bound(inputs, _formula_id=formula_id)
 
 
 def expfam_bound(
@@ -250,9 +278,9 @@ def expfam_bound(
     """The general bound instantiated for a one-parameter exponential family.
 
     Assembles i(theta0), |D'(theta0)|, the third moment of T, and
-    sup|D''| over the epsilon-ball from the model, then delegates to
-    :func:`theorem_bound`.  The caller supplies the MSE (closed forms for
-    all built-ins live in :func:`mlebounds.moments.mse_closed_form`).
+    sup|D''| over the epsilon-ball from the model and evaluates
+    :func:`theorem_bound` on them.  The caller supplies the MSE (closed
+    forms for all built-ins live in :func:`mlebounds.moments.mse_closed_form`).
     The model's certified ``bound_moment`` stands in for the third moment
     where it has one (the generalized gamma and Weibull families, whose
     bounds keep the paper's Holder step); every other model uses
@@ -262,29 +290,7 @@ def expfam_bound(
     |k'|^3 E|T - D|^3 / |A'' - k'' D|^{3/2}, is exactly i^{3/2}/|D'|^3
     times the moment, so no separate code path is needed for it.
     """
-    epsilon = _require_real(epsilon, "epsilon")
-    identity = d_is_identity(m)
-    if identity:
-        sup_q2 = 0.0
-    else:
-        # epsilon enters the bound only through the tail/Taylor terms, so
-        # the ball-inside-the-space constraint is enforced exactly when
-        # those terms exist.
-        sup_q2 = sup_abs_d_second(m, theta0, epsilon)
-    third_moment = third_abs_moment(m, theta0) if m.bound_moment is None else m.bound_moment(theta0)
-    inputs = BoundInputs(
-        n=n,
-        theta0=theta0,
-        epsilon=epsilon,
-        fisher=fisher_info(m, theta0),
-        q_prime_abs=abs(d_prime(m, theta0)),
-        third_moment=third_moment,
-        mse=mse,
-        sup_q_second=sup_q2,
-        q_is_identity=identity,
-        h=h,
-    )
-    return dataclasses.replace(theorem_bound(inputs), formula_id="expfam")
+    return _model_bound("expfam", m, theta0, n, epsilon, h, mse)
 
 
 def gg_bound(n: int, params: GeneralizedGammaParams, h: TestFunction) -> BoundBreakdown:
@@ -373,13 +379,12 @@ def ar_bound_canonical_expfam(
     """The AR reference bound for a canonical exponential family.
 
     In the canonical case k(theta) = theta the AR bound coincides term for
-    term with :func:`expfam_bound`, so this is implemented as a delegation
-    guarded by a canonicality check on k.
+    term with :func:`expfam_bound`: after a canonicality check on k it is
+    the same evaluation, labelled ``ar-canonical``.
     """
     if not m.is_canonical:
         raise DomainError(
             f"model {m.name!r} is not canonical (k(theta) != theta); "
             "the AR bound has no closed form here"
         )
-    result = expfam_bound(m, theta0, n, epsilon, h, mse)
-    return dataclasses.replace(result, formula_id="ar-canonical")
+    return _model_bound("ar-canonical", m, theta0, n, epsilon, h, mse)

@@ -16,6 +16,7 @@ import sys
 
 from .bounds import (
     BoundBreakdown,
+    _model_bound,
     ar_bound_canonical_expfam,
     ar_bound_exp_noncanonical,
     exp_canonical_bound,
@@ -169,11 +170,10 @@ def cmd_bound(args) -> int:
         mse = mse_closed_form(m, n, theta0)
         if formula == "ar-canonical":
             bd = ar_bound_canonical_expfam(m, theta0, n, epsilon, h, mse)
-        else:
-            # expfam_bound is the general theorem with the model's inputs.
+        elif formula == "expfam":
             bd = expfam_bound(m, theta0, n, epsilon, h, mse)
-            if formula == "theorem":
-                bd = dataclasses.replace(bd, formula_id="theorem")
+        else:  # the general theorem on the model's inputs: expfam's terms
+            bd = _model_bound("theorem", m, theta0, n, epsilon, h, mse)
         fields = _terms(bd, n)
 
     _emit(_report(fields, args.format), args.out)

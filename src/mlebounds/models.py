@@ -101,8 +101,9 @@ class ExpFamilyModel:
     first two derivatives; ``T`` is the natural statistic and ``S`` the
     data-only carrier term.
 
-    The optional fields hold the family's closed forms; each built-in sets
-    those its family has:
+    The optional fields hold the family's closed forms, which take theta0
+    unchecked (the public functions that call them check it first); each
+    built-in sets those its family has:
 
     * ``d_inverse(t)`` solves D(theta) = t, and ``sup_d_second(theta0,
       eps)`` is the supremum of |D''| over the eps-ball;
@@ -217,12 +218,19 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
     it catches is cancellation in A'' k' - k'' A'.  The only check of the
     derivatives themselves is that i(theta) must come out positive.
     """
-    t = _require_theta(m, theta)
+    return _fisher_and_d_prime(m, _require_theta(m, theta))[0]
+
+
+def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
+    """i(t) with :func:`fisher_info`'s checks, and D'(t), from one evaluation
+    of k', k'', A', A'' at a checked t (:func:`d_prime` skips the checks for
+    :func:`invert_d`, which needs D' where they fail)."""
     k1 = float(m.k1(t))
     k2 = float(m.k2(t))
     a1 = float(m.A1(t))
     a2 = float(m.A2(t))
-    form_ratio = (a2 * k1 - k2 * a1) / k1
+    numerator = a2 * k1 - k2 * a1
+    form_ratio = numerator / k1
     form_d = a2 - k2 * (a1 / k1)
     scale = max(abs(form_ratio), abs(form_d), 1e-300)
     if abs(form_ratio - form_d) > _FISHER_CONSISTENCY_RTOL * scale:
@@ -235,7 +243,7 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
             f"Fisher information must be positive, got {form_ratio!r} for model "
             f"{m.name!r} at theta={t}"
         )
-    return form_ratio
+    return form_ratio, numerator / (k1 * k1)
 
 
 def invert_d(m: ExpFamilyModel, target: float) -> float:
@@ -607,6 +615,10 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     pv = _require_real(p, "generalized gamma shape p")
     a = dv / pv
     log_gamma_a = math.lgamma(a)
+    # third_abs_moment_holder_gg's theta-free factors, multiplied in its order
+    # for its bits; float(t0) is the conversion GeneralizedGammaParams makes.
+    holder_a = a**0.75
+    holder_b = (6.0 + 3.0 * a) ** 0.75
 
     def sup_d2(t0: float, eps: float) -> float:
         edge = t0 - eps if pv < 2.0 else t0 + eps
@@ -631,8 +643,8 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
         sup_d_second=sup_d2,
         third_moment=lambda t0: gamma_third_abs_moment(a) * t0 ** (3.0 * pv),
-        bound_moment=lambda t0: third_abs_moment_holder_gg(GeneralizedGammaParams(t0, dv, pv)),
-        mse=lambda n, t0: mse_gg(n, GeneralizedGammaParams(t0, dv, pv)),
+        bound_moment=lambda t0: float(t0) ** (3.0 * pv) * holder_a * holder_b,
+        mse=lambda n, t0: float(t0) ** 2 * gg_mse_factor(n, dv, pv),
         # T = X^p is Gamma(d/p, scale theta^p), so X = T^(1/p) and the sum
         # of T is Gamma(n d/p, scale theta^p).  The per-observation scale is
         # the reciprocal of the rate theta^-p, which can differ from theta^p

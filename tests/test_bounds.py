@@ -1,6 +1,7 @@
 """Tests for the bound formulas and their closed-form specializations."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -18,15 +19,18 @@ from mlebounds import (
     GeneralizedGammaParams,
     ar_bound_canonical_expfam,
     ar_bound_exp_noncanonical,
+    d_prime,
     exp_canonical_bound,
     exp_canonical_model,
     exp_noncanonical_bound,
     exp_noncanonical_model,
     expfam_bound,
+    fisher_info,
     generalized_gamma_model,
     gg_bound,
     laplace_scale_model,
     lemma_clt_bound,
+    make_model,
     mse_closed_form,
     mse_exp_canonical,
     mse_gg,
@@ -35,9 +39,11 @@ from mlebounds import (
     reference_test_function,
     sup_abs_d_second,
     theorem_bound,
+    third_abs_moment,
     third_abs_moment_holder_gg,
 )
 from mlebounds.bounds import TestFunction as HFunc
+from mlebounds.cli import main as cli_main
 
 H = reference_test_function()
 HP = H.norm_h_prime  # 3 sqrt(6) / 32
@@ -451,3 +457,92 @@ class TestIntegerArguments:
         inputs = canonical_exp_inputs(np.int64(50), 1.0)
         assert type(inputs.n) is int
         assert inputs == canonical_exp_inputs(50, 1.0)
+
+    def test_bound_inputs_store_python_numbers(self):
+        # Only a value the check changed is written back; every numpy
+        # scalar is one of them.
+        plain = canonical_exp_inputs(50, 1.3)
+        numpy_fields = {
+            name: (np.float32(value) if name == "mse" else np.float64(value))
+            for name, value in dataclasses.asdict(plain).items()
+            if type(value) is float
+        }
+        inputs = dataclasses.replace(plain, n=np.int64(50), **numpy_fields)
+        assert type(inputs.n) is int
+        for name, value in numpy_fields.items():
+            stored = getattr(inputs, name)
+            assert type(stored) is float and stored == float(value), name
+        assert dataclasses.replace(inputs, mse=plain.mse) == plain
+
+
+# One built-in per family (model id, parameters, theta0), with the epsilon
+# the CLI and the simulations use: half of |theta0|.
+PIN_CASES = [
+    ("exp-canonical", {}, 1.3),
+    ("exp-noncanonical", {}, 0.8),
+    ("laplace", {}, 2.1),
+    ("normal-mean", {"sigma": 1.0}, -0.7),
+    ("normal-variance", {"mu": 0.0}, 1.6),
+    ("weibull", {"alpha": 2.5}, 0.9),
+    ("gg", {"d": 3.0, "p": 2.0}, 1.7),
+]
+PIN_IDS = [model_id for model_id, _, _ in PIN_CASES]
+
+
+def _pin_ns(model_id):
+    # The normal-variance third moment is a quadrature: one n suffices.
+    return (10,) if model_id == "normal-variance" else (10, 1000, 10**9)
+
+
+def _by_hand(m, theta0, n, epsilon, mse, formula_id):
+    """The breakdown assembled from the public pieces by theorem_bound."""
+    identity = m.is_identity
+    third = third_abs_moment(m, theta0) if m.bound_moment is None else m.bound_moment(theta0)
+    inputs = BoundInputs(
+        n=n,
+        theta0=theta0,
+        epsilon=epsilon,
+        fisher=fisher_info(m, theta0),
+        q_prime_abs=abs(d_prime(m, theta0)),
+        third_moment=third,
+        mse=mse,
+        sup_q_second=0.0 if identity else sup_abs_d_second(m, theta0, epsilon),
+        q_is_identity=identity,
+        h=H,
+    )
+    bd = theorem_bound(inputs)
+    return BoundBreakdown(bd.stein_term, bd.tail_term, bd.taylor_term, formula_id)
+
+
+class TestModelBoundPins:
+    """expfam, ar-canonical and the CLI's theorem are the theorem on the
+    model's own inputs, bit for bit, each under its own formula id."""
+
+    @pytest.mark.parametrize("model_id,params,theta", PIN_CASES, ids=PIN_IDS)
+    @pytest.mark.parametrize("as_numpy", (False, True), ids=("float", "np.float64"))
+    def test_expfam_and_ar_canonical_equal_the_theorem(self, model_id, params, theta, as_numpy):
+        m = make_model(model_id, **params)
+        theta0 = np.float64(theta) if as_numpy else theta
+        epsilon = 0.5 * abs(theta)
+        for n in _pin_ns(model_id):
+            mse = mse_closed_form(m, n, theta0)
+            want = _by_hand(m, theta0, n, epsilon, mse, "expfam")
+            assert expfam_bound(m, theta0, n, epsilon, H, mse) == want
+            if m.is_canonical:
+                got = ar_bound_canonical_expfam(m, theta0, n, epsilon, H, mse)
+                assert got == dataclasses.replace(want, formula_id="ar-canonical")
+
+    @pytest.mark.parametrize("model_id,params,theta", PIN_CASES, ids=PIN_IDS)
+    def test_cli_theorem_prints_the_expfam_terms(self, model_id, params, theta, capsys):
+        m = make_model(model_id, **params)
+        n = _pin_ns(model_id)[-1]
+        argv = ["bound", "--formula", "theorem", "--format", "json", "--model", model_id,
+                "--theta0", repr(theta), "--n", str(n)]
+        for name, value in params.items():
+            argv += [f"--{name}", repr(value)]
+        assert cli_main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        bd = expfam_bound(m, theta, n, 0.5 * abs(theta), H, mse_closed_form(m, n, theta))
+        assert printed == {"formula": "theorem", "n": n, "stein_term": bd.stein_term,
+                           "tail_term": bd.tail_term, "taylor_term": bd.taylor_term,
+                           "total": bd.total}

@@ -23,9 +23,11 @@ from mlebounds import (
     laplace_scale_model,
     make_model,
     mle,
+    mse_gg,
     normal_mean_model,
     normal_variance_model,
     sup_abs_d_second,
+    third_abs_moment_holder_gg,
     weibull_scale_model,
 )
 
@@ -480,6 +482,33 @@ class TestShapeValidation:
             with pytest.raises(DomainError):
                 normal_mean_model(bad)
         assert normal_variance_model(-2.5).name == "normal-variance(mu=-2.5)"
+
+
+class TestGGClosures:
+    """The gg and Weibull fields are the public closed forms on a
+    GeneralizedGammaParams, bit for bit and as Python floats, whatever
+    kind of real theta0 is."""
+
+    @pytest.mark.parametrize(
+        "m,d,p",
+        [
+            (weibull_scale_model(2.5), 2.5, 2.5),
+            (generalized_gamma_model(d=3.0, p=2.0), 3.0, 2.0),
+            (generalized_gamma_model(d=0.7, p=1.3), 0.7, 1.3),
+            (generalized_gamma_model(d=2.0, p=0.5), 2.0, 0.5),
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    @pytest.mark.parametrize(
+        "t0", [1.3, 0.45, np.float64(1.3), np.float64(2.7), np.float32(0.9)], ids=repr
+    )
+    def test_fields_equal_the_public_closed_forms(self, m, d, p, t0):
+        params = GeneralizedGammaParams(t0, d, p)
+        moment = m.bound_moment(t0)
+        assert type(moment) is float and moment == third_abs_moment_holder_gg(params)
+        for n in (10, 1000, 10**9):
+            mse = m.mse(n, t0)
+            assert type(mse) is float and mse == mse_gg(n, params)
 
 
 class TestFisherConsistencyGuard:
