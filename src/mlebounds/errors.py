@@ -2,7 +2,9 @@
 
 Public functions never raise bare ValueError/RuntimeError; they raise one of
 the classes below so callers (and the CLI exit-code mapping) can tell a bad
-argument from a numerical failure.
+argument (DomainError) from a numerical failure (QuadratureError,
+ConsistencyError).  The generic MLE inversion bisects until its bracket
+ends are adjacent floats, so it always ends and has no failure of its own.
 
 Every scalar argument of a public function or dataclass goes through one of
 the two helpers at the end, and no other module checks a scalar by hand:
@@ -24,7 +26,6 @@ __all__ = [
     "DomainError",
     "MLEBoundsError",
     "QuadratureError",
-    "RootFindError",
 ]
 
 
@@ -40,10 +41,6 @@ class DomainError(MLEBoundsError, ValueError):
 class QuadratureError(MLEBoundsError, RuntimeError):
     """Adaptive integration exhausted its refinement budget before meeting
     the requested tolerance, or the integrand produced non-finite values."""
-
-
-class RootFindError(MLEBoundsError, RuntimeError):
-    """The generic one-dimensional inversion failed to converge."""
 
 
 class ConsistencyError(MLEBoundsError, RuntimeError):

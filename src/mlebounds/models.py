@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, RootFindError, _require_int, _require_real
+from .errors import ConsistencyError, DomainError, _require_int, _require_real
 from .special import _log_gamma_excess, gamma_third_abs_moment
 
 __all__ = [
@@ -98,8 +98,8 @@ class ExpFamilyModel:
     """A one-parameter exponential family with analytic derivatives.
 
     ``k, k1, k2`` and ``A, A1, A2`` are the parameter functions and their
-    first two derivatives; ``T`` is the natural statistic and ``S`` the
-    data-only carrier term.
+    first two derivatives, which only this module reads; ``T`` is the
+    natural statistic and ``S`` the data-only carrier term.
 
     The optional fields hold the family's closed forms, which take theta0
     unchecked (the public functions that call them check it first); each
@@ -118,7 +118,7 @@ class ExpFamilyModel:
       over n observations directly from the closed-form law of the sum of
       T, which the simulation harness samples through.
 
-    A model without them takes the generic paths: root finding for the
+    A model without them takes the generic paths: bisection on D for the
     MLE, quadrature for the third moment (which the bounds then use).  It
     has no sup|D''|, so every bound refuses it unless D is the identity,
     and no closed-form MSE, sampler or simulation; asking for one raises
@@ -160,8 +160,7 @@ class ExpFamilyModel:
     def is_identity(self) -> bool:
         """True iff D(theta) = theta (to 1e-12) on the parameter grid."""
         grid = _param_grid(self.param_space)
-        dvals = np.asarray(self.A1(grid)) / np.asarray(self.k1(grid))
-        return bool(np.all(np.abs(dvals - grid) <= 1e-12))
+        return bool(np.all(np.abs(_d(self, grid) - grid) <= 1e-12))
 
     @functools.cached_property
     def is_canonical(self) -> bool:
@@ -194,11 +193,16 @@ def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> floa
     return v
 
 
+def _d(m: ExpFamilyModel, t):
+    """D(t) = A'(t) / k'(t) at an unchecked float or float array t: the one
+    place D is computed."""
+    return m.A1(t) / m.k1(t)
+
+
 def d_value(m: ExpFamilyModel, theta: float) -> float:
     """D(theta) = A'(theta) / k'(theta), the reparametrization under which
     the MLE is a sample average of T."""
-    t = _require_theta(m, theta)
-    return float(m.A1(t) / m.k1(t))
+    return float(_d(m, _require_theta(m, theta)))
 
 
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
@@ -249,15 +253,15 @@ def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
 def invert_d(m: ExpFamilyModel, target: float) -> float:
     """Solve D(theta) = target on the parameter space.
 
-    Generic path: bracket the root by geometric expansion, then close in
-    with bisection accelerated by safeguarded Newton steps on D.  D' =
-    i/k' keeps one sign on the parameter space, so the direction in which D
-    moves is read off the sign of D' at the starting point.  Built-in
-    models normally bypass this via their closed-form ``d_inverse``.
+    Generic path: bracket the root by geometric expansion, then bisect
+    until the bracket's ends are adjacent floats, whatever the size of the
+    target.  D' = i/k' keeps one sign on the parameter space, so the
+    direction in which D moves is read off the sign of D' at the starting
+    point.  Built-in models normally bypass this via their closed-form
+    ``d_inverse``.
 
     Raises DomainError when the target is not attained by D on the space,
-    or when D' at the starting point is zero or not finite, and
-    RootFindError when the iteration fails to converge.
+    or when D' at the starting point is zero or not finite.
     """
     y = _require_real(target, "invert_d target", "finite")
     lo_b, hi_b = m.param_space
@@ -278,7 +282,7 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
     sign = math.copysign(1.0, dp0)
 
     def g(th: float) -> float:
-        return sign * (float(m.A1(th)) / float(m.k1(th)) - y)
+        return sign * (float(_d(m, th)) - y)
 
     g0 = g(x0)
     if g0 == 0.0:
@@ -300,25 +304,15 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
         )
     lo, hi = (cand, x0) if g0 > 0.0 else (x0, cand)
 
-    # Safeguarded Newton/bisection.  g is monotone increasing on [lo, hi].
-    abs_tol = 1e-12 * max(1.0, abs(y))
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        gx = g(x)
-        if abs(gx) <= abs_tol:
-            return x
-        if gx > 0.0:
-            hi = x
+    # g(lo) <= 0 <= g(hi), and each step halves the bracket.
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if g(mid) > 0.0:
+            hi = mid
         else:
-            lo = x
-        dp = d_prime(m, x) * sign
-        cand = x - gx / dp if math.isfinite(dp) and dp > 0.0 else math.nan
-        x = cand if lo < cand < hi else 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
-            return 0.5 * (lo + hi)
-    raise RootFindError(
-        f"invert_d failed to converge for model {m.name!r} and target {y!r}"
-    )
+            lo = mid
 
 
 def mle(m: ExpFamilyModel, sample) -> float:
@@ -343,10 +337,10 @@ def mle(m: ExpFamilyModel, sample) -> float:
 
 
 def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
-    """sup of |D''(theta)| over the ball |theta - theta0| <= epsilon, from
-    the model's ``sup_d_second``.
+    """sup of |D''(theta)| over the ball |theta - theta0| <= epsilon: 0 when
+    D is the identity, else the model's ``sup_d_second``.
 
-    A model without it raises DomainError: |D''| sampled on the ball would
+    Any other model raises DomainError: |D''| sampled on the ball would
     only be a lower estimate, and a bound built on it would not be certified.
     """
     t0 = _require_theta(m, theta0, "theta0")
@@ -356,6 +350,8 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
         raise DomainError(
             f"the ball [{t0 - eps}, {t0 + eps}] leaves the parameter space {m.param_space}"
         )
+    if m.is_identity:
+        return 0.0
     if m.sup_d_second is None:
         raise DomainError(
             f"model {m.name!r} has no sup_d_second, so sup|D''| on the ball has no certified "
@@ -398,8 +394,13 @@ def third_abs_moment_holder_gg(params: GeneralizedGammaParams) -> float:
 
     This is an upper bound, not the moment itself.
     """
-    a = params.d / params.p
-    return params.theta ** (3.0 * params.p) * a**0.75 * (6.0 + 3.0 * a) ** 0.75
+    return _holder_gg(params.theta, params.d, params.p)
+
+
+def _holder_gg(theta: float, d: float, p: float) -> float:
+    """:func:`third_abs_moment_holder_gg` at unchecked floats."""
+    a = d / p
+    return theta ** (3.0 * p) * a**0.75 * (6.0 + 3.0 * a) ** 0.75
 
 
 def mse_exp_canonical(n: int, theta0: float) -> float:
@@ -426,7 +427,8 @@ def gg_mse_factor(n: int, d: float, p: float) -> float:
     and computed as small quantities, so the O(1/n) result keeps its
     relative accuracy for nd/p up to 1e9 and beyond, where 1 - 2 t1 + t2
     with t1, t2 near 1 would lose it to cancellation.  Multiplied by
-    theta^2 this is the MSE of the GG scale MLE.
+    theta^2 this is the MSE of the GG scale MLE.  DomainError where the
+    factor is not finite: 1/z overflows for nd/p below about 5.6e-309.
     """
     n = _require_int(n, "n")
     d = _require_real(d, "generalized gamma shape d")
@@ -435,7 +437,10 @@ def gg_mse_factor(n: int, d: float, p: float) -> float:
     # z and both shifts are positive, so the unchecked core serves.
     g1 = _log_gamma_excess(z, 1.0 / p)
     g2 = _log_gamma_excess(z, 2.0 / p)
-    return math.expm1(g2) - 2.0 * math.expm1(g1)
+    factor = math.expm1(g2) - 2.0 * math.expm1(g1)
+    if not math.isfinite(factor):
+        raise DomainError(f"the generalized gamma MSE factor is not finite at n*d/p = {z!r}")
+    return factor
 
 
 def mse_gg(n: int, params: GeneralizedGammaParams) -> float:
@@ -510,7 +515,6 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         support=_POS,
         param_space=_POS,
         d_inverse=lambda t: t,
-        sup_d_second=lambda t0, eps: 0.0,
         third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
         mse=lambda n, t0: t0**2 / n,
         sample=lambda t0, rng, size: rng.exponential(t0, size),
@@ -560,7 +564,6 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         support=_REAL,
         param_space=_REAL,
         d_inverse=lambda t: t,
-        sup_d_second=lambda t0, eps: 0.0,
         third_moment=lambda t0: third,
         mse=lambda n, t0: s2 / n,
         sample=lambda t0, rng, size: rng.normal(t0, sigma, size),
@@ -589,7 +592,6 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         support=_REAL,
         param_space=_POS,
         d_inverse=lambda t: t,
-        sup_d_second=lambda t0, eps: 0.0,
         mse=lambda n, t0: 2.0 * t0**2 / n,
         sample=lambda t0, rng, size: rng.normal(mu, math.sqrt(t0), size),
         # The sum of n draws of (x - mu)^2 is theta times a chi-square with
@@ -615,10 +617,6 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     pv = _require_real(p, "generalized gamma shape p")
     a = dv / pv
     log_gamma_a = math.lgamma(a)
-    # third_abs_moment_holder_gg's theta-free factors, multiplied in its order
-    # for its bits; float(t0) is the conversion GeneralizedGammaParams makes.
-    holder_a = a**0.75
-    holder_b = (6.0 + 3.0 * a) ** 0.75
 
     def sup_d2(t0: float, eps: float) -> float:
         edge = t0 - eps if pv < 2.0 else t0 + eps
@@ -643,7 +641,7 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
         sup_d_second=sup_d2,
         third_moment=lambda t0: gamma_third_abs_moment(a) * t0 ** (3.0 * pv),
-        bound_moment=lambda t0: float(t0) ** (3.0 * pv) * holder_a * holder_b,
+        bound_moment=lambda t0: _holder_gg(float(t0), dv, pv),
         mse=lambda n, t0: float(t0) ** 2 * gg_mse_factor(n, dv, pv),
         # T = X^p is Gamma(d/p, scale theta^p), so X = T^(1/p) and the sum
         # of T is Gamma(n d/p, scale theta^p).  The per-observation scale is

@@ -43,7 +43,7 @@ from .bounds import (
     expfam_bound,
     reference_test_function,
 )
-from .models import ExpFamilyModel, _require_theta, fisher_info, make_model
+from .models import ExpFamilyModel, _d, _require_theta, fisher_info, make_model
 from .moments import mse_closed_form
 from .special import _exact_row_sums
 
@@ -177,9 +177,9 @@ def iter_mle_chunks(
     for chunk_index, start in enumerate(range(0, trials, _CHUNK)):
         count = min(_CHUNK, trials - start)
         tbar = np.asarray(m.sample_tbar(theta0, n, _chunk_rng(seed, chunk_index), count))
-        theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
         with np.errstate(all="ignore"):  # a non-finite theta_hat fails the check
-            gap = np.asarray(m.A1(theta_hat), dtype=float) / np.asarray(m.k1(theta_hat))
+            theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
+            gap = _d(m, theta_hat)
             gap -= tbar
         limit = np.abs(tbar)
         np.maximum(limit, 1.0, out=limit)
@@ -294,11 +294,12 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         hv = np.asarray(h_fn(u), dtype=float)
         return hv, hv * hv, u, u * u
 
+    # Bounds first: a config they refuse fails before any sampling.
+    bound_new, bound_ar = _attach_bounds(config, m)
     sum_h, sum_h2, sum_u, sum_u2 = _chunk_sums(
         iter_mle_chunks(m, theta0, n, trials, config.seed), terms
     )
     mean_h, standard_error = _mean_and_se(sum_h, sum_h2, trials)
-    bound_new, bound_ar = _attach_bounds(config, m)
     return SimulationResult(
         config=config,
         empirical_distance=abs(mean_h - expected),

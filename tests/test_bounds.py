@@ -401,6 +401,7 @@ class TestModelWithoutSupDSecond:
     def test_identity_model_keeps_its_bound(self, m):
         # D = theta needs no sup|D''|: the bound is bit-equal to the built-in's.
         custom = dataclasses.replace(m, sup_d_second=None)
+        assert sup_abs_d_second(custom, 1.2, 0.6) == 0.0
         mse = mse_closed_form(m, 50, 1.2)
         assert expfam_bound(custom, 1.2, 50, 0.6, H, mse) == expfam_bound(m, 1.2, 50, 0.6, H, mse)
         if m.is_canonical:

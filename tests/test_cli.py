@@ -39,6 +39,13 @@ class TestBoundCommand:
         assert "n must be" in err
         assert out == ""
 
+    def test_non_finite_gg_factor_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--formula", "gg", "--d", "1e-320",
+                                 "--p", "1", "--n", "10")
+        assert code == 2
+        assert "n*d/p" in err
+        assert out == ""
+
     def test_expfam_requires_model(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--formula", "expfam", "--n", "10")
         assert code == 2

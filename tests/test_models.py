@@ -223,6 +223,22 @@ class TestMLE:
                     m.d_inverse(target), rel=1e-12
                 ), (m.name, theta)
 
+    @pytest.mark.parametrize(
+        "m",
+        [m for m, _ in all_builtin_cases()] + [generalized_gamma_model(d=0.5, p=3.0)],
+        ids=lambda m: m.name,
+    )
+    def test_invert_d_is_accurate_at_every_scale(self, m):
+        # Bisection runs to adjacent floats, so the generic inverse meets the
+        # closed form to 1e-15 relative from theta = 1e-6 to 1e6; a stop on
+        # |D(x) - y| <= 1e-12 max(1, |y|) returned 1.5e-4 for gg(0.5, 3) at
+        # theta = 1e-5.
+        generic = dataclasses.replace(m, d_inverse=None)
+        for theta in np.geomspace(1e-6, 1e6, 61):
+            target = d_value(m, float(theta))
+            want = m.d_inverse(target)
+            assert abs(invert_d(generic, target) - want) <= 1e-15 * abs(want), (m.name, theta)
+
     def test_invert_d_out_of_range(self):
         # D of the canonical exponential maps onto (-inf, 0); positive
         # targets are unreachable.

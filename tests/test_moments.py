@@ -219,6 +219,13 @@ class TestMseGG:
                 want = float(1 - 2 * t1 + t2)
             assert gg_mse_factor(n, d, p) == pytest.approx(want, rel=1e-12), (n, d, p)
 
+    def test_non_finite_factor_is_refused(self):
+        # Below n d/p of about 5.6e-309, 1/z overflows and the factor is NaN.
+        with pytest.raises(DomainError, match=r"n\*d/p = 1e-319"):
+            gg_mse_factor(10, 1e-320, 1.0)
+        with pytest.raises(DomainError, match=r"n\*d/p"):
+            mse_closed_form(generalized_gamma_model(1e-310, 1.0), 10, 1.0)
+
     def test_bounds_stay_valid_at_n_1e9(self):
         # A rounded z + 1/p once made the factor negative here.
         n = 10**9

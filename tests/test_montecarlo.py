@@ -189,6 +189,12 @@ class TestSufficientStatisticSampler:
             else:
                 run_simulation(config)
 
+    def test_overflowing_inverse_fails_the_identity_check(self):
+        # Weibull(1e-3) at n = 10: d_inverse = t^1000 overflows at trial 25,
+        # which the identity check reports, not a bare RuntimeWarning.
+        with pytest.raises(ConsistencyError, match="at trial 25:"):
+            mse_monte_carlo(make_model("weibull", alpha=1e-3), 1.0, 10, 1000, 1)
+
     def test_identity_tolerance_is_per_trial(self):
         # The tolerance is 1e-10 * max(1, |mean T|) for each trial on its
         # own, so an inverse off by 5e-10 wherever |mean T| < 1 is caught
@@ -302,6 +308,17 @@ class TestRunSimulation:
         a = run_simulation(SimulationConfig(seed=1, **base))
         b = run_simulation(SimulationConfig(seed=2, **base))
         assert a.mean_h != b.mean_h
+
+    def test_refused_bounds_stop_the_run_before_sampling(self, monkeypatch):
+        # The canonical exponential MSE needs n >= 3; the bounds are
+        # attached first, so no trial is drawn for a config they refuse.
+        def sample(*args):
+            raise AssertionError("sampled before the bounds were checked")
+
+        monkeypatch.setattr(montecarlo, "iter_mle_chunks", sample)
+        config = SimulationConfig("exp-canonical", 1.0, 2, 2_000_000, 0, H)
+        with pytest.raises(DomainError, match="n must be an integer >= 3"):
+            run_simulation(config)
 
     def test_empirical_distance_recomputable_from_sums(self):
         config = SimulationConfig("exp-noncanonical", 2.0, 50, 4000, 11, H)

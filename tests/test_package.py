@@ -74,6 +74,17 @@ def test_modules_import_only_lower_layers(name):
     assert [t for t in targets if t not in LAYERS[: LAYERS.index(name)]] == []
 
 
+def test_only_models_reads_the_derivative_fields():
+    # D = A'/k', D' and i(theta) are computed in models alone.
+    calls = {}
+    for path in (SRC / "mlebounds").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("k1", "k2", "A1", "A2")):
+                calls.setdefault(path.stem, set()).add(node.func.attr)
+    assert set(calls) == {"models"}
+
+
 def test_layers_cover_the_package():
     modules = {p.stem for p in (SRC / "mlebounds").glob("*.py")} - {"__init__"}
     assert modules == set(LAYERS)
