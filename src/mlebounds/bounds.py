@@ -124,6 +124,13 @@ class TestFunction:
         return expected_h_of_z(self)
 
 
+def _require_test_function(h) -> None:
+    """DomainError unless ``h`` is a :class:`TestFunction`: a bound needs
+    its stated norms, which a plain callable lacks."""
+    if not isinstance(h, TestFunction):
+        raise DomainError(f"h must be a TestFunction with stated norms, got {h!r}")
+
+
 @functools.cache
 def reference_test_function() -> TestFunction:
     """The built-in test function h(x) = 1/(x^2 + 2).
@@ -180,6 +187,7 @@ class BoundInputs:
                 checked = _require_real(value, name, kind)
             if checked is not value:
                 object.__setattr__(self, name, checked)
+        _require_test_function(self.h)
 
 
 @dataclass(frozen=True)
@@ -284,7 +292,8 @@ def expfam_bound(
     The model's certified ``bound_moment`` stands in for the third moment
     where it has one (the generalized gamma and Weibull families, whose
     bounds keep the paper's Holder step); every other model uses
-    :func:`mlebounds.moments.third_abs_moment`.
+    :func:`mlebounds.moments.third_abs_moment`, which refuses a model
+    without ``third_moment``.
 
     The equivalent family-native form of the Stein factor,
     |k'|^3 E|T - D|^3 / |A'' - k'' D|^{3/2}, is exactly i^{3/2}/|D'|^3
@@ -308,6 +317,7 @@ def gg_bound(n: int, params: GeneralizedGammaParams, h: TestFunction) -> BoundBr
     where M is the theta-free MSE factor.
     """
     n = _require_int(n, "n")
+    _require_test_function(h)
     d, p = params.d, params.p
     stein = h.norm_h_prime / math.sqrt(n) * (2.0 + (3.0 + 6.0 * p / d) ** 0.75)
     if d == 1.0 and p == 1.0:
@@ -331,6 +341,7 @@ def exp_canonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     Requires n >= 3 (the MSE of 1/mean does not exist below that).
     """
     n = _require_int(n, "n", 3, " for the exp-canonical bound")
+    _require_test_function(h)
     ratio = (n + 2) / ((n - 1) * (n - 2))
     stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
     tail = 8.0 * h.norm_h * ratio
@@ -345,6 +356,7 @@ def exp_noncanonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     Stein term survives: (2 + (12/e - 2)) ||h'|| / sqrt(n).
     """
     n = _require_int(n, "n")
+    _require_test_function(h)
     stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
     return BoundBreakdown(stein, 0.0, 0.0, "exp-noncanonical")
 
@@ -359,6 +371,7 @@ def ar_bound_exp_noncanonical(n: int, h: TestFunction) -> float:
     comparison column of the bundled simulation table.
     """
     n = _require_int(n, "n")
+    _require_test_function(h)
     rootn = math.sqrt(n)
     return (
         EXP_STEIN_CONST * h.norm_h_prime / rootn

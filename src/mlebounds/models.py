@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, _require_int, _require_real
-from .special import _log_gamma_excess, gamma_third_abs_moment
+from .special import _log_gamma_excess, gamma_third_abs_moment, integrate_interval
 
 __all__ = [
     "EXP_THIRD_ABS_MOMENT",
@@ -118,14 +118,14 @@ class ExpFamilyModel:
       over n observations directly from the closed-form law of the sum of
       T, which the simulation harness samples through.
 
-    A model without them takes the generic paths: bisection on D for the
-    MLE, quadrature for the third moment (which the bounds then use).  It
-    has no sup|D''|, so every bound refuses it unless D is the identity,
-    and no closed-form MSE, sampler or simulation; asking for one raises
-    DomainError.
+    A model without them takes the one generic path, bisection on D for
+    the MLE.  Every bound refuses it without ``third_moment`` or
+    ``bound_moment``, and without ``sup_d_second`` unless D is the
+    identity; it has no closed-form MSE, sampler or simulation.  Asking
+    for any of these raises DomainError.
     ``integration_window`` maps theta0 to an interval of the data axis that
     carries essentially all of the mass of moment integrands, for the
-    quadrature oracles.
+    normal-variance third moment and the quadrature oracles of the tests.
 
     ``is_identity`` (D(theta) = theta) and ``is_canonical`` (k(theta) =
     theta) are checked on a 401-point parameter grid on first use and kept
@@ -295,7 +295,9 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
             cand = end - (end - x0) / 2.0**step
         else:
             cand = x0 + direction * 2.0**step
-        gc = g(cand)
+        # Halving toward a finite end reaches the end itself, where D is
+        # not defined, after about 53 steps when the end is not 0.
+        gc = g(cand) if m.contains_theta(cand) else math.nan
         if math.isfinite(gc) and direction * gc >= 0.0:
             break
     else:
@@ -382,6 +384,20 @@ def density(m: ExpFamilyModel, x, theta: float):
 # ---------------------------------------------------------------------------
 # Closed forms of the built-in families
 # ---------------------------------------------------------------------------
+
+
+def _quadrature_third_moment(m: ExpFamilyModel, t0: float) -> float:
+    """E|T(X) - D(t0)|^3 by adaptive quadrature over the model's
+    integration window, with tol 1e-11 for the kink where T(x) crosses D.
+    Not an error bound: mass outside the window is lost without a warning.
+    """
+    d0 = d_value(m, t0)
+    lo, hi = m.integration_window(t0)
+
+    def integrand(x: float) -> float:
+        return abs(float(m.T(x)) - d0) ** 3 * density(m, x, t0)
+
+    return integrate_interval(integrand, lo, hi, 1e-11)
 
 
 def third_abs_moment_holder_gg(params: GeneralizedGammaParams) -> float:
@@ -576,10 +592,12 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
     """Normal scale family: theta is the variance, the mean mu is known.
 
     T(x) = (x - mu)^2, D is the identity, and the MLE is mean (x_i - mu)^2.
+    The third moment is stated as :func:`_quadrature_third_moment` of this
+    model, which equals 8 m3(1/2) theta^3 (T is Gamma(1/2, scale 2 theta)).
     """
     mu = _require_real(mu, "mu", "finite")
     log_norm = 0.5 * math.log(2.0 * math.pi)
-    return ExpFamilyModel(
+    model = ExpFamilyModel(
         name=f"normal-variance(mu={mu})",
         k=lambda th: -1.0 / (2.0 * th),
         k1=lambda th: 1.0 / (2.0 * th**2),
@@ -592,6 +610,7 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         support=_REAL,
         param_space=_POS,
         d_inverse=lambda t: t,
+        third_moment=lambda t0: _quadrature_third_moment(model, t0),
         mse=lambda n, t0: 2.0 * t0**2 / n,
         sample=lambda t0, rng, size: rng.normal(mu, math.sqrt(t0), size),
         # The sum of n draws of (x - mu)^2 is theta times a chi-square with
@@ -599,6 +618,7 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         sample_tbar=lambda t0, n, rng, size: rng.gamma(0.5 * n, 2.0 * t0, size) / n,
         integration_window=lambda t0: (mu - 14.0 * math.sqrt(t0), mu + 14.0 * math.sqrt(t0)),
     )
+    return model
 
 
 def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
@@ -607,11 +627,7 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     T(x) = x^p follows a Gamma(d/p, rate theta^-p) law, D(theta) =
     (d/p) theta^p, and the MLE is ((p/(n d)) sum x_i^p)^(1/p).  So
     E|T - D|^3 = theta^{3p} m3(d/p), with m3 the Gamma third absolute
-    moment of :func:`~mlebounds.special.gamma_third_abs_moment`.  The
-    integration window starts at 1e-13 times its upper end, so for d < 1,
-    where the density is singular at 0, a copy without ``third_moment``
-    gets a quadrature moment that misses its tolerance with no error: 8.9e-9
-    relative off at (d, p) = (0.5, 3) and 4.0e-10 at (0.8, 1), theta0 = 1.3.
+    moment of :func:`~mlebounds.special.gamma_third_abs_moment`.
     """
     dv = _require_real(d, "generalized gamma shape d")
     pv = _require_real(p, "generalized gamma shape p")

@@ -7,12 +7,10 @@ E[h(Z)] against the standard normal law.
 
 Closed forms live on the model itself (:class:`~mlebounds.models.ExpFamilyModel`
 fields set by each built-in constructor, with the generalized-gamma and
-exponential formulas defined in :mod:`.models`) and take precedence; the
-adaptive quadrature of :mod:`.special` provides the independent oracle that
-every closed form is shadow-tested against.  As a third moment it now
-serves only the normal-variance model, which has no ``third_moment`` yet,
-and custom models.  The seeded Monte Carlo MSE lives beside its sampler in
-:mod:`.montecarlo`.
+exponential formulas defined in :mod:`.models`); a model without a third
+moment is refused, not integrated.  The adaptive quadrature of
+:mod:`.special` gives E[h(Z)].  The seeded Monte Carlo MSE lives beside its
+sampler in :mod:`.montecarlo`.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ from .models import (
     NORMAL_THIRD_ABS_MOMENT,
     ExpFamilyModel,
     _require_theta,
-    d_value,
-    density,
     gg_mse_factor,
     mse_exp_canonical,
     mse_gg,
@@ -48,36 +44,21 @@ __all__ = [
     "third_abs_moment_holder_gg",
 ]
 
-# Quadrature tolerance for the third moment: ten times tighter than the
-# integrator's default of 1e-10, for integrands with a curvature kink where
-# T(x) crosses D(theta0).
-_MOMENT_TOL = 1e-11
-
-
 def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
-    """E|T(X) - D(theta0)|^3 for one observation drawn at theta0.
+    """E|T(X) - D(theta0)|^3 for one observation drawn at theta0, from the
+    model's ``third_moment``.
 
-    Uses the model's closed form ``third_moment`` when it has one, else
-    integrates |T(x) - D|^3 f(x | theta0) over the model's integration
-    window by adaptive quadrature with tol 1e-11.  That quadrature is not
-    an error bound: mass outside the window is lost without a warning, as
-    for a generalized gamma copy with d < 1 and no ``third_moment`` (8.9e-9
-    relative off at (d, p) = (0.5, 3), theta0 = 1.3).
+    A model without one raises DomainError: a quadrature of the moment is
+    not an upper bound, and it would feed the Stein term of every bound.
     """
     t0 = _require_theta(m, theta0, "theta0")
-    if m.third_moment is not None:
-        return m.third_moment(t0)
-    if m.integration_window is None:
+    if m.third_moment is None:
         raise DomainError(
-            f"model {m.name!r} has no closed-form third moment and no integration window"
+            f"model {m.name!r} has no third_moment, so E|T - D|^3 has no certified value; "
+            "state third_moment (special.gamma_third_abs_moment gives it for a Gamma-law T) "
+            "or a certified upper bound as bound_moment"
         )
-    d0 = d_value(m, t0)
-    lo, hi = m.integration_window(t0)
-
-    def integrand(x: float) -> float:
-        return abs(float(m.T(x)) - d0) ** 3 * density(m, x, t0)
-
-    return integrate_interval(integrand, lo, hi, _MOMENT_TOL)
+    return m.third_moment(t0)
 
 
 def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:

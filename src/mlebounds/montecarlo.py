@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, _require_int, _require_real
 from .bounds import (
     TestFunction,
+    _require_test_function,
     ar_bound_exp_noncanonical,
     exp_canonical_bound,
     exp_noncanonical_bound,
@@ -110,6 +111,7 @@ class SimulationConfig:
         for name in ("n", "trials"):
             object.__setattr__(self, name, _require_int(getattr(self, name), name))
         object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, maximum=_SEED_MAX))
+        _require_test_function(self.h)
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,60 @@ class TestMLE:
             invert_d(exp_canonical_model(), 1.0)
 
 
+class TestBoundedParameterSpace:
+    """The generic inverse starts at the midpoint of a bounded space and at
+    hi - 1 on one bounded above, and the grid flags stop short of a finite
+    upper end."""
+
+    # Bernoulli with its mean p on (0, 1): D(p) = p.
+    BERNOULLI = dataclasses.replace(
+        exp_noncanonical_model(),
+        name="bernoulli-mean",
+        k=lambda p: np.log(p / (1.0 - p)),
+        k1=lambda p: 1.0 / (p * (1.0 - p)),
+        k2=lambda p: (2.0 * p - 1.0) / (p * (1.0 - p)) ** 2,
+        A=lambda p: -np.log(1.0 - p),
+        A1=lambda p: 1.0 / (1.0 - p),
+        A2=lambda p: 1.0 / (1.0 - p) ** 2,
+        param_space=(0.0, 1.0),
+        d_inverse=None,
+    )
+    # The exponential with natural parameter eta = -rate on (-inf, 0):
+    # D(eta) = -1/eta.
+    EXP_NATURAL = dataclasses.replace(
+        exp_noncanonical_model(),
+        name="exp-natural",
+        k=lambda eta: eta,
+        k1=lambda eta: 1.0 + 0.0 * eta,
+        k2=lambda eta: 0.0 * eta,
+        A=lambda eta: -np.log(-eta),
+        A1=lambda eta: -1.0 / eta,
+        A2=lambda eta: 1.0 / eta**2,
+        param_space=(-math.inf, 0.0),
+        d_inverse=None,
+    )
+
+    @pytest.mark.parametrize(
+        "m, identity, canonical, targets",
+        [
+            (BERNOULLI, True, False, [1e-9, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-9]),
+            (EXP_NATURAL, False, True, [1e-6, 0.4, 1.0, 2.0, 1e3]),
+        ],
+        ids=["bernoulli-mean", "exp-natural"],
+    )
+    def test_invert_d_and_flags(self, m, identity, canonical, targets):
+        assert (m.is_identity, m.is_canonical) == (identity, canonical)
+        for y in targets:
+            root = invert_d(m, y)
+            assert m.contains_theta(root)
+            assert d_value(m, root) == pytest.approx(y, rel=1e-15, abs=0.0), (m.name, y)
+
+    def test_targets_outside_the_range_of_d_are_refused(self):
+        for m, y in ((self.BERNOULLI, 1.5), (self.BERNOULLI, -0.1), (self.EXP_NATURAL, -1.0)):
+            with pytest.raises(DomainError, match="not attained"):
+                invert_d(m, y)
+
+
 class TestSupAbsDSecond:
     def test_exp_canonical_half_theta(self):
         for theta0 in (0.5, 1.0, 2.0):

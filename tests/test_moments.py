@@ -36,6 +36,7 @@ from mlebounds import (
     third_abs_moment_holder_gg,
     weibull_scale_model,
 )
+from mlebounds.models import _quadrature_third_moment
 from mlebounds.montecarlo import iter_mle_chunks
 
 
@@ -377,13 +378,40 @@ def bare(m):
     return dataclasses.replace(m, name="custom", **dict.fromkeys(CLOSED_FORM_FIELDS))
 
 
+# A gg copy that keeps sup_d_second, so only the missing moment can refuse it.
+GG_NO_MOMENT = dataclasses.replace(
+    generalized_gamma_model(d=0.3, p=1.0), name="gg-no-moment", third_moment=None,
+    bound_moment=None,
+)
+WITH_CLOSED_FORM = [
+    (exp_noncanonical_model(), 1.7), (laplace_scale_model(), 0.8), (normal_mean_model(1.5), -0.4)
+]
+
+
 class TestCustomModel:
     @pytest.mark.parametrize(
-        "m, theta0",
-        [(exp_noncanonical_model(), 1.7), (laplace_scale_model(), 0.8), (normal_mean_model(1.5), -0.4)],
+        "m, theta0", [(bare(m), t0) for m, t0 in WITH_CLOSED_FORM] + [(GG_NO_MOMENT, 1.3)]
     )
-    def test_third_moment_falls_back_to_quadrature(self, m, theta0):
-        got = third_abs_moment(bare(m), theta0)
+    def test_model_without_a_third_moment_is_refused(self, m, theta0):
+        mse = 1e-3
+        calls = (lambda: third_abs_moment(m, theta0),
+                 lambda: expfam_bound(m, theta0, 100, 0.5 * abs(theta0), H, mse))
+        for call in calls:
+            with pytest.raises(DomainError) as info:
+                call()
+            for word in (m.name, "third_moment", "bound_moment"):
+                assert word in str(info.value)
+
+    def test_a_stated_bound_moment_is_enough(self):
+        gg = generalized_gamma_model(d=0.3, p=1.0)
+        m = dataclasses.replace(GG_NO_MOMENT, bound_moment=gg.bound_moment)
+        mse = mse_closed_form(m, 100, 1.3)
+        assert expfam_bound(m, 1.3, 100, 0.65, H, mse) == expfam_bound(gg, 1.3, 100, 0.65, H, mse)
+
+    @pytest.mark.parametrize("m, theta0", WITH_CLOSED_FORM)
+    def test_quadrature_third_moment_matches_the_closed_form(self, m, theta0):
+        # The quadrature that normal-variance states as its third moment.
+        got = _quadrature_third_moment(m, theta0)
         assert got == pytest.approx(third_abs_moment(m, theta0), rel=1e-9)
 
     def test_closed_form_only_paths_raise_naming_the_model(self):

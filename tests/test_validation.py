@@ -166,6 +166,19 @@ INT_ARGS = [
     ("table1.seed", lambda v: _table1(seed=v), 1),
 ]
 
+# (argument, call with the value in that argument) for each test-function
+# argument.
+H_ARGS = [
+    ("BoundInputs.h", lambda h: _inputs(h=h)),
+    ("SimulationConfig.h", lambda h: _config(h=h)),
+    ("expfam_bound.h", lambda h: expfam_bound(M, 1.5, 10, 0.5, h, 0.1)),
+    ("ar_bound_canonical_expfam.h", lambda h: ar_bound_canonical_expfam(M, 1.5, 10, 0.5, h, 0.1)),
+    ("gg_bound.h", lambda h: gg_bound(10, GeneralizedGammaParams(1.0, 2.0, 1.5), h)),
+    ("exp_canonical_bound.h", lambda h: exp_canonical_bound(10, h)),
+    ("exp_noncanonical_bound.h", lambda h: exp_noncanonical_bound(10, h)),
+    ("ar_bound_exp_noncanonical.h", lambda h: ar_bound_exp_noncanonical(10, h)),
+]
+
 NON_NUMERIC = [True, False, np.bool_(True), "1.5", "2", None, [1.0]]
 NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf), 10**400]
 
@@ -213,6 +226,18 @@ def test_numpy_integers_give_the_python_result(arg, call, good):
     want = call(good)
     for numpy_value in (np.int64(good), np.int32(good), np.uint64(good)):
         assert _same(call(numpy_value), want)
+
+
+# A plain callable raised a bare AttributeError from the bound formulas and
+# from run_simulation before h was checked.
+@pytest.mark.parametrize(
+    "bad", [H.h, lambda x: 0.0 * x, None, 0.5], ids=["plain-h", "lambda", "None", "float"]
+)
+@pytest.mark.parametrize("arg, call", H_ARGS, ids=_ids(H_ARGS))
+def test_test_function_argument_rejects_anything_else(arg, call, bad):
+    call(H)
+    with pytest.raises(DomainError, match="h must be a TestFunction"):
+        call(bad)
 
 
 # Each was accepted, or raised a bare ValueError or TypeError, before every
