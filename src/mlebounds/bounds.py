@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -154,6 +155,16 @@ _INPUT_KINDS = dict(
 )
 
 
+def _check_input(name: str, value):
+    """``value`` checked as the :class:`BoundInputs` field ``name``, as a
+    Python int or float, or DomainError: the one place a field's kind is
+    applied."""
+    kind = _INPUT_KINDS[name]
+    if kind == "integer":
+        return _require_int(value, name)
+    return _require_real(value, name, kind)
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Everything the general bound consumes, already reduced to numbers.
@@ -162,7 +173,8 @@ class BoundInputs:
     ``third_moment`` is E|g(X_1) - q(theta0)|^3; ``mse`` is
     E[(theta_hat - theta0)^2]; ``sup_q_second`` is the supremum of |q''|
     over the epsilon-ball around theta0.  The caller is responsible for
-    the ball lying inside the parameter space.
+    the ball lying inside the parameter space.  It is for assembling the
+    theorem by hand: the model bounds check the same values themselves.
     """
 
     n: int
@@ -179,18 +191,15 @@ class BoundInputs:
     def __post_init__(self) -> None:
         # A check returns its argument itself when that is already a Python
         # number, so only a converted numpy scalar is written back.
-        for name, kind in _INPUT_KINDS.items():
+        for name in _INPUT_KINDS:
             value = getattr(self, name)
-            if kind == "integer":
-                checked = _require_int(value, name)
-            else:
-                checked = _require_real(value, name, kind)
+            checked = _check_input(name, value)
             if checked is not value:
                 object.__setattr__(self, name, checked)
         _require_test_function(self.h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundBreakdown:
     """A computed bound, split into its three non-negative terms.
 
@@ -204,8 +213,15 @@ class BoundBreakdown:
     total: float = dataclasses.field(init=False)
     formula_id: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "total", self.stein_term + self.tail_term + self.taylor_term)
+    def __init__(self, stein_term: float, tail_term: float, taylor_term: float,
+                 formula_id: str) -> None:
+        # Every bound builds one.  A frozen dataclass's generated __init__
+        # calls object.__setattr__ once per field, about twice the cost of
+        # this single update of the instance dict.
+        vars(self).update(
+            stein_term=stein_term, tail_term=tail_term, taylor_term=taylor_term,
+            total=stein_term + tail_term + taylor_term, formula_id=formula_id,
+        )
 
 
 def lemma_clt_bound(
@@ -240,20 +256,21 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
     indicator in the tail term is zero and sup|q''| vanishes, so this is
     exact rather than a convention.
 
-    ``_formula_id`` is private: the bounds that are this theorem under
-    another name pass theirs, so each breakdown is built once.
+    ``_formula_id`` is private: the model bounds pass theirs, with a record
+    of values they have already checked in place of a :class:`BoundInputs`,
+    so each breakdown is built once and no input is checked twice.
     """
     i = inputs
-    hp = i.h.norm_h_prime
-    stein = hp / math.sqrt(i.n) * (
-        2.0 + i.fisher**1.5 / i.q_prime_abs**3 * i.third_moment
-    )
+    n, fisher, q_prime_abs, h = i.n, i.fisher, i.q_prime_abs, i.h
+    hp = h.norm_h_prime
+    stein = hp / math.sqrt(n) * (2.0 + fisher**1.5 / q_prime_abs**3 * i.third_moment)
     if i.q_is_identity:
         tail = 0.0
         taylor = 0.0
     else:
-        tail = i.mse * 2.0 * i.h.norm_h / i.epsilon**2
-        taylor = i.mse * hp * math.sqrt(i.n * i.fisher) / (2.0 * i.q_prime_abs) * i.sup_q_second
+        mse = i.mse
+        tail = mse * 2.0 * h.norm_h / i.epsilon**2
+        taylor = mse * hp * math.sqrt(n * fisher) / (2.0 * q_prime_abs) * i.sup_q_second
     return BoundBreakdown(stein, tail, taylor, _formula_id)
 
 
@@ -261,8 +278,13 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
                  epsilon: float, h: TestFunction, mse: float) -> BoundBreakdown:
     """:func:`theorem_bound` on a model's own inputs, labelled ``formula_id``;
     the one path of :func:`expfam_bound`, :func:`ar_bound_canonical_expfam`
-    and the CLI's ``theorem`` formula."""
-    epsilon = _require_real(epsilon, "epsilon")
+    and the CLI's ``theorem`` formula.
+
+    Each value is checked once, in :class:`BoundInputs`'s field order, by
+    :func:`_check_input`, so a refusal reads as it would there.  theta0 is
+    checked against the model's space and i(theta0) where it is computed.
+    """
+    epsilon = _check_input("epsilon", epsilon)
     t0 = _require_theta(m, theta0, "theta0")
     identity = d_is_identity(m)
     # epsilon enters the bound only through the tail/Taylor terms, so the
@@ -270,8 +292,19 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
     sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
     third_moment = third_abs_moment(m, t0) if m.bound_moment is None else m.bound_moment(t0)
     fisher, q_prime = _fisher_and_d_prime(m, t0)
-    inputs = BoundInputs(n, t0, epsilon, fisher, abs(q_prime), third_moment, mse, sup_q2,
-                         identity, h)
+    # Keyword arguments are evaluated in the order written.
+    inputs = types.SimpleNamespace(
+        n=_check_input("n", n),
+        epsilon=epsilon,
+        fisher=fisher,
+        q_prime_abs=_check_input("q_prime_abs", abs(q_prime)),
+        third_moment=_check_input("third_moment", third_moment),
+        mse=_check_input("mse", mse),
+        sup_q_second=_check_input("sup_q_second", sup_q2),
+        q_is_identity=identity,
+        h=h,
+    )
+    _require_test_function(h)
     return theorem_bound(inputs, _formula_id=formula_id)
 
 
@@ -286,8 +319,9 @@ def expfam_bound(
     """The general bound instantiated for a one-parameter exponential family.
 
     Assembles i(theta0), |D'(theta0)|, the third moment of T, and
-    sup|D''| over the epsilon-ball from the model and evaluates
-    :func:`theorem_bound` on them.  The caller supplies the MSE (closed
+    sup|D''| over the epsilon-ball from the model, checks them as
+    :class:`BoundInputs` would, and evaluates :func:`theorem_bound` on them
+    without building one.  The caller supplies the MSE (closed
     forms for all built-ins live in :func:`mlebounds.moments.mse_closed_form`).
     The model's certified ``bound_moment`` stands in for the third moment
     where it has one (the generalized gamma and Weibull families, whose

@@ -193,10 +193,11 @@ def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> floa
     return v
 
 
-def _d(m: ExpFamilyModel, t):
-    """D(t) = A'(t) / k'(t) at an unchecked float or float array t: the one
-    place D is computed."""
-    return m.A1(t) / m.k1(t)
+def _d(m: ExpFamilyModel, t, k1=None):
+    """D(t) = A'(t) / k'(t) at an unchecked float or float array t, with
+    k'(t) passed as ``k1`` when the caller has it: the one place D is
+    computed."""
+    return m.A1(t) / (m.k1(t) if k1 is None else k1)
 
 
 def d_value(m: ExpFamilyModel, theta: float) -> float:
@@ -220,7 +221,8 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
     by more than 1e-9 relative.  Both are the same algebra on the same four
     derivative values, so a wrong derivative passes that comparison; what
     it catches is cancellation in A'' k' - k'' A'.  The only check of the
-    derivatives themselves is that i(theta) must come out positive.
+    derivatives themselves is that i(theta) must come out finite and
+    positive.
     """
     return _fisher_and_d_prime(m, _require_theta(m, theta))[0]
 
@@ -242,9 +244,10 @@ def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
             f"Fisher information forms disagree for model {m.name!r} at theta={t}: "
             f"{form_ratio!r} vs {form_d!r}"
         )
-    if form_ratio <= 0.0:
+    # A NaN passes the comparison above and fails this test.
+    if not 0.0 < form_ratio < math.inf:
         raise ConsistencyError(
-            f"Fisher information must be positive, got {form_ratio!r} for model "
+            f"Fisher information must be finite and positive, got {form_ratio!r} for model "
             f"{m.name!r} at theta={t}"
         )
     return form_ratio, numerator / (k1 * k1)
@@ -257,11 +260,16 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
     until the bracket's ends are adjacent floats, whatever the size of the
     target.  D' = i/k' keeps one sign on the parameter space, so the
     direction in which D moves is read off the sign of D' at the starting
-    point.  Built-in models normally bypass this via their closed-form
-    ``d_inverse``.
+    point.  The bracket grows by doubling steps toward an infinite end, and
+    halves the gap to a finite one, until it holds the root.  Built-in
+    models normally bypass this via their closed-form ``d_inverse``.
 
     Raises DomainError when the target is not attained by D on the space,
-    or when D' at the starting point is zero or not finite.
+    or when D' at the starting point is zero or not finite.  The search
+    ends unattained where its candidate reaches the end of the space or of
+    the float range, or where k' or D there is not finite or raises an
+    ArithmeticError: past that point D = A'/k' is no longer D (once k'
+    overflows, A'/k' evaluates to 0 and would bracket a false root).
     """
     y = _require_real(target, "invert_d target", "finite")
     lo_b, hi_b = m.param_space
@@ -290,20 +298,26 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
     # g increases with theta: step toward the lower end when g0 > 0, else
     # the upper, until g takes the sign of the direction (or is zero).
     direction, end = (-1.0, lo_b) if g0 > 0.0 else (1.0, hi_b)
-    for step in range(1, 200):
-        if math.isfinite(end):
-            cand = end - (end - x0) / 2.0**step
+    finite_end = math.isfinite(end)
+    gap = end - x0 if finite_end else direction
+    while True:
+        if finite_end:
+            gap *= 0.5
+            cand = end - gap
         else:
-            cand = x0 + direction * 2.0**step
-        # Halving toward a finite end reaches the end itself, where D is
-        # not defined, after about 53 steps when the end is not 0.
-        gc = g(cand) if m.contains_theta(cand) else math.nan
-        if math.isfinite(gc) and direction * gc >= 0.0:
+            gap *= 2.0
+            cand = x0 + gap
+        try:
+            k1 = m.k1(cand) if m.contains_theta(cand) else math.nan
+            dc = float(_d(m, cand, k1)) if math.isfinite(k1) else math.nan
+        except ArithmeticError:
+            dc = math.nan
+        if not math.isfinite(dc):
+            raise DomainError(
+                f"target {y!r} is not attained by D on the parameter space of {m.name!r}"
+            )
+        if direction * sign * (dc - y) >= 0.0:
             break
-    else:
-        raise DomainError(
-            f"target {y!r} is not attained by D on the parameter space of {m.name!r}"
-        )
     lo, hi = (cand, x0) if g0 > 0.0 else (x0, cand)
 
     # g(lo) <= 0 <= g(hi), and each step halves the bracket.

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -103,6 +104,17 @@ class TestBoundBreakdown:
         assert list(dataclasses.asdict(bd)) == [
             "stein_term", "tail_term", "taylor_term", "total", "formula_id"
         ]
+
+    def test_it_is_a_frozen_value(self):
+        bd = BoundBreakdown(1.0, 2.0, 3.0, "x")
+        for name in ("stein_term", "total", "formula_id"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(bd, name, 0.0)
+        same = BoundBreakdown(stein_term=1.0, tail_term=2.0, taylor_term=3.0, formula_id="x")
+        assert same == bd and hash(same) == hash(bd)
+        assert pickle.loads(pickle.dumps(bd)) == bd
+        assert repr(bd) == ("BoundBreakdown(stein_term=1.0, tail_term=2.0, taylor_term=3.0, "
+                            "total=6.0, formula_id='x')")
 
 
 class TestLemmaCltBound:
@@ -547,3 +559,83 @@ class TestModelBoundPins:
         assert printed == {"formula": "theorem", "n": n, "stein_term": bd.stein_term,
                            "tail_term": bd.tail_term, "taylor_term": bd.taylor_term,
                            "total": bd.total}
+
+
+class TestModelPathRefusals:
+    """expfam, ar-canonical and the CLI's theorem refuse a bad model value or
+    MSE with the DomainError that BoundInputs raises for the field."""
+
+    BASE = exp_canonical_model()
+    BAD = [math.nan, math.inf, -1.0]
+    BAD_IDS = ["nan", "inf", "-1"]
+
+    def _refused(self, m, mse, message, monkeypatch, capsys):
+        # Each test also checks that ``message`` is BoundInputs' own for the
+        # field: both paths apply one check per field, so they word it alike.
+        for fn in (expfam_bound, ar_bound_canonical_expfam):
+            with pytest.raises(DomainError) as info:
+                fn(m, 1.3, 10, 0.65, H, mse)
+            assert str(info.value) == message, fn.__name__
+        # The CLI builds the model, and takes its MSE from the closed form.
+        cli_model = dataclasses.replace(m, mse=lambda n, t0: mse)
+        monkeypatch.setattr("mlebounds.cli.make_model", lambda model_id, **params: cli_model)
+        code = cli_main(["bound", "--formula", "theorem", "--model", "exp-canonical",
+                         "--theta0", "1.3", "--n", "10", "--format", "json"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+    @staticmethod
+    def _hand_built(field, value):
+        """The message of BoundInputs refusing ``value`` as ``field``."""
+        with pytest.raises(DomainError) as info:
+            dataclasses.replace(canonical_exp_inputs(10, 1.3), **{field: value})
+        return str(info.value)
+
+    @pytest.mark.parametrize("field", ["third_moment", "bound_moment"])
+    @pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
+    def test_a_bad_third_moment(self, field, value, monkeypatch, capsys):
+        m = dataclasses.replace(self.BASE, **{field: lambda t0: value})
+        message = f"third_moment must be a non-negative real number, got {value!r}"
+        assert self._hand_built("third_moment", value) == message
+        self._refused(m, 0.01, message, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
+    def test_a_bad_sup_d_second(self, value, monkeypatch, capsys):
+        m = dataclasses.replace(self.BASE, sup_d_second=lambda t0, eps: value)
+        message = f"sup_q_second must be a non-negative real number, got {value!r}"
+        assert self._hand_built("sup_q_second", value) == message
+        self._refused(m, 0.01, message, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("mse", [0, -1, math.nan, np.float64("nan")],
+                             ids=["0", "-1", "nan", "np.float64-nan"])
+    def test_a_bad_mse(self, mse, monkeypatch, capsys):
+        message = f"mse must be a positive real number, got {mse!r}"
+        assert self._hand_built("mse", mse) == message
+        self._refused(self.BASE, mse, message, monkeypatch, capsys)
+
+    def test_the_first_bad_field_is_named(self, monkeypatch, capsys):
+        # The fields are checked in BoundInputs' order: n, then the third
+        # moment, then the MSE.
+        m = dataclasses.replace(self.BASE, third_moment=lambda t0: math.nan)
+        message = "third_moment must be a non-negative real number, got nan"
+        self._refused(m, math.nan, message, monkeypatch, capsys)
+        with pytest.raises(DomainError, match=r"^n must be an integer >= 1, got 0$"):
+            expfam_bound(m, 1.3, 0, 0.65, H, math.nan)
+
+    @pytest.mark.parametrize("model_id,params,theta", PIN_CASES[:1] + PIN_CASES[-1:],
+                             ids=PIN_IDS[:1] + PIN_IDS[-1:])
+    def test_numpy_closed_forms_give_the_python_bound(self, model_id, params, theta):
+        # A closed form that returns numpy scalars, with a numpy n, gives
+        # the bound of its Python floats bit for bit.
+        m = make_model(model_id, **params)
+        field = "third_moment" if m.bound_moment is None else "bound_moment"
+        moment = getattr(m, field)
+        as_numpy = dataclasses.replace(m, **{
+            field: lambda t0: np.float64(moment(t0)),
+            "sup_d_second": lambda t0, eps: np.float64(m.sup_d_second(t0, eps)),
+        })
+        for n in (10, 1000, 10**9):
+            mse = mse_closed_form(m, n, theta)
+            want = expfam_bound(m, theta, n, 0.5 * theta, H, mse)
+            got = expfam_bound(as_numpy, theta, np.int64(n), 0.5 * theta, H, np.float64(mse))
+            terms = ("stein_term", "tail_term", "taylor_term", "total")
+            assert [getattr(got, k).hex() for k in terms] == [getattr(want, k).hex() for k in terms]

@@ -245,6 +245,35 @@ class TestMLE:
         with pytest.raises(DomainError):
             invert_d(exp_canonical_model(), 1.0)
 
+    # D(theta) = (1/theta) / (1/theta^2) on (0, inf), searched from 1.
+    GENERIC_EXP = dataclasses.replace(exp_noncanonical_model(), d_inverse=None)
+
+    @pytest.mark.parametrize("target", [1e-70, 1e61])
+    def test_invert_d_finds_roots_far_from_the_start(self, target):
+        # More than 199 halvings (1e-70) or doublings (1e61) from the start.
+        root = invert_d(self.GENERIC_EXP, target)
+        assert abs(root - target) <= math.ulp(target)
+        below = math.nextafter(root, 0.0)
+        above = math.nextafter(root, math.inf)
+        assert d_value(self.GENERIC_EXP, below) <= target <= d_value(self.GENERIC_EXP, above)
+
+    @pytest.mark.parametrize("target", [1e-200, 1e-300, 1e300])
+    def test_invert_d_refuses_where_d_cannot_be_evaluated(self, target):
+        # Below theta = 7.46e-155, 1/theta^2 overflows and A'/k' reads 0,
+        # which would bracket a false root near there for 1e-200; above
+        # about 1.3e154, theta**2 raises OverflowError.
+        with pytest.raises(DomainError, match="not attained"):
+            invert_d(self.GENERIC_EXP, target)
+
+    def test_a_zero_of_d_on_the_way_is_passed(self):
+        # D(theta) = theta - 2 is 0 at the walk's first candidate, 2; the
+        # walk goes on past it, and a target of 0 is met there exactly.
+        shifted = dataclasses.replace(
+            normal_mean_model(), name="shifted", A1=lambda th: th - 2.0, d_inverse=None
+        )
+        assert invert_d(shifted, 0.0) == 2.0
+        assert invert_d(shifted, 5.0) == pytest.approx(7.0, rel=1e-15)
+
 
 class TestBoundedParameterSpace:
     """The generic inverse starts at the midpoint of a bounded space and at
@@ -282,8 +311,10 @@ class TestBoundedParameterSpace:
     @pytest.mark.parametrize(
         "m, identity, canonical, targets",
         [
-            (BERNOULLI, True, False, [1e-9, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-9]),
-            (EXP_NATURAL, False, True, [1e-6, 0.4, 1.0, 2.0, 1e3]),
+            # 1e-300, and for exp-natural 1e-200 and 1e300, lie more than
+            # 199 halvings or doublings from the start.
+            (BERNOULLI, True, False, [1e-300, 1e-9, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-9]),
+            (EXP_NATURAL, False, True, [1e-200, 1e-6, 0.4, 1.0, 2.0, 1e3, 1e300]),
         ],
         ids=["bernoulli-mean", "exp-natural"],
     )
@@ -590,3 +621,16 @@ class TestFisherConsistencyGuard:
         broken = dataclasses.replace(exp_canonical_model(), A2=lambda th: -1.0 / th**2)
         with pytest.raises(ConsistencyError):
             fisher_info(broken, 2.0)
+
+    @pytest.mark.parametrize("a2", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_information_detected(self, a2):
+        # A NaN passes the comparison of the two forms; it is refused where
+        # it is computed, so every caller sees the ConsistencyError.
+        from mlebounds import expfam_bound, reference_test_function
+
+        broken = dataclasses.replace(make_model("exp-noncanonical"), A2=lambda th: a2)
+        message = "Fisher information must be finite and positive.*'exp-noncanonical'"
+        with pytest.raises(ConsistencyError, match=message):
+            fisher_info(broken, 1.0)
+        with pytest.raises(ConsistencyError, match=message):
+            expfam_bound(broken, 1.0, 10, 0.5, reference_test_function(), 0.1)

@@ -177,6 +177,35 @@ def test_demo_runs(demo):
     assert done.stdout
 
 
+# Blocks scipy, mpmath and hypothesis (the test extras), then uses the
+# library and its CLI; an import of any of them raises ImportError.
+NUMPY_ONLY = """
+import sys
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None
+import mlebounds
+from mlebounds import cli
+argv = ["bound", "--formula", "expfam", "--model", "gg", "--d", "2", "--p", "1.5",
+        "--theta0", "1.5", "--n", "100", "--format", "json"]
+assert cli.main(argv) == 0
+assert len(mlebounds.table1(trials=1000)) == 5
+"""
+
+
+def test_the_runtime_needs_only_numpy():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert '"formula": "expfam"' in done.stdout
+
+
 def _readme_section(heading: str) -> str:
     """The text under the README's ``## heading``."""
     return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
