@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,24 +147,7 @@ def reference_test_function() -> TestFunction:
     )
 
 
-# The kind of number each numeric BoundInputs field must be.
-_INPUT_KINDS = dict(
-    n="integer", theta0="finite", epsilon="positive", fisher="positive", q_prime_abs="positive",
-    third_moment="non-negative", mse="positive", sup_q_second="non-negative",
-)
-
-
-def _check_input(name: str, value):
-    """``value`` checked as the :class:`BoundInputs` field ``name``, as a
-    Python int or float, or DomainError: the one place a field's kind is
-    applied."""
-    kind = _INPUT_KINDS[name]
-    if kind == "integer":
-        return _require_int(value, name)
-    return _require_real(value, name, kind)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundInputs:
     """Everything the general bound consumes, already reduced to numbers.
 
@@ -173,8 +155,9 @@ class BoundInputs:
     ``third_moment`` is E|g(X_1) - q(theta0)|^3; ``mse`` is
     E[(theta_hat - theta0)^2]; ``sup_q_second`` is the supremum of |q''|
     over the epsilon-ball around theta0.  The caller is responsible for
-    the ball lying inside the parameter space.  It is for assembling the
-    theorem by hand: the model bounds check the same values themselves.
+    the ball lying inside the parameter space.  The fields are checked in
+    order, so a refusal names the first bad one; numbers are stored as
+    Python ints and floats, and ``q_is_identity`` must be a bool.
     """
 
     n: int
@@ -188,15 +171,28 @@ class BoundInputs:
     q_is_identity: bool
     h: TestFunction
 
-    def __post_init__(self) -> None:
-        # A check returns its argument itself when that is already a Python
-        # number, so only a converted numpy scalar is written back.
-        for name in _INPUT_KINDS:
-            value = getattr(self, name)
-            checked = _check_input(name, value)
-            if checked is not value:
-                object.__setattr__(self, name, checked)
-        _require_test_function(self.h)
+    def __init__(self, n: int, theta0: float, epsilon: float, fisher: float,
+                 q_prime_abs: float, third_moment: float, mse: float, sup_q_second: float,
+                 q_is_identity: bool, h: TestFunction) -> None:
+        # Every model bound builds one.  As in BoundBreakdown, one update of
+        # the instance dict replaces the generated per-field setattr calls.
+        n = _require_int(n, "n")
+        theta0 = _require_real(theta0, "theta0", "finite")
+        epsilon = _require_real(epsilon, "epsilon")
+        fisher = _require_real(fisher, "fisher")
+        q_prime_abs = _require_real(q_prime_abs, "q_prime_abs")
+        third_moment = _require_real(third_moment, "third_moment", "non-negative")
+        mse = _require_real(mse, "mse")
+        sup_q_second = _require_real(sup_q_second, "sup_q_second", "non-negative")
+        # A truthy non-bool would silently drop the tail and Taylor terms.
+        if not isinstance(q_is_identity, (bool, np.bool_)):
+            raise DomainError(f"q_is_identity must be a bool, got {q_is_identity!r}")
+        _require_test_function(h)
+        vars(self).update(
+            n=n, theta0=theta0, epsilon=epsilon, fisher=fisher, q_prime_abs=q_prime_abs,
+            third_moment=third_moment, mse=mse, sup_q_second=sup_q_second,
+            q_is_identity=bool(q_is_identity), h=h,
+        )
 
 
 @dataclass(frozen=True, init=False)
@@ -246,7 +242,7 @@ def lemma_clt_bound(
 
 
 def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> BoundBreakdown:
-    """The general three-term bound, assembled from raw inputs.
+    """The general three-term bound, assembled from checked inputs.
 
     stein  = ||h'||/sqrt(n) (2 + i^{3/2}/|q'|^3 E|g - q(theta0)|^3)
     tail   = MSE * 2||h||/eps^2                       [0 if q is identity]
@@ -256,10 +252,12 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
     indicator in the tail term is zero and sup|q''| vanishes, so this is
     exact rather than a convention.
 
-    ``_formula_id`` is private: the model bounds pass theirs, with a record
-    of values they have already checked in place of a :class:`BoundInputs`,
-    so each breakdown is built once and no input is checked twice.
+    ``inputs`` must be a :class:`BoundInputs`, whose construction checked
+    every value; anything else raises DomainError.  ``_formula_id`` is
+    private: the model bounds pass theirs, so each breakdown is built once.
     """
+    if not isinstance(inputs, BoundInputs):
+        raise DomainError(f"inputs must be a BoundInputs, got {inputs!r}")
     i = inputs
     n, fisher, q_prime_abs, h = i.n, i.fisher, i.q_prime_abs, i.h
     hp = h.norm_h_prime
@@ -276,15 +274,15 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
 
 def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
                  epsilon: float, h: TestFunction, mse: float) -> BoundBreakdown:
-    """:func:`theorem_bound` on a model's own inputs, labelled ``formula_id``;
-    the one path of :func:`expfam_bound`, :func:`ar_bound_canonical_expfam`
-    and the CLI's ``theorem`` formula.
+    """:func:`theorem_bound` on the :class:`BoundInputs` of a model,
+    labelled ``formula_id``; the one path of :func:`expfam_bound`,
+    :func:`ar_bound_canonical_expfam` and the CLI's ``theorem`` formula.
 
-    Each value is checked once, in :class:`BoundInputs`'s field order, by
-    :func:`_check_input`, so a refusal reads as it would there.  theta0 is
-    checked against the model's space and i(theta0) where it is computed.
+    epsilon and theta0 are checked first, since the model's values are
+    computed from them; the record then checks each value, so a refusal
+    reads as it would for a hand-built :class:`BoundInputs`.
     """
-    epsilon = _check_input("epsilon", epsilon)
+    epsilon = _require_real(epsilon, "epsilon")
     t0 = _require_theta(m, theta0, "theta0")
     identity = d_is_identity(m)
     # epsilon enters the bound only through the tail/Taylor terms, so the
@@ -292,19 +290,8 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
     sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
     third_moment = third_abs_moment(m, t0) if m.bound_moment is None else m.bound_moment(t0)
     fisher, q_prime = _fisher_and_d_prime(m, t0)
-    # Keyword arguments are evaluated in the order written.
-    inputs = types.SimpleNamespace(
-        n=_check_input("n", n),
-        epsilon=epsilon,
-        fisher=fisher,
-        q_prime_abs=_check_input("q_prime_abs", abs(q_prime)),
-        third_moment=_check_input("third_moment", third_moment),
-        mse=_check_input("mse", mse),
-        sup_q_second=_check_input("sup_q_second", sup_q2),
-        q_is_identity=identity,
-        h=h,
-    )
-    _require_test_function(h)
+    inputs = BoundInputs(n, t0, epsilon, fisher, abs(q_prime), third_moment, mse, sup_q2,
+                         identity, h)
     return theorem_bound(inputs, _formula_id=formula_id)
 
 
@@ -319,10 +306,10 @@ def expfam_bound(
     """The general bound instantiated for a one-parameter exponential family.
 
     Assembles i(theta0), |D'(theta0)|, the third moment of T, and
-    sup|D''| over the epsilon-ball from the model, checks them as
-    :class:`BoundInputs` would, and evaluates :func:`theorem_bound` on them
-    without building one.  The caller supplies the MSE (closed
-    forms for all built-ins live in :func:`mlebounds.moments.mse_closed_form`).
+    sup|D''| over the epsilon-ball from the model into a
+    :class:`BoundInputs` and evaluates :func:`theorem_bound` on it.  The
+    caller supplies the MSE (closed forms for all built-ins live in
+    :func:`mlebounds.moments.mse_closed_form`).
     The model's certified ``bound_moment`` stands in for the third moment
     where it has one (the generalized gamma and Weibull families, whose
     bounds keep the paper's Holder step); every other model uses

@@ -99,7 +99,9 @@ class ExpFamilyModel:
 
     ``k, k1, k2`` and ``A, A1, A2`` are the parameter functions and their
     first two derivatives, which only this module reads; ``T`` is the
-    natural statistic and ``S`` the data-only carrier term.
+    natural statistic and ``S`` the data-only carrier term.  Each takes a
+    float or a float array; a field that is constant may return its
+    constant as a scalar for either, since every caller broadcasts it.
 
     The optional fields hold the family's closed forms, which take theta0
     unchecked (the public functions that call them check it first); each
@@ -486,14 +488,6 @@ _POS = (0.0, math.inf)
 _REAL = (-math.inf, math.inf)
 
 
-def _const(value: float) -> Callable:
-    def fn(th):
-        arr = np.asarray(th, dtype=float)
-        return float(value) if arr.ndim == 0 else np.full(arr.shape, float(value))
-
-    return fn
-
-
 def exp_canonical_model() -> ExpFamilyModel:
     """Exponential distribution with density theta * exp(-theta x), x > 0.
 
@@ -503,13 +497,13 @@ def exp_canonical_model() -> ExpFamilyModel:
     return ExpFamilyModel(
         name="exp-canonical",
         k=lambda th: th,
-        k1=_const(1.0),
-        k2=_const(0.0),
+        k1=lambda th: 1.0,
+        k2=lambda th: 0.0,
         A=lambda th: -np.log(th),
         A1=lambda th: -1.0 / th,
         A2=lambda th: 1.0 / th**2,
         T=lambda x: -x,
-        S=_const(0.0),
+        S=lambda x: 0.0,
         support=_POS,
         param_space=_POS,
         d_inverse=lambda t: -1.0 / t,
@@ -541,7 +535,7 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         A1=lambda th: 1.0 / th,
         A2=lambda th: -1.0 / th**2,
         T=lambda x: x,
-        S=_const(0.0),
+        S=lambda x: 0.0,
         support=_POS,
         param_space=_POS,
         d_inverse=lambda t: t,
@@ -581,14 +575,15 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
     s2 = sigma**2
     log_norm = math.log(sigma * math.sqrt(2.0 * math.pi))
     third = NORMAL_THIRD_ABS_MOMENT * sigma**3
+    inv_s2 = 1.0 / s2  # k' and A''
     return ExpFamilyModel(
         name=f"normal-mean(sigma={sigma})",
         k=lambda th: th / s2,
-        k1=_const(1.0 / s2),
-        k2=_const(0.0),
+        k1=lambda th: inv_s2,
+        k2=lambda th: 0.0,
         A=lambda th: th**2 / (2.0 * s2),
         A1=lambda th: th / s2,
-        A2=_const(1.0 / s2),
+        A2=lambda th: inv_s2,
         T=lambda x: np.asarray(x, dtype=float) + 0.0,
         S=lambda x: -np.asarray(x, dtype=float) ** 2 / (2.0 * s2) - log_norm,
         support=_REAL,
@@ -620,7 +615,7 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         A1=lambda th: 1.0 / (2.0 * th),
         A2=lambda th: -1.0 / (2.0 * th**2),
         T=lambda x: (np.asarray(x, dtype=float) - mu) ** 2,
-        S=_const(-log_norm),
+        S=lambda x: -log_norm,
         support=_REAL,
         param_space=_POS,
         d_inverse=lambda t: t,

@@ -1,10 +1,12 @@
 """Tests for the bound formulas and their closed-form specializations."""
 
 import dataclasses
+import inspect
 import json
 import math
 import pickle
 import re
+import types
 
 import numpy as np
 import pytest
@@ -117,6 +119,42 @@ class TestBoundBreakdown:
                             "total=6.0, formula_id='x')")
 
 
+class TestBoundInputs:
+    FIELDS = ["n", "theta0", "epsilon", "fisher", "q_prime_abs", "third_moment", "mse",
+              "sup_q_second", "q_is_identity", "h"]
+    # A ufunc pickles by name where the reference h's lambda cannot.
+    TANH = HFunc("tanh", np.tanh, 1.0, 1.0)
+    VALUES = (10, 1.5, 0.5, 2.0, 0.5, 1.0, 0.1, 2.0, False, TANH)
+
+    def test_the_signature_lists_the_fields_in_order(self):
+        assert list(inspect.signature(BoundInputs).parameters) == self.FIELDS
+        assert [f.name for f in dataclasses.fields(BoundInputs)] == self.FIELDS
+
+    def test_it_is_a_frozen_value(self):
+        inputs = BoundInputs(*self.VALUES)
+        for name in ("n", "mse", "q_is_identity", "h"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inputs, name, 0.0)
+        same = BoundInputs(**dict(zip(self.FIELDS, self.VALUES)))
+        assert same == inputs and hash(same) == hash(inputs)
+        assert same != BoundInputs(*self.VALUES[:6], 0.2, *self.VALUES[7:])
+        assert pickle.loads(pickle.dumps(inputs)) == inputs
+        assert repr(inputs) == (
+            "BoundInputs(n=10, theta0=1.5, epsilon=0.5, fisher=2.0, q_prime_abs=0.5, "
+            f"third_moment=1.0, mse=0.1, sup_q_second=2.0, q_is_identity=False, h={self.TANH!r})"
+        )
+
+    def test_replace_checks_as_the_constructor_does(self):
+        inputs = BoundInputs(*self.VALUES)
+        with pytest.raises(DomainError) as built:
+            BoundInputs(**dict(zip(self.FIELDS, self.VALUES), mse=-1.0))
+        with pytest.raises(DomainError) as replaced:
+            dataclasses.replace(inputs, mse=-1.0)
+        assert str(replaced.value) == str(built.value) == (
+            "mse must be a positive real number, got -1.0"
+        )
+
+
 class TestLemmaCltBound:
     def test_unit_inputs(self):
         assert lemma_clt_bound(1, 1.0, 1.0, 1.0) == pytest.approx(3.0, abs=0)
@@ -209,6 +247,16 @@ class TestTheoremBound:
                 n=10, theta0=1.0, epsilon=-0.5, fisher=1.0, q_prime_abs=1.0,
                 third_moment=1.0, mse=0.1, sup_q_second=0.0, q_is_identity=False, h=H,
             )
+
+    def test_refuses_anything_but_bound_inputs(self):
+        # Neither record was checked: the namespace's negative moment and
+        # MSE gave a negative total, and the dict a bare AttributeError.
+        good = canonical_exp_inputs(10, 1.3)
+        fields = {name: getattr(good, name) for name in TestBoundInputs.FIELDS}
+        unchecked = types.SimpleNamespace(**dict(fields, third_moment=-50.0, mse=-1.0))
+        for bad in (unchecked, fields):
+            with pytest.raises(DomainError, match="^inputs must be a BoundInputs, got "):
+                theorem_bound(bad)
 
     @settings(max_examples=60)
     @given(

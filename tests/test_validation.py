@@ -265,6 +265,16 @@ def test_former_faults_raise_domain_error(case, call):
         call()
 
 
+# A truthy non-bool dropped the tail and Taylor terms: at _inputs' values
+# q_is_identity="no" gave a total of 0.218 where False gives 0.690.
+@pytest.mark.parametrize("bad", ["no", None, 1, 0.0], ids=_value_id)
+def test_q_is_identity_must_be_a_bool(bad):
+    with pytest.raises(DomainError, match="^q_is_identity must be a bool, got "):
+        _inputs(q_is_identity=bad)
+    for flag in (True, False):
+        assert _same(_inputs(q_is_identity=np.bool_(flag)), _inputs(q_is_identity=flag))
+
+
 def test_sample_model_size_is_none_or_a_count():
     # None (one draw) is valid here, so size cannot be an INT_ARGS row.
     def draw(size):
