@@ -40,6 +40,7 @@ from .models import (
     ExpFamilyModel,
     GeneralizedGammaParams,
     _fisher_and_d_prime,
+    _not_evaluable,
     _require_theta,
     d_is_identity,
     gg_mse_factor,
@@ -131,6 +132,11 @@ def _require_test_function(h) -> None:
         raise DomainError(f"h must be a TestFunction with stated norms, got {h!r}")
 
 
+def _reference_h(x):
+    """h(x) = 1/(x^2 + 2), at module level so that it pickles by name."""
+    return 1.0 / (x * x + 2.0)
+
+
 @functools.cache
 def reference_test_function() -> TestFunction:
     """The built-in test function h(x) = 1/(x^2 + 2).
@@ -141,7 +147,7 @@ def reference_test_function() -> TestFunction:
     """
     return TestFunction(
         name="paper",
-        h=lambda x: 1.0 / (x * x + 2.0),
+        h=_reference_h,
         norm_h=0.5,
         norm_h_prime=3.0 * math.sqrt(6.0) / 32.0,
     )
@@ -280,15 +286,20 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
 
     epsilon and theta0 are checked first, since the model's values are
     computed from them; the record then checks each value, so a refusal
-    reads as it would for a hand-built :class:`BoundInputs`.
+    reads as it would for a hand-built :class:`BoundInputs`.  A theta0 at
+    which the model's closed forms fail in floating point raises
+    DomainError.
     """
     epsilon = _require_real(epsilon, "epsilon")
     t0 = _require_theta(m, theta0, "theta0")
     identity = d_is_identity(m)
     # epsilon enters the bound only through the tail/Taylor terms, so the
     # ball-inside-the-space constraint is enforced exactly when they exist.
-    sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
-    third_moment = third_abs_moment(m, t0) if m.bound_moment is None else m.bound_moment(t0)
+    try:
+        sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
+        third_moment = third_abs_moment(m, t0) if m.bound_moment is None else m.bound_moment(t0)
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t0, exc) from exc
     fisher, q_prime = _fisher_and_d_prime(m, t0)
     inputs = BoundInputs(n, t0, epsilon, fisher, abs(q_prime), third_moment, mse, sup_q2,
                          identity, h)

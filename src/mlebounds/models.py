@@ -10,10 +10,11 @@ with D = A'/k', so the MLE is D^{-1} applied to a sample average.  Everything
 the error bounds need lives here: D, the Fisher information, the ratio
 sqrt(i)/|D'|, the supremum of |D''| over a parameter ball, and the MLE
 itself.  Each built-in constructor also sets its family's closed forms on
-the model (third moment, MSE of the MLE, samplers), so the generic code in
-:mod:`.moments`, :mod:`.bounds` and :mod:`.montecarlo` never asks which
-family it holds.  Laplace and Weibull are copies of the exponential and
-generalized gamma models with only the differing fields replaced.
+the model (third moment, MSE of the MLE, the law of mean T), so the
+generic code in :mod:`.moments`, :mod:`.bounds` and :mod:`.montecarlo`
+never asks which family it holds.  Laplace and Weibull are copies of the
+exponential and generalized gamma models with only the differing fields
+replaced.
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -115,10 +116,10 @@ class ExpFamilyModel:
       Weibull) moment by Holder's inequality, and its bounds keep that
       step although the exact moment is known;
     * ``mse(n, theta0)`` is the mean squared error of the MLE;
-    * ``sample(theta0, rng, size)`` draws observations, and
-      ``sample_tbar(theta0, n, rng, size)`` draws ``size`` values of mean T
-      over n observations directly from the closed-form law of the sum of
-      T, which the simulation harness samples through.
+    * ``sample_tbar(theta0, n, rng, size)`` draws ``size`` values of mean
+      T over n observations from the closed-form law of the sum of T: the
+      model's one sampler, which the simulation harness draws through by
+      :func:`mlebounds.montecarlo.sample_model`.
 
     A model without them takes the one generic path, bisection on D for
     the MLE.  Every bound refuses it without ``third_moment`` or
@@ -150,7 +151,6 @@ class ExpFamilyModel:
     third_moment: Callable | None = None
     bound_moment: Callable | None = None
     mse: Callable | None = None
-    sample: Callable | None = None
     sample_tbar: Callable | None = None
     integration_window: Callable | None = None
 
@@ -195,6 +195,16 @@ def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> floa
     return v
 
 
+def _not_evaluable(m: ExpFamilyModel, t0: float, exc: ArithmeticError) -> DomainError:
+    """The refusal of a theta0 inside the parameter space at which the
+    model's closed forms fail in floating point: an overflow, or an
+    underflow that leaves a zero divisor."""
+    return DomainError(
+        f"theta0={t0!r} is inside the parameter space of model {m.name!r}, but its closed "
+        f"forms fail there in floating point ({type(exc).__name__}: {exc})"
+    )
+
+
 def _d(m: ExpFamilyModel, t, k1=None):
     """D(t) = A'(t) / k'(t) at an unchecked float or float array t, with
     k'(t) passed as ``k1`` when the caller has it: the one place D is
@@ -224,7 +234,8 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
     derivative values, so a wrong derivative passes that comparison; what
     it catches is cancellation in A'' k' - k'' A'.  The only check of the
     derivatives themselves is that i(theta) must come out finite and
-    positive.
+    positive.  A theta at which the derivatives overflow, or underflow to
+    a zero divisor, raises DomainError.
     """
     return _fisher_and_d_prime(m, _require_theta(m, theta))[0]
 
@@ -233,13 +244,17 @@ def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
     """i(t) with :func:`fisher_info`'s checks, and D'(t), from one evaluation
     of k', k'', A', A'' at a checked t (:func:`d_prime` skips the checks for
     :func:`invert_d`, which needs D' where they fail)."""
-    k1 = float(m.k1(t))
-    k2 = float(m.k2(t))
-    a1 = float(m.A1(t))
-    a2 = float(m.A2(t))
-    numerator = a2 * k1 - k2 * a1
-    form_ratio = numerator / k1
-    form_d = a2 - k2 * (a1 / k1)
+    try:
+        k1 = float(m.k1(t))
+        k2 = float(m.k2(t))
+        a1 = float(m.A1(t))
+        a2 = float(m.A2(t))
+        numerator = a2 * k1 - k2 * a1
+        form_ratio = numerator / k1
+        form_d = a2 - k2 * (a1 / k1)
+        d_prime_t = numerator / (k1 * k1)
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t, exc) from exc
     scale = max(abs(form_ratio), abs(form_d), 1e-300)
     if abs(form_ratio - form_d) > _FISHER_CONSISTENCY_RTOL * scale:
         raise ConsistencyError(
@@ -252,7 +267,7 @@ def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
             f"Fisher information must be finite and positive, got {form_ratio!r} for model "
             f"{m.name!r} at theta={t}"
         )
-    return form_ratio, numerator / (k1 * k1)
+    return form_ratio, d_prime_t
 
 
 def invert_d(m: ExpFamilyModel, target: float) -> float:
@@ -510,7 +525,6 @@ def exp_canonical_model() -> ExpFamilyModel:
         sup_d_second=lambda t0, eps: 2.0 / (t0 - eps) ** 3,
         third_moment=lambda t0: EXP_THIRD_ABS_MOMENT / t0**3,
         mse=mse_exp_canonical,
-        sample=lambda t0, rng, size: rng.exponential(1.0 / t0, size),
         # The sum of n exponential draws with rate theta is Gamma(n, scale 1/theta).
         sample_tbar=lambda t0, n, rng, size: -rng.gamma(n, 1.0 / t0, size) / n,
         # The window starts just inside the open support: the density has a
@@ -541,7 +555,6 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         d_inverse=lambda t: t,
         third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
         mse=lambda n, t0: t0**2 / n,
-        sample=lambda t0, rng, size: rng.exponential(t0, size),
         # The sum of n exponential draws with mean theta is Gamma(n, scale theta).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
         integration_window=lambda t0: (6e-12 * t0, 60.0 * t0),
@@ -552,8 +565,8 @@ def laplace_scale_model() -> ExpFamilyModel:
     """Laplace scale family: density exp(-|x|/theta) / (2 theta) on the line.
 
     |X| is exponential with mean theta, so this is the exponential model
-    seen through T(x) = |x|: only A, T, the support, the sampler and the
-    integration window differ.  The MLE is the mean of |x_i|.
+    seen through T(x) = |x|: only A, T, the support and the integration
+    window differ.  The MLE is the mean of |x_i|.
     """
     return dataclasses.replace(
         exp_noncanonical_model(),
@@ -561,7 +574,6 @@ def laplace_scale_model() -> ExpFamilyModel:
         A=lambda th: np.log(2.0 * th),
         T=lambda x: np.abs(x),
         support=_REAL,
-        sample=lambda t0, rng, size: rng.laplace(0.0, t0, size),
         integration_window=lambda t0: (-60.0 * t0, 60.0 * t0),
     )
 
@@ -591,7 +603,6 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         d_inverse=lambda t: t,
         third_moment=lambda t0: third,
         mse=lambda n, t0: s2 / n,
-        sample=lambda t0, rng, size: rng.normal(t0, sigma, size),
         sample_tbar=lambda t0, n, rng, size: rng.normal(t0, sigma / math.sqrt(n), size),
         integration_window=lambda t0: (t0 - 14.0 * sigma, t0 + 14.0 * sigma),
     )
@@ -621,7 +632,6 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         d_inverse=lambda t: t,
         third_moment=lambda t0: _quadrature_third_moment(model, t0),
         mse=lambda n, t0: 2.0 * t0**2 / n,
-        sample=lambda t0, rng, size: rng.normal(mu, math.sqrt(t0), size),
         # The sum of n draws of (x - mu)^2 is theta times a chi-square with
         # n degrees of freedom: Gamma(n/2, scale 2 theta).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(0.5 * n, 2.0 * t0, size) / n,
@@ -668,11 +678,7 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         third_moment=lambda t0: gamma_third_abs_moment(a) * t0 ** (3.0 * pv),
         bound_moment=lambda t0: _holder_gg(float(t0), dv, pv),
         mse=lambda n, t0: float(t0) ** 2 * gg_mse_factor(n, dv, pv),
-        # T = X^p is Gamma(d/p, scale theta^p), so X = T^(1/p) and the sum
-        # of T is Gamma(n d/p, scale theta^p).  The per-observation scale is
-        # the reciprocal of the rate theta^-p, which can differ from theta^p
-        # in the last bit; seeded draws are pinned to it.
-        sample=lambda t0, rng, size: rng.gamma(a, 1.0 / t0 ** (-pv), size) ** (1.0 / pv),
+        # The sum of n draws of T = X^p is Gamma(n d/p, scale theta^p).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n * dv / pv, t0**pv, size) / n,
         integration_window=window,
     )

@@ -24,6 +24,7 @@ from .models import (
     EXP_THIRD_ABS_MOMENT,
     NORMAL_THIRD_ABS_MOMENT,
     ExpFamilyModel,
+    _not_evaluable,
     _require_theta,
     gg_mse_factor,
     mse_exp_canonical,
@@ -66,13 +67,17 @@ def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
 
     Every built-in has one: the identity-D families are unbiased sample
     means with known variances, the canonical exponential and generalized
-    gamma have the gamma-ratio forms.
+    gamma have the gamma-ratio forms.  A theta0 at which the form fails in
+    floating point raises DomainError.
     """
     n = _require_int(n, "n")
     t0 = _require_theta(m, theta0, "theta0")
     if m.mse is None:
         raise DomainError(f"model {m.name!r} has no closed-form MSE; use mse_monte_carlo")
-    return m.mse(n, t0)
+    try:
+        return m.mse(n, t0)
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t0, exc) from exc
 
 
 def expected_h_of_z(h) -> float:

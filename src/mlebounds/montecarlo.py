@@ -1,10 +1,10 @@
 """Seeded Monte Carlo estimation of the true normal-approximation distance.
 
 Protocol per configuration: for each of ``trials`` independent trials,
-draw the mean of T over n observations at theta0 directly from the
-closed-form law of the sum of T (Gamma, Normal or chi-square for every
-built-in family) rather than the n observations themselves, which the MLE
-depends on only through that mean; so a trial costs the same at every n.
+draw the mean of T over n observations at theta0 by :func:`sample_model`,
+from the closed-form law of the sum of T (Gamma, Normal or chi-square for
+every built-in family) rather than the n observations themselves, which the
+MLE depends on only through that mean; so a trial costs the same at every n.
 Invert D to get the MLE, standardize it by sqrt(n i(theta0)), average the
 test function over the trials, and report the absolute gap to E[h(Z)].
 Each result row also carries the matching closed-form bound (and the AR
@@ -77,15 +77,22 @@ _SEED_MAX = 2**64 - 1
 _CHUNK = 4096
 
 
-def sample_model(m: ExpFamilyModel, theta0: float, rng: np.random.Generator, size=None):
-    """Draw from f(. | theta0) through the model's ``sample`` field: one
-    draw when ``size`` is None, else an array of ``size`` >= 0 draws."""
+def sample_model(m: ExpFamilyModel, theta0: float, rng: np.random.Generator, size, n: int):
+    """Draw mean T over n observations at theta0 (the sufficient statistic's
+    mean) from the model's ``sample_tbar``: one draw when ``size`` is None,
+    else ``size`` >= 0 draws.  The harness's one sampler; the benchmark's
+    tracer and per-layer metrics address the sampling layer by this name,
+    which it keeps from when it drew observations.  n has no default, so a
+    call in that old form (m, theta0, rng, size) raises TypeError instead
+    of returning means of T where observations were meant.
+    """
     t0 = _require_theta(m, theta0, "theta0")
+    n = _require_int(n, "n")
     if size is not None:
         size = _require_int(size, "size", 0)
-    if m.sample is None:
-        raise DomainError(f"model {m.name!r} has no per-observation sampler")
-    return m.sample(t0, rng, size)
+    if m.sample_tbar is None:
+        raise DomainError(f"model {m.name!r} has no sufficient-statistic sampler (sample_tbar)")
+    return m.sample_tbar(t0, n, rng, size)
 
 
 @dataclass(frozen=True)
@@ -156,11 +163,10 @@ def iter_mle_chunks(
     holds trials k * 4096 to min((k + 1) * 4096, trials) - 1.
 
     Each chunk draws one value of mean T per trial from its own derived
-    stream through the model's ``sample_tbar`` (the closed-form law of the
-    sum of T over n observations), solves D(theta_hat) = mean T by
-    the model's closed-form ``d_inverse``, and verifies the defining
-    identity |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial;
-    a NaN or infinite theta_hat fails it, naming the first failing trial.
+    stream by :func:`sample_model`, solves D(theta_hat) = mean T by the
+    model's closed-form ``d_inverse``, and verifies the defining identity
+    |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial; a NaN
+    or infinite theta_hat fails it, naming the first failing trial.
     Memory and time per chunk do not depend on n.
 
     The arguments are checked when the first chunk is asked for: theta0
@@ -178,7 +184,8 @@ def iter_mle_chunks(
     seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
     for chunk_index, start in enumerate(range(0, trials, _CHUNK)):
         count = min(_CHUNK, trials - start)
-        tbar = np.asarray(m.sample_tbar(theta0, n, _chunk_rng(seed, chunk_index), count))
+        # The module-level name, so a wrapper installed on it sees each draw.
+        tbar = np.asarray(sample_model(m, theta0, _chunk_rng(seed, chunk_index), count, n=n))
         with np.errstate(all="ignore"):  # a non-finite theta_hat fails the check
             theta_hat = np.asarray(m.d_inverse(tbar), dtype=float)
             gap = _d(m, theta_hat)

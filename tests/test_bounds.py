@@ -72,6 +72,14 @@ class TestReferenceTestFunction:
         # Equivalent forms of the derivative norm.
         assert H.norm_h_prime == pytest.approx(3.0 * math.sqrt(1.5) / 16.0, rel=1e-15)
 
+    def test_it_pickles_with_its_expected_h(self):
+        # h is a module-level function, so the instance pickles by value
+        # and carries E[h(Z)] once it has been computed.
+        expected = H.expected_h
+        loaded = pickle.loads(pickle.dumps(H))
+        assert loaded == H and loaded.h is H.h
+        assert vars(loaded)["expected_h"] == expected
+
     def test_h_values(self):
         assert H.h(0.0) == 0.5
         assert H.h(1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -122,7 +130,6 @@ class TestBoundBreakdown:
 class TestBoundInputs:
     FIELDS = ["n", "theta0", "epsilon", "fisher", "q_prime_abs", "third_moment", "mse",
               "sup_q_second", "q_is_identity", "h"]
-    # A ufunc pickles by name where the reference h's lambda cannot.
     TANH = HFunc("tanh", np.tanh, 1.0, 1.0)
     VALUES = (10, 1.5, 0.5, 2.0, 0.5, 1.0, 0.1, 2.0, False, TANH)
 
@@ -143,6 +150,10 @@ class TestBoundInputs:
             "BoundInputs(n=10, theta0=1.5, epsilon=0.5, fisher=2.0, q_prime_abs=0.5, "
             f"third_moment=1.0, mse=0.1, sup_q_second=2.0, q_is_identity=False, h={self.TANH!r})"
         )
+
+    def test_it_pickles_on_the_default_h(self):
+        inputs = BoundInputs(*self.VALUES[:-1], H)
+        assert pickle.loads(pickle.dumps(inputs)) == inputs
 
     def test_replace_checks_as_the_constructor_does(self):
         inputs = BoundInputs(*self.VALUES)
@@ -607,6 +618,46 @@ class TestModelBoundPins:
         assert printed == {"formula": "theorem", "n": n, "stein_term": bd.stein_term,
                            "tail_term": bd.tail_term, "taylor_term": bd.taylor_term,
                            "total": bd.total}
+
+
+class TestClosedFormsFailInFloatingPoint:
+    """A theta0 inside the parameter space at which a model's closed forms
+    overflow, or underflow to a zero divisor, raises DomainError naming
+    theta0 and the model, with the arithmetic error as its cause."""
+
+    @staticmethod
+    def _refused(call, m, theta0):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value).startswith(
+            f"theta0={theta0!r} is inside the parameter space of model {m.name!r}"
+        )
+        assert isinstance(info.value.__cause__, ArithmeticError)
+
+    def test_sup_d_second_underflows(self):
+        m, theta0 = exp_canonical_model(), 1e-110
+        mse = mse_closed_form(m, 10, theta0)
+        for fn in (expfam_bound, ar_bound_canonical_expfam):
+            self._refused(lambda: fn(m, theta0, 10, 0.5 * theta0, H, mse), m, theta0)
+
+    def test_mse_and_moment_overflow(self):
+        m, theta0 = exp_noncanonical_model(), 1e200
+        self._refused(lambda: mse_closed_form(m, 10, theta0), m, theta0)
+        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1.0), m, theta0)
+
+    def test_quadrature_moment_divides_by_zero(self):
+        m, theta0 = normal_variance_model(), 1e-300
+        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3), m, theta0)
+
+    def test_holder_moment_overflows(self):
+        m, theta0 = generalized_gamma_model(d=2.0, p=1.5), 1e150
+        mse = mse_closed_form(m, 10, theta0)
+        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, mse), m, theta0)
+
+    @pytest.mark.parametrize("theta0", [1e-200, 1e200])
+    def test_fisher_information_fails(self, theta0):
+        for m in (exp_canonical_model(), exp_noncanonical_model()):
+            self._refused(lambda: fisher_info(m, theta0), m, theta0)
 
 
 class TestModelPathRefusals:

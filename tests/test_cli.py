@@ -111,6 +111,32 @@ class TestBoundCommand:
         assert "epsilon" in err
 
 
+# theta0 inside the parameter space at which a closed form fails in floating
+# point; each exited 3 with a bare arithmetic error ("runtime failure").
+UNEVALUABLE = [
+    # (theta0 - epsilon)^3 underflows to 0 in exp-canonical's sup|D''|.
+    "bound --formula expfam --model exp-canonical --theta0 1e-110 --n 10",
+    # theta0^2 overflows in the exp-noncanonical MSE.
+    "bound --formula expfam --model exp-noncanonical --theta0 1e200 --n 10",
+    # k' = 1/(2 theta^2) divides by 0 in the normal-variance third moment.
+    "bound --formula expfam --model normal-variance --theta0 1e-300 --n 10",
+    # theta^{3p} overflows in the gg Holder moment.
+    "bound --formula theorem --model gg --d 2 --p 1.5 --theta0 1e150 --n 10",
+    # A'' = 1/theta^2 divides by 0 in the Fisher information.
+    "simulate --model exp-canonical --theta0 1e-200 --n 10 --trials 100",
+]
+
+
+@pytest.mark.parametrize("argv", UNEVALUABLE)
+def test_theta0_where_the_closed_forms_fail_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    theta0 = argv.split("--theta0 ")[1].split()[0]
+    model = argv.split("--model ")[1].split()[0]
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: theta0={float(theta0)!r} is inside the parameter space")
+    assert model in err
+
+
 class TestSimulateCommand:
     def test_row_values(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--model", "exp-noncanonical",

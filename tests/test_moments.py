@@ -369,7 +369,7 @@ def test_theta_outside_the_parameter_space_is_rejected(model_id, params, theta0)
 
 # Every optional closed-form field of ExpFamilyModel.
 CLOSED_FORM_FIELDS = (
-    "d_inverse", "sup_d_second", "third_moment", "bound_moment", "mse", "sample", "sample_tbar"
+    "d_inverse", "sup_d_second", "third_moment", "bound_moment", "mse", "sample_tbar"
 )
 
 
@@ -420,7 +420,7 @@ class TestCustomModel:
         with pytest.raises(DomainError, match="custom"):
             mse_closed_form(m, 10, 2.0)
         with pytest.raises(DomainError, match="custom"):
-            sample_model(m, 2.0, rng, 5)
+            sample_model(m, 2.0, rng, 5, 10)
         with pytest.raises(DomainError, match="custom"):
             next(iter_mle_chunks(m, 2.0, 10, 100, 1))
 

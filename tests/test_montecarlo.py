@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,6 @@ from mlebounds import (
     d_value,
     exp_noncanonical_model,
     expected_h_of_z,
-    generalized_gamma_model,
-    laplace_scale_model,
     make_model,
     mle,
     mse_closed_form,
@@ -27,7 +26,6 @@ from mlebounds import (
     result_rows_to_json,
     run_simulation,
     sample_model,
-    std_normal_cdf,
     table1,
 )
 from mlebounds import bounds, montecarlo
@@ -41,87 +39,89 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+# One (model id, params, theta0) per built-in family.
+FAMILIES = [
+    ("exp-canonical", {}, 1.3),
+    ("exp-noncanonical", {}, 2.0),
+    ("laplace", {}, 0.8),
+    ("normal-mean", {"sigma": 1.5}, -0.4),
+    ("normal-variance", {"mu": 0.5}, 1.7),
+    ("weibull", {"alpha": 2.0}, 1.2),
+    ("gg", {"d": 2.0, "p": 1.5}, 0.9),
+]
+
+
 class TestSampleModel:
-    def test_exp_noncanonical_mean(self):
-        m = exp_noncanonical_model()
-        draws = sample_model(m, 2.0, rng(4), size=1_000_000)
-        se = 2.0 / math.sqrt(draws.size)
-        assert abs(draws.mean() - 2.0) <= 4.0 * se
+    """``sample_model`` is the harness's one sampler: mean T over n
+    observations, from the model's ``sample_tbar``."""
 
-    def test_gg_pth_moment(self):
-        # E[X^p] = (d/p) theta^p.
-        m = generalized_gamma_model(d=3.0, p=2.0)
-        draws = sample_model(m, 1.0, rng(5), size=1_000_000)
-        t = draws**2
-        se = t.std(ddof=1) / math.sqrt(t.size)
-        assert abs(t.mean() - 1.5) <= 4.0 * se
+    @pytest.mark.parametrize("model_id, params, theta0", FAMILIES)
+    @pytest.mark.parametrize("size", [None, 0, 5, 4096])
+    def test_equals_sample_tbar_bit_for_bit(self, model_id, params, theta0, size):
+        m = make_model(model_id, **params)
+        for n in (1, 7, 10**9):
+            got = sample_model(m, theta0, _chunk_rng(5, n), size, n)
+            want = m.sample_tbar(theta0, n, _chunk_rng(5, n), size)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (model_id, n)
 
-    def test_laplace_abs_mean(self):
-        m = laplace_scale_model()
-        draws = sample_model(m, 1.0, rng(6), size=1_000_000)
-        t = np.abs(draws)
-        se = t.std(ddof=1) / math.sqrt(t.size)
-        assert abs(t.mean() - 1.0) <= 4.0 * se
-
-    def test_normal_models_ks(self):
-        m = make_model("normal-mean", sigma=2.0)
-        n = 100_000
-        draws = np.sort(sample_model(m, 1.0, rng(7), size=n))
-        grid = (np.arange(n) + 0.5) / n
-        cdf = np.array([std_normal_cdf((x - 1.0) / 2.0) for x in draws[:: n // 1000]])
-        sub = grid[:: n // 1000]
-        assert np.max(np.abs(cdf - sub)) <= 0.02
+    def test_the_old_four_argument_call_raises_type_error(self):
+        # Without n it would return means of T where observations were meant.
+        with pytest.raises(TypeError, match="n"):
+            sample_model(exp_noncanonical_model(), 2.0, rng(), 5)
 
     def test_theta_outside_space(self):
-        with pytest.raises(DomainError):
-            sample_model(exp_noncanonical_model(), -1.0, rng())
+        with pytest.raises(DomainError, match="theta0"):
+            sample_model(exp_noncanonical_model(), -1.0, rng(), None, 5)
+
+    def test_the_harness_draws_each_chunk_through_it(self, monkeypatch):
+        # The benchmark's sampling layer wraps montecarlo.sample_model, so
+        # every chunk must be drawn by a call to that module-level name.
+        calls = []
+        original = montecarlo.sample_model
+
+        def recording(m, theta0, rng, size, n):
+            calls.append((m.name, theta0, size, n))
+            return original(m, theta0, rng, size, n)
+
+        monkeypatch.setattr(montecarlo, "sample_model", recording)
+        m = make_model("gg", d=2.0, p=1.5)
+        theta_hats = np.concatenate(list(iter_mle_chunks(m, 0.9, 10, 10_000, 3)))
+        assert calls == [(m.name, 0.9, size, 10) for size in (4096, 4096, 1808)]
+        monkeypatch.undo()
+        unwrapped = np.concatenate(list(iter_mle_chunks(m, 0.9, 10, 10_000, 3)))
+        assert theta_hats.tobytes() == unwrapped.tobytes()
 
 
 class TestSufficientStatisticSampler:
-    # One (model id, params, theta0) per built-in family.
-    FAMILIES = [
-        ("exp-canonical", {}, 1.3),
-        ("exp-noncanonical", {}, 2.0),
-        ("laplace", {}, 0.8),
-        ("normal-mean", {"sigma": 1.5}, -0.4),
-        ("normal-variance", {"mu": 0.5}, 1.7),
-        ("weibull", {"alpha": 2.0}, 1.2),
-        ("gg", {"d": 2.0, "p": 1.5}, 0.9),
-    ]
-
     @pytest.mark.parametrize("n", [5, 1000, 10**6])
     def test_mse_matches_closed_form(self, n):
         # The Monte Carlo MSE of the MLE against its exact value: a check of
         # each family's sample_tbar law that any seed passes, since 4 SE
         # leaves a one-in-16 000 chance per case.
-        for i, (model_id, params, theta0) in enumerate(self.FAMILIES):
+        for i, (model_id, params, theta0) in enumerate(FAMILIES):
             m = make_model(model_id, **params)
             est = mse_monte_carlo(m, theta0, n, trials=100_000, seed=4200 + i)
             exact = mse_closed_form(m, n, theta0)
             assert abs(est.value - exact) <= 4.0 * est.standard_error, (model_id, n)
 
     @pytest.mark.parametrize("n", [1, 7])
-    def test_both_samplers_state_one_law(self, n):
-        # Mean T over n observations, drawn by sample_tbar and as the mean
-        # of T over n sample_model draws, must have mean D(theta0) and
-        # variance D'(theta0) / (n k'(theta0)), the exponential-family
-        # Var T = D'/k' read off the model's own k and A.  5 SE each, the
-        # variance's SE from the empirical fourth moment.
+    def test_the_sampler_states_the_model_law(self, n):
+        # Mean T over n observations, drawn by sample_model, must have mean
+        # D(theta0) and variance D'(theta0) / (n k'(theta0)), the
+        # exponential-family Var T = D'/k' read off the model's own k and
+        # A.  5 SE each, the variance's SE from the empirical fourth moment.
         size = 200_000
-        for i, (model_id, params, theta0) in enumerate(self.FAMILIES):
+        for i, (model_id, params, theta0) in enumerate(FAMILIES):
             m = make_model(model_id, **params)
-            direct = m.sample_tbar(theta0, n, rng(700 + 10 * n + i), size)
-            draws = sample_model(m, theta0, rng(800 + 10 * n + i), size * n)
-            via_sample = m.T(draws.reshape(size, n)).mean(axis=1)
+            tbar = sample_model(m, theta0, rng(700 + 10 * n + i), size, n)
             mean = d_value(m, theta0)
             var = d_prime(m, theta0) / (n * float(m.k1(theta0)))
-            for label, tbar in (("sample_tbar", direct), ("sample", via_sample)):
-                dev = tbar - tbar.mean()
-                s2 = float(np.mean(dev**2))
-                m4 = float(np.mean(dev**4))
-                where = (model_id, n, label)
-                assert abs(tbar.mean() - mean) <= 5.0 * math.sqrt(s2 / size), where
-                assert abs(s2 - var) <= 5.0 * math.sqrt((m4 - s2**2) / size), where
+            dev = tbar - tbar.mean()
+            s2 = float(np.mean(dev**2))
+            m4 = float(np.mean(dev**4))
+            assert abs(tbar.mean() - mean) <= 5.0 * math.sqrt(s2 / size), (model_id, n)
+            assert abs(s2 - var) <= 5.0 * math.sqrt((m4 - s2**2) / size), (model_id, n)
 
     def test_reductions_equal_fsum(self, monkeypatch):
         # The block reduction must equal math.fsum of each row bit for bit,
@@ -130,7 +130,7 @@ class TestSufficientStatisticSampler:
         # partial.
         def outputs():
             rows, estimates = [], []
-            for i, (model_id, params, theta0) in enumerate(self.FAMILIES):
+            for i, (model_id, params, theta0) in enumerate(FAMILIES):
                 config = SimulationConfig(model_id, theta0, 7, 10_000, 31 + i, H, params)
                 r = run_simulation(config)
                 rows.append([repr(getattr(r, f.name)) for f in dataclasses.fields(r) if f.compare])
@@ -259,6 +259,13 @@ class TestSufficientStatisticSampler:
 
 
 class TestSimulationConfig:
+    def test_a_config_and_its_result_pickle(self):
+        # On the default h, so either can be sent to a worker process.
+        config = SimulationConfig("gg", 0.9, 10, 5000, 7, H, {"d": 2.0, "p": 1.5})
+        assert pickle.loads(pickle.dumps(config)) == config
+        result = run_simulation(config)
+        assert pickle.loads(pickle.dumps(result)) == result
+
     def test_numpy_integers_stored_as_int(self):
         a = SimulationConfig("exp-noncanonical", 2.0, 100, 5000, 7, H)
         b = SimulationConfig("exp-noncanonical", 2.0, np.int64(100), np.int64(5000), np.uint64(7), H)
@@ -417,11 +424,12 @@ class TestRunSimulation:
             assert r.empirical_distance <= r.bound_new, (model_id, theta0, n)
 
     def test_mle_identity_holds_per_trial(self):
-        # Spot-check the identity the harness enforces internally.
+        # Spot-check the identity the harness enforces internally, on raw
+        # data: it holds for any sample inside the support.
         m = exp_noncanonical_model()
         g = _chunk_rng(77, 0)
         for _ in range(50):
-            xs = sample_model(m, 2.0, g, size=25)
+            xs = g.exponential(2.0, size=25)
             theta_hat = mle(m, xs)
             assert abs(d_value(m, theta_hat) - float(np.mean(m.T(xs)))) <= 1e-10
 

@@ -135,7 +135,7 @@ REAL_ARGS = [
     ("expfam_bound.mse", lambda v: expfam_bound(M, 1.5, 10, 0.5, H, v), 0.25),
     ("third_abs_moment.theta0", lambda v: third_abs_moment(M, v), 1.5),
     ("mse_closed_form.theta0", lambda v: mse_closed_form(M, 10, v), 1.5),
-    ("sample_model.theta0", lambda v: sample_model(M, v, np.random.default_rng(0), 3), 1.5),
+    ("sample_model.theta0", lambda v: sample_model(M, v, np.random.default_rng(0), 3, 10), 1.5),
     ("iter_mle_chunks.theta0", lambda v: _chunks(theta0=v), 1.5),
     ("SimulationConfig.theta0", lambda v: _config(theta0=v), 1.5),
 ]
@@ -153,6 +153,7 @@ INT_ARGS = [
     ("ar_bound_exp_noncanonical.n", lambda v: ar_bound_exp_noncanonical(v, H), 10),
     ("ar_bound_canonical_expfam.n", lambda v: ar_bound_canonical_expfam(M, 1.5, v, 0.5, H, 0.1), 10),
     ("mse_closed_form.n", lambda v: mse_closed_form(M, v, 1.5), 10),
+    ("sample_model.n", lambda v: sample_model(M, 1.5, np.random.default_rng(0), 3, v), 10),
     ("iter_mle_chunks.n", lambda v: _chunks(n=v), 10),
     ("iter_mle_chunks.trials", lambda v: _chunks(trials=v), 100),
     ("iter_mle_chunks.seed", lambda v: _chunks(seed=v), 1),
@@ -278,7 +279,7 @@ def test_q_is_identity_must_be_a_bool(bad):
 def test_sample_model_size_is_none_or_a_count():
     # None (one draw) is valid here, so size cannot be an INT_ARGS row.
     def draw(size):
-        return sample_model(M, 1.5, np.random.default_rng(0), size)
+        return sample_model(M, 1.5, np.random.default_rng(0), size, 10)
 
     assert np.ndim(draw(None)) == 0
     assert draw(0).shape == (0,)
