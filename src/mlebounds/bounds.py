@@ -259,23 +259,41 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
     exact rather than a convention.
 
     ``inputs`` must be a :class:`BoundInputs`, whose construction checked
-    every value; anything else raises DomainError.  ``_formula_id`` is
-    private: the model bounds pass theirs, so each breakdown is built once.
+    every value; anything else raises DomainError.  So does a bound whose
+    arithmetic overflows, or underflows to a zero divisor, in floating
+    point: the terms are non-negative, so a finite total has finite terms.
+    ``_formula_id`` is private: the model bounds pass theirs, so each
+    breakdown is built once.
     """
     if not isinstance(inputs, BoundInputs):
         raise DomainError(f"inputs must be a BoundInputs, got {inputs!r}")
     i = inputs
     n, fisher, q_prime_abs, h = i.n, i.fisher, i.q_prime_abs, i.h
     hp = h.norm_h_prime
-    stein = hp / math.sqrt(n) * (2.0 + fisher**1.5 / q_prime_abs**3 * i.third_moment)
-    if i.q_is_identity:
-        tail = 0.0
-        taylor = 0.0
-    else:
-        mse = i.mse
-        tail = mse * 2.0 * h.norm_h / i.epsilon**2
-        taylor = mse * hp * math.sqrt(n * fisher) / (2.0 * q_prime_abs) * i.sup_q_second
-    return BoundBreakdown(stein, tail, taylor, _formula_id)
+    try:
+        stein = hp / math.sqrt(n) * (2.0 + fisher**1.5 / q_prime_abs**3 * i.third_moment)
+        if i.q_is_identity:
+            tail = 0.0
+            taylor = 0.0
+        else:
+            mse = i.mse
+            tail = mse * 2.0 * h.norm_h / i.epsilon**2
+            taylor = mse * hp * math.sqrt(n * fisher) / (2.0 * q_prime_abs) * i.sup_q_second
+    except ArithmeticError as exc:
+        raise _not_finite(i, _formula_id, f"{type(exc).__name__}: {exc}") from exc
+    bd = BoundBreakdown(stein, tail, taylor, _formula_id)
+    if not math.isfinite(bd.total):
+        raise _not_finite(i, _formula_id, f"its terms are {stein!r}, {tail!r} and {taylor!r}")
+    return bd
+
+
+def _not_finite(i: BoundInputs, formula_id: str, detail: str) -> DomainError:
+    """The refusal of checked inputs on which :func:`theorem_bound` has no
+    finite value in floating point."""
+    return DomainError(
+        f"theta0={i.theta0!r}, n={i.n}: the {formula_id} bound is not finite in floating "
+        f"point ({detail})"
+    )
 
 
 def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
@@ -295,11 +313,14 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
     identity = d_is_identity(m)
     # epsilon enters the bound only through the tail/Taylor terms, so the
     # ball-inside-the-space constraint is enforced exactly when they exist.
-    try:
-        sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
-        third_moment = third_abs_moment(m, t0) if m.bound_moment is None else m.bound_moment(t0)
-    except ArithmeticError as exc:
-        raise _not_evaluable(m, t0, exc) from exc
+    sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
+    if m.bound_moment is None:
+        third_moment = third_abs_moment(m, t0)
+    else:
+        try:
+            third_moment = m.bound_moment(t0)
+        except ArithmeticError as exc:
+            raise _not_evaluable(m, t0, exc) from exc
     fisher, q_prime = _fisher_and_d_prime(m, t0)
     inputs = BoundInputs(n, t0, epsilon, fisher, abs(q_prime), third_moment, mse, sup_q2,
                          identity, h)

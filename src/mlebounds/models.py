@@ -126,9 +126,6 @@ class ExpFamilyModel:
     ``bound_moment``, and without ``sup_d_second`` unless D is the
     identity; it has no closed-form MSE, sampler or simulation.  Asking
     for any of these raises DomainError.
-    ``integration_window`` maps theta0 to an interval of the data axis that
-    carries essentially all of the mass of moment integrands, for the
-    normal-variance third moment and the quadrature oracles of the tests.
 
     ``is_identity`` (D(theta) = theta) and ``is_canonical`` (k(theta) =
     theta) are checked on a 401-point parameter grid on first use and kept
@@ -152,7 +149,6 @@ class ExpFamilyModel:
     bound_moment: Callable | None = None
     mse: Callable | None = None
     sample_tbar: Callable | None = None
-    integration_window: Callable | None = None
 
     def contains_theta(self, theta: float) -> bool:
         lo, hi = self.param_space
@@ -214,15 +210,24 @@ def _d(m: ExpFamilyModel, t, k1=None):
 
 def d_value(m: ExpFamilyModel, theta: float) -> float:
     """D(theta) = A'(theta) / k'(theta), the reparametrization under which
-    the MLE is a sample average of T."""
-    return float(_d(m, _require_theta(m, theta)))
+    the MLE is a sample average of T.  A theta at which A' or k' overflows,
+    or underflows to a zero divisor, raises DomainError."""
+    t = _require_theta(m, theta)
+    try:
+        return float(_d(m, t))
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t, exc) from exc
 
 
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
-    """D'(theta) = (A'' k' - k'' A') / k'^2."""
+    """D'(theta) = (A'' k' - k'' A') / k'^2, or DomainError where that
+    fails in floating point."""
     t = _require_theta(m, theta)
-    k1 = float(m.k1(t))
-    return (float(m.A2(t)) * k1 - float(m.k2(t)) * float(m.A1(t))) / (k1 * k1)
+    try:
+        k1 = float(m.k1(t))
+        return (float(m.A2(t)) * k1 - float(m.k2(t)) * float(m.A1(t))) / (k1 * k1)
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t, exc) from exc
 
 
 def fisher_info(m: ExpFamilyModel, theta: float) -> float:
@@ -375,6 +380,7 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
 
     Any other model raises DomainError: |D''| sampled on the ball would
     only be a lower estimate, and a bound built on it would not be certified.
+    So does a ball on which ``sup_d_second`` fails in floating point.
     """
     t0 = _require_theta(m, theta0, "theta0")
     eps = _require_real(epsilon, "epsilon")
@@ -390,7 +396,10 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
             f"model {m.name!r} has no sup_d_second, so sup|D''| on the ball has no certified "
             "value; where |D''| is monotone on the ball, the larger of its two end values is one"
         )
-    return float(m.sup_d_second(t0, eps))
+    try:
+        return float(m.sup_d_second(t0, eps))
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t0, exc) from exc
 
 
 def d_is_identity(m: ExpFamilyModel) -> bool:
@@ -417,13 +426,12 @@ def density(m: ExpFamilyModel, x, theta: float):
 # ---------------------------------------------------------------------------
 
 
-def _quadrature_third_moment(m: ExpFamilyModel, t0: float) -> float:
-    """E|T(X) - D(t0)|^3 by adaptive quadrature over the model's
-    integration window, with tol 1e-11 for the kink where T(x) crosses D.
-    Not an error bound: mass outside the window is lost without a warning.
+def _quadrature_third_moment(m: ExpFamilyModel, t0: float, lo: float, hi: float) -> float:
+    """E|T(X) - D(t0)|^3 by adaptive quadrature of the density over [lo, hi],
+    with tol 1e-11 for the kink where T(x) crosses D.  Not an error bound:
+    mass outside [lo, hi] is lost without a warning.
     """
     d0 = d_value(m, t0)
-    lo, hi = m.integration_window(t0)
 
     def integrand(x: float) -> float:
         return abs(float(m.T(x)) - d0) ** 3 * density(m, x, t0)
@@ -527,10 +535,6 @@ def exp_canonical_model() -> ExpFamilyModel:
         mse=mse_exp_canonical,
         # The sum of n exponential draws with rate theta is Gamma(n, scale 1/theta).
         sample_tbar=lambda t0, n, rng, size: -rng.gamma(n, 1.0 / t0, size) / n,
-        # The window starts just inside the open support: the density has a
-        # positive limit at 0, so including the endpoint (where it is
-        # defined as 0) would put a jump inside the quadrature panel.
-        integration_window=lambda t0: (6e-12 / t0, 60.0 / t0),
     )
 
 
@@ -557,7 +561,6 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         mse=lambda n, t0: t0**2 / n,
         # The sum of n exponential draws with mean theta is Gamma(n, scale theta).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
-        integration_window=lambda t0: (6e-12 * t0, 60.0 * t0),
     )
 
 
@@ -565,8 +568,8 @@ def laplace_scale_model() -> ExpFamilyModel:
     """Laplace scale family: density exp(-|x|/theta) / (2 theta) on the line.
 
     |X| is exponential with mean theta, so this is the exponential model
-    seen through T(x) = |x|: only A, T, the support and the integration
-    window differ.  The MLE is the mean of |x_i|.
+    seen through T(x) = |x|: only A, T and the support differ.  The MLE is
+    the mean of |x_i|.
     """
     return dataclasses.replace(
         exp_noncanonical_model(),
@@ -574,7 +577,6 @@ def laplace_scale_model() -> ExpFamilyModel:
         A=lambda th: np.log(2.0 * th),
         T=lambda x: np.abs(x),
         support=_REAL,
-        integration_window=lambda t0: (-60.0 * t0, 60.0 * t0),
     )
 
 
@@ -604,7 +606,6 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         third_moment=lambda t0: third,
         mse=lambda n, t0: s2 / n,
         sample_tbar=lambda t0, n, rng, size: rng.normal(t0, sigma / math.sqrt(n), size),
-        integration_window=lambda t0: (t0 - 14.0 * sigma, t0 + 14.0 * sigma),
     )
 
 
@@ -612,8 +613,9 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
     """Normal scale family: theta is the variance, the mean mu is known.
 
     T(x) = (x - mu)^2, D is the identity, and the MLE is mean (x_i - mu)^2.
-    The third moment is stated as :func:`_quadrature_third_moment` of this
-    model, which equals 8 m3(1/2) theta^3 (T is Gamma(1/2, scale 2 theta)).
+    The third moment is :func:`_quadrature_third_moment` over mu -/+ 14 sd
+    (normal mass 1.6e-44 outside), which equals 8 m3(1/2) theta^3 (T is
+    Gamma(1/2, scale 2 theta)).
     """
     mu = _require_real(mu, "mu", "finite")
     log_norm = 0.5 * math.log(2.0 * math.pi)
@@ -630,12 +632,12 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         support=_REAL,
         param_space=_POS,
         d_inverse=lambda t: t,
-        third_moment=lambda t0: _quadrature_third_moment(model, t0),
+        third_moment=lambda t0: _quadrature_third_moment(
+            model, t0, mu - 14.0 * math.sqrt(t0), mu + 14.0 * math.sqrt(t0)),
         mse=lambda n, t0: 2.0 * t0**2 / n,
         # The sum of n draws of (x - mu)^2 is theta times a chi-square with
         # n degrees of freedom: Gamma(n/2, scale 2 theta).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(0.5 * n, 2.0 * t0, size) / n,
-        integration_window=lambda t0: (mu - 14.0 * math.sqrt(t0), mu + 14.0 * math.sqrt(t0)),
     )
     return model
 
@@ -657,10 +659,6 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         edge = t0 - eps if pv < 2.0 else t0 + eps
         return dv * abs(pv - 1.0) * edge ** (pv - 2.0)
 
-    def window(t0: float) -> Interval:
-        hi = t0 * (a + 40.0 * math.sqrt(a) + 45.0) ** (1.0 / pv)
-        return (1e-13 * hi, hi)
-
     return ExpFamilyModel(
         name=f"gg(d={dv}, p={pv})",
         k=lambda th: -th ** (-pv),
@@ -680,7 +678,6 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         mse=lambda n, t0: float(t0) ** 2 * gg_mse_factor(n, dv, pv),
         # The sum of n draws of T = X^p is Gamma(n d/p, scale theta^p).
         sample_tbar=lambda t0, n, rng, size: rng.gamma(n * dv / pv, t0**pv, size) / n,
-        integration_window=window,
     )
 
 

@@ -51,6 +51,7 @@ def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
 
     A model without one raises DomainError: a quadrature of the moment is
     not an upper bound, and it would feed the Stein term of every bound.
+    So does a theta0 at which the moment fails in floating point.
     """
     t0 = _require_theta(m, theta0, "theta0")
     if m.third_moment is None:
@@ -59,7 +60,10 @@ def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
             "state third_moment (special.gamma_third_abs_moment gives it for a Gamma-law T) "
             "or a certified upper bound as bound_moment"
         )
-    return m.third_moment(t0)
+    try:
+        return m.third_moment(t0)
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t0, exc) from exc
 
 
 def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:

@@ -23,6 +23,7 @@ from mlebounds import (
     ar_bound_canonical_expfam,
     ar_bound_exp_noncanonical,
     d_prime,
+    d_value,
     exp_canonical_bound,
     exp_canonical_model,
     exp_noncanonical_bound,
@@ -268,6 +269,30 @@ class TestTheoremBound:
         for bad in (unchecked, fields):
             with pytest.raises(DomainError, match="^inputs must be a BoundInputs, got "):
                 theorem_bound(bad)
+
+    @pytest.mark.parametrize(
+        "fields, cause",
+        [
+            ({"epsilon": 1e-200}, ZeroDivisionError),  # eps^2 underflows to 0
+            ({"q_prime_abs": 1e-120}, ZeroDivisionError),  # |q'|^3 underflows to 0
+            ({"fisher": 1e300}, OverflowError),  # i^{3/2} overflows
+            ({"mse": 1e300, "sup_q_second": 1e300}, None),  # the Taylor term is inf
+        ],
+        ids=["epsilon", "q_prime_abs", "fisher", "mse-and-sup_q_second"],
+    )
+    def test_refuses_arithmetic_it_cannot_finish(self, fields, cause):
+        # Each record is checked and finite, but the theorem's arithmetic
+        # is not: it raised a bare ArithmeticError or returned total=inf.
+        inputs = dataclasses.replace(canonical_exp_inputs(10, 1.3), **fields)
+        with pytest.raises(DomainError) as info:
+            theorem_bound(inputs)
+        assert str(info.value).startswith(
+            "theta0=1.3, n=10: the theorem bound is not finite in floating point ("
+        )
+        if cause is None:
+            assert info.value.__cause__ is None and "inf" in str(info.value)
+        else:
+            assert isinstance(info.value.__cause__, cause)
 
     @settings(max_examples=60)
     @given(
@@ -658,6 +683,22 @@ class TestClosedFormsFailInFloatingPoint:
     def test_fisher_information_fails(self, theta0):
         for m in (exp_canonical_model(), exp_noncanonical_model()):
             self._refused(lambda: fisher_info(m, theta0), m, theta0)
+
+    def test_public_evaluators_refuse(self):
+        # Each raised a bare ZeroDivisionError.
+        can, var = exp_canonical_model(), normal_variance_model()
+        self._refused(lambda: sup_abs_d_second(can, 1e-110, 5e-111), can, 1e-110)
+        self._refused(lambda: third_abs_moment(var, 1e-300), var, 1e-300)
+        self._refused(lambda: d_value(var, 1e-300), var, 1e-300)
+        self._refused(lambda: d_prime(can, 1e-200), can, 1e-200)
+
+    def test_stein_term_overflows(self):
+        # |D'| = 1/theta0^2 = 1e104, so |D'|^3 overflows in the Stein term.
+        m, theta0 = exp_canonical_model(), 1e-52
+        mse = mse_closed_form(m, 10, theta0)
+        for fn, formula in ((expfam_bound, "expfam"), (ar_bound_canonical_expfam, "ar-canonical")):
+            with pytest.raises(DomainError, match=f"^theta0=1e-52, n=10: the {formula} bound "):
+                fn(m, theta0, 10, 0.5 * theta0, H, mse)
 
 
 class TestModelPathRefusals:

@@ -137,6 +137,16 @@ def test_theta0_where_the_closed_forms_fail_is_refused(capsys, argv):
     assert model in err
 
 
+@pytest.mark.parametrize("formula", ["expfam", "theorem", "ar-canonical"])
+def test_theta0_where_the_stein_term_overflows_is_refused(capsys, formula):
+    # |D'| = 1/theta0^2 = 1e104 for exp-canonical, so |D'|^3 overflows: this
+    # exited 3 with a bare "(34, 'Numerical result out of range')".
+    code, out, err = run_cli(capsys, "bound", "--formula", formula, "--model", "exp-canonical",
+                             "--theta0", "1e-52", "--n", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: theta0=1e-52, n=10: the {formula} bound is not finite")
+
+
 class TestSimulateCommand:
     def test_row_values(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--model", "exp-noncanonical",

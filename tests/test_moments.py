@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
+from scipy import stats
 
 from mlebounds import (
     DomainError,
     EXP_THIRD_ABS_MOMENT,
     GeneralizedGammaParams,
     NORMAL_THIRD_ABS_MOMENT,
-    density,
+    d_value,
     exp_canonical_model,
     exp_noncanonical_model,
     expected_h_of_z,
@@ -40,20 +41,12 @@ from mlebounds.models import _quadrature_third_moment
 from mlebounds.montecarlo import iter_mle_chunks
 
 
-def quad_third_moment(m, theta0):
-    """Independent oracle: E|T(X) - D(theta0)|^3 via scipy quadrature."""
-    from mlebounds import d_value
-
+def quad_third_moment(m, theta0, law):
+    """Independent oracle: E|T(X) - D(theta0)|^3 for X drawn from ``law``,
+    the model's distribution at theta0 as a frozen scipy.stats law, by
+    scipy quadrature over its support."""
     d0 = d_value(m, theta0)
-    lo, hi = m.integration_window(theta0)
-    val, _ = scipy_integrate.quad(
-        lambda x: abs(float(m.T(x)) - d0) ** 3 * density(m, x, theta0),
-        lo,
-        hi,
-        limit=400,
-        epsabs=1e-12,
-    )
-    return val
+    return law.expect(lambda x: abs(float(m.T(x)) - d0) ** 3, limit=400, epsabs=1e-12)
 
 
 H = reference_test_function()
@@ -75,7 +68,7 @@ class TestThirdAbsMoment:
         m = exp_noncanonical_model()
         for theta0 in (1.0, 2.0):
             assert third_abs_moment(m, theta0) == pytest.approx(
-                quad_third_moment(m, theta0), rel=1e-8
+                quad_third_moment(m, theta0, stats.expon(scale=theta0)), rel=1e-8
             )
 
     def test_laplace(self):
@@ -86,7 +79,7 @@ class TestThirdAbsMoment:
             EXP_THIRD_ABS_MOMENT * sigma**3, rel=1e-14
         )
         assert third_abs_moment(m, sigma) == pytest.approx(
-            quad_third_moment(m, sigma), rel=1e-8
+            quad_third_moment(m, sigma, stats.laplace(scale=sigma)), rel=1e-8
         )
 
     def test_normal_mean(self):
@@ -95,7 +88,8 @@ class TestThirdAbsMoment:
         expected = NORMAL_THIRD_ABS_MOMENT * sigma**3
         assert NORMAL_THIRD_ABS_MOMENT == pytest.approx(1.5957691216057308, abs=1e-14)
         assert third_abs_moment(m, 0.7) == pytest.approx(expected, rel=1e-14)
-        assert third_abs_moment(m, 0.7) == pytest.approx(quad_third_moment(m, 0.7), rel=1e-8)
+        law = stats.norm(0.7, sigma)
+        assert third_abs_moment(m, 0.7) == pytest.approx(quad_third_moment(m, 0.7, law), rel=1e-8)
 
     @pytest.mark.parametrize("theta0", [0.5, 1.3, 2.7])
     def test_normal_variance_quadrature_path(self, theta0):
@@ -106,6 +100,21 @@ class TestThirdAbsMoment:
             8.0 * gamma_third_abs_moment(0.5) * theta0**3, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "mu, theta0, pinned",
+        [
+            (0.0, 1.3, "0x1.31869c1591536p+4"),
+            (0.5, 1e-3, "0x1.2a9413c44d861p-27"),
+            (0.5, 2.0, "0x1.162148864abb8p+6"),
+            (-3.0, 0.7, "0x1.7d982922be98dp+1"),
+            (-3.0, 100.0, "0x1.093ed5ce321d0p+23"),
+        ],
+    )
+    def test_normal_variance_quadrature_is_pinned_bit_for_bit(self, mu, theta0, pinned):
+        # The quadrature's own window, integrand and tolerance: any change
+        # to them moves these bits, and every normal-variance bound with them.
+        assert third_abs_moment(normal_variance_model(mu), theta0).hex() == pinned
+
     def test_weibull_exact_exponential_form(self):
         # T(X) = X^alpha is exponential with mean theta^alpha when d = p.
         alpha, theta0 = 2.0, 1.4
@@ -113,15 +122,18 @@ class TestThirdAbsMoment:
         assert third_abs_moment(m, theta0) == pytest.approx(
             EXP_THIRD_ABS_MOMENT * theta0 ** (3 * alpha), rel=1e-14
         )
+        law = stats.weibull_min(alpha, scale=theta0)
         assert third_abs_moment(m, theta0) == pytest.approx(
-            quad_third_moment(m, theta0), rel=1e-7
+            quad_third_moment(m, theta0, law), rel=1e-7
         )
 
     def test_gg_quadrature_path(self):
+        # GG(theta0, d, p) is scipy's gengamma(a=d/p, c=p, scale=theta0).
         m = generalized_gamma_model(d=3.0, p=2.0)
         theta0 = 1.0
+        law = stats.gengamma(a=1.5, c=2.0, scale=theta0)
         assert third_abs_moment(m, theta0) == pytest.approx(
-            quad_third_moment(m, theta0), rel=1e-7
+            quad_third_moment(m, theta0, law), rel=1e-7
         )
 
     @pytest.mark.parametrize("d,p", [(0.5, 3.0), (0.8, 1.0), (2.0, 1.5), (5.0, 0.5)])
@@ -386,6 +398,15 @@ GG_NO_MOMENT = dataclasses.replace(
 WITH_CLOSED_FORM = [
     (exp_noncanonical_model(), 1.7), (laplace_scale_model(), 0.8), (normal_mean_model(1.5), -0.4)
 ]
+# The interval of the data axis that each WITH_CLOSED_FORM model's third
+# moment is integrated over at theta0: it holds all but a negligible part of
+# the law's mass.  The exponential's starts just inside the open support,
+# where the density has a positive limit but is defined as 0 at the end.
+QUADRATURE_WINDOWS = {
+    "exp-noncanonical": lambda t0: (6e-12 * t0, 60.0 * t0),
+    "laplace": lambda t0: (-60.0 * t0, 60.0 * t0),
+    "normal-mean(sigma=1.5)": lambda t0: (t0 - 14.0 * 1.5, t0 + 14.0 * 1.5),
+}
 
 
 class TestCustomModel:
@@ -411,7 +432,7 @@ class TestCustomModel:
     @pytest.mark.parametrize("m, theta0", WITH_CLOSED_FORM)
     def test_quadrature_third_moment_matches_the_closed_form(self, m, theta0):
         # The quadrature that normal-variance states as its third moment.
-        got = _quadrature_third_moment(m, theta0)
+        got = _quadrature_third_moment(m, theta0, *QUADRATURE_WINDOWS[m.name](theta0))
         assert got == pytest.approx(third_abs_moment(m, theta0), rel=1e-9)
 
     def test_closed_form_only_paths_raise_naming_the_model(self):
