@@ -39,8 +39,8 @@ from .models import (
     EXP_THIRD_ABS_MOMENT,
     ExpFamilyModel,
     GeneralizedGammaParams,
+    _evaluated,
     _fisher_and_d_prime,
-    _not_evaluable,
     _require_theta,
     d_is_identity,
     gg_mse_factor,
@@ -317,10 +317,7 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
     if m.bound_moment is None:
         third_moment = third_abs_moment(m, t0)
     else:
-        try:
-            third_moment = m.bound_moment(t0)
-        except ArithmeticError as exc:
-            raise _not_evaluable(m, t0, exc) from exc
+        third_moment = _evaluated(m, t0, m.bound_moment, t0)
     fisher, q_prime = _fisher_and_d_prime(m, t0)
     inputs = BoundInputs(n, t0, epsilon, fisher, abs(q_prime), third_moment, mse, sup_q2,
                          identity, h)

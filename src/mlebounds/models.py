@@ -68,6 +68,10 @@ Interval = tuple[float, float]
 # information that is treated as lost precision.
 _FISHER_CONSISTENCY_RTOL = 1e-9
 
+# The smallest normal float: a product or difference below it has lost
+# digits to underflow.
+_TINY = 2.0**-1022
+
 # E|X - mu|^3 for an exponential variable with mean mu equals (12/e - 2) mu^3.
 # Stored as the exact expression; the usual 5-decimal rendering is 2.41456.
 EXP_THIRD_ABS_MOMENT = 12.0 / math.e - 2.0
@@ -193,12 +197,22 @@ def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> floa
 
 def _not_evaluable(m: ExpFamilyModel, t0: float, exc: ArithmeticError) -> DomainError:
     """The refusal of a theta0 inside the parameter space at which the
-    model's closed forms fail in floating point: an overflow, or an
-    underflow that leaves a zero divisor."""
+    model's closed forms fail in floating point: an overflow, an underflow
+    that leaves a zero divisor, or (a FloatingPointError) an i(theta0)
+    that a product overflowed or underflowed without raising."""
     return DomainError(
         f"theta0={t0!r} is inside the parameter space of model {m.name!r}, but its closed "
         f"forms fail there in floating point ({type(exc).__name__}: {exc})"
     )
+
+
+def _evaluated(m: ExpFamilyModel, t0: float, f: Callable, *args):
+    """``f(*args)``, a closed form of ``m`` at theta0 = t0, with an
+    ArithmeticError refused through :func:`_not_evaluable`."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        raise _not_evaluable(m, t0, exc) from exc
 
 
 def _d(m: ExpFamilyModel, t, k1=None):
@@ -213,21 +227,16 @@ def d_value(m: ExpFamilyModel, theta: float) -> float:
     the MLE is a sample average of T.  A theta at which A' or k' overflows,
     or underflows to a zero divisor, raises DomainError."""
     t = _require_theta(m, theta)
-    try:
-        return float(_d(m, t))
-    except ArithmeticError as exc:
-        raise _not_evaluable(m, t, exc) from exc
+    return float(_evaluated(m, t, _d, m, t))
 
 
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
-    """D'(theta) = (A'' k' - k'' A') / k'^2, or DomainError where that
-    fails in floating point."""
-    t = _require_theta(m, theta)
-    try:
-        k1 = float(m.k1(t))
-        return (float(m.A2(t)) * k1 - float(m.k2(t)) * float(m.A1(t))) / (k1 * k1)
-    except ArithmeticError as exc:
-        raise _not_evaluable(m, t, exc) from exc
+    """D'(theta) = (A'' k' - k'' A') / k'^2, bit for bit the D' of the
+    Fisher path, or DomainError where an evaluation raises an
+    ArithmeticError.  It skips :func:`fisher_info`'s checks, so a D' that
+    overflowed or lost its digits is returned as computed: :func:`invert_d`
+    needs D' where those checks fail."""
+    return _derivative_forms(m, _require_theta(m, theta))[2]
 
 
 def fisher_info(m: ExpFamilyModel, theta: float) -> float:
@@ -239,40 +248,72 @@ def fisher_info(m: ExpFamilyModel, theta: float) -> float:
     derivative values, so a wrong derivative passes that comparison; what
     it catches is cancellation in A'' k' - k'' A'.  The only check of the
     derivatives themselves is that i(theta) must come out finite and
-    positive.  A theta at which the derivatives overflow, or underflow to
-    a zero divisor, raises DomainError.
+    positive.
+
+    A theta at which floating point fails raises DomainError naming it: an
+    evaluation that raises an ArithmeticError, or a failed check where the
+    four derivatives are finite but a form of i or D' is not (a product
+    overflowed), or A'' k', k'' A' or their difference is below 2^-1022 in
+    magnitude from nonzero operands (an underflow lost the digits of i).
+    A derivative that is itself NaN or infinite keeps the ConsistencyError.
     """
     return _fisher_and_d_prime(m, _require_theta(m, theta))[0]
 
 
-def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
-    """i(t) with :func:`fisher_info`'s checks, and D'(t), from one evaluation
-    of k', k'', A', A'' at a checked t (:func:`d_prime` skips the checks for
-    :func:`invert_d`, which needs D' where they fail)."""
+def _derivative_forms(m: ExpFamilyModel, t: float) -> tuple[float, float, float, tuple]:
+    """The two forms of i(t), (A'' k' - k'' A') / k' and A'' - k'' A'/k',
+    D'(t) = (A'' k' - k'' A') / k'^2 and, last, the tuple (k', k'', A',
+    A'') they come from, one evaluation at a checked t: the one place D'
+    is written."""
     try:
-        k1 = float(m.k1(t))
-        k2 = float(m.k2(t))
-        a1 = float(m.A1(t))
-        a2 = float(m.A2(t))
+        k1, k2, a1, a2 = derivatives = (float(m.k1(t)), float(m.k2(t)),
+                                        float(m.A1(t)), float(m.A2(t)))
         numerator = a2 * k1 - k2 * a1
-        form_ratio = numerator / k1
-        form_d = a2 - k2 * (a1 / k1)
-        d_prime_t = numerator / (k1 * k1)
+        return numerator / k1, a2 - k2 * (a1 / k1), numerator / (k1 * k1), derivatives
     except ArithmeticError as exc:
         raise _not_evaluable(m, t, exc) from exc
+
+
+def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
+    """i(t) with :func:`fisher_info`'s checks, and D'(t), at a checked t
+    (:func:`d_prime` skips the checks for :func:`invert_d`, which needs D'
+    where they fail)."""
+    form_ratio, form_d, d_prime_t, derivatives = _derivative_forms(m, t)
     scale = max(abs(form_ratio), abs(form_d), 1e-300)
-    if abs(form_ratio - form_d) > _FISHER_CONSISTENCY_RTOL * scale:
-        raise ConsistencyError(
-            f"Fisher information forms disagree for model {m.name!r} at theta={t}: "
-            f"{form_ratio!r} vs {form_d!r}"
-        )
-    # A NaN passes the comparison above and fails this test.
-    if not 0.0 < form_ratio < math.inf:
+    disagree = abs(form_ratio - form_d) > _FISHER_CONSISTENCY_RTOL * scale
+    # A NaN passes the comparison and fails the second test.
+    if disagree or not 0.0 < form_ratio < math.inf:
+        lost = _lost_digits((form_ratio, form_d, d_prime_t), *derivatives)
+        if lost is not None:
+            exc = FloatingPointError(lost)
+            raise _not_evaluable(m, t, exc) from exc
+        if disagree:
+            raise ConsistencyError(
+                f"Fisher information forms disagree for model {m.name!r} at theta={t}: "
+                f"{form_ratio!r} vs {form_d!r}"
+            )
         raise ConsistencyError(
             f"Fisher information must be finite and positive, got {form_ratio!r} for model "
             f"{m.name!r} at theta={t}"
         )
     return form_ratio, d_prime_t
+
+
+def _lost_digits(forms: tuple, k1: float, k2: float, a1: float, a2: float) -> str | None:
+    """How floating point lost i although k', k'', A' and A'' are finite,
+    or None: a form of i or D' is not finite, or A'' k', k'' A' or their
+    difference is below 2^-1022 from nonzero operands (at normal-variance
+    theta = 10^80.75 the difference is exactly 0.0, not subnormal)."""
+    if not all(map(math.isfinite, (k1, k2, a1, a2))):
+        return None
+    if not all(map(math.isfinite, forms)):
+        return "a form of i, or D', is not finite"
+    a2k1, k2a1 = a2 * k1, k2 * a1
+    if ((abs(a2k1) < _TINY and a2 != 0.0 and k1 != 0.0)
+            or (abs(k2a1) < _TINY and k2 != 0.0 and a1 != 0.0)
+            or (abs(a2k1 - k2a1) < _TINY and a2k1 != 0.0 and k2a1 != 0.0)):
+        return "A''k' - k''A' underflows below 2**-1022"
+    return None
 
 
 def invert_d(m: ExpFamilyModel, target: float) -> float:
@@ -396,10 +437,7 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
             f"model {m.name!r} has no sup_d_second, so sup|D''| on the ball has no certified "
             "value; where |D''| is monotone on the ball, the larger of its two end values is one"
         )
-    try:
-        return float(m.sup_d_second(t0, eps))
-    except ArithmeticError as exc:
-        raise _not_evaluable(m, t0, exc) from exc
+    return float(_evaluated(m, t0, m.sup_d_second, t0, eps))
 
 
 def d_is_identity(m: ExpFamilyModel) -> bool:

@@ -24,7 +24,7 @@ from .models import (
     EXP_THIRD_ABS_MOMENT,
     NORMAL_THIRD_ABS_MOMENT,
     ExpFamilyModel,
-    _not_evaluable,
+    _evaluated,
     _require_theta,
     gg_mse_factor,
     mse_exp_canonical,
@@ -60,10 +60,7 @@ def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
             "state third_moment (special.gamma_third_abs_moment gives it for a Gamma-law T) "
             "or a certified upper bound as bound_moment"
         )
-    try:
-        return m.third_moment(t0)
-    except ArithmeticError as exc:
-        raise _not_evaluable(m, t0, exc) from exc
+    return _evaluated(m, t0, m.third_moment, t0)
 
 
 def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
@@ -78,10 +75,7 @@ def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
     t0 = _require_theta(m, theta0, "theta0")
     if m.mse is None:
         raise DomainError(f"model {m.name!r} has no closed-form MSE; use mse_monte_carlo")
-    try:
-        return m.mse(n, t0)
-    except ArithmeticError as exc:
-        raise _not_evaluable(m, t0, exc) from exc
+    return _evaluated(m, t0, m.mse, n, t0)
 
 
 def expected_h_of_z(h) -> float:

@@ -684,6 +684,26 @@ class TestClosedFormsFailInFloatingPoint:
         for m in (exp_canonical_model(), exp_noncanonical_model()):
             self._refused(lambda: fisher_info(m, theta0), m, theta0)
 
+    # One theta0 in each band where a product in the Fisher formula
+    # overflows or underflows without raising, while k', k'', A' and A''
+    # are finite: i came out NaN or its two forms disagreed, and each raised
+    # ConsistencyError.
+    @pytest.mark.parametrize("model_id, params, theta0", [
+        ("exp-noncanonical", {}, 1e-80),
+        ("exp-noncanonical", {}, 1e80),
+        ("laplace", {}, 1e-90),
+        ("laplace", {}, 1e80),
+        ("normal-variance", {}, 1e-90),
+        ("normal-variance", {}, 1e79),
+        ("weibull", {"alpha": 2.0}, 1e-70),
+        ("gg", {"d": 2.0, "p": 1.5}, 1e-75),
+        ("gg", {"d": 0.5, "p": 3.0}, 1e-55),
+    ])
+    def test_fisher_formula_fails_without_raising(self, model_id, params, theta0):
+        m = make_model(model_id, **params)
+        self._refused(lambda: fisher_info(m, theta0), m, theta0)
+        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3), m, theta0)
+
     def test_public_evaluators_refuse(self):
         # Each raised a bare ZeroDivisionError.
         can, var = exp_canonical_model(), normal_variance_model()

@@ -112,7 +112,8 @@ class TestBoundCommand:
 
 
 # theta0 inside the parameter space at which a closed form fails in floating
-# point; each exited 3 with a bare arithmetic error ("runtime failure").
+# point; each exited 3 ("runtime failure") with a bare arithmetic error or,
+# for the Fisher information, a ConsistencyError.
 UNEVALUABLE = [
     # (theta0 - epsilon)^3 underflows to 0 in exp-canonical's sup|D''|.
     "bound --formula expfam --model exp-canonical --theta0 1e-110 --n 10",
@@ -124,6 +125,12 @@ UNEVALUABLE = [
     "bound --formula theorem --model gg --d 2 --p 1.5 --theta0 1e150 --n 10",
     # A'' = 1/theta^2 divides by 0 in the Fisher information.
     "simulate --model exp-canonical --theta0 1e-200 --n 10 --trials 100",
+    # A'' k' overflows to -inf in the Fisher information, which came out NaN.
+    "bound --formula expfam --model exp-noncanonical --theta0 1e-80 --n 10",
+    "bound --formula theorem --model gg --d 2 --p 1.5 --theta0 1e-75 --n 10",
+    "simulate --model laplace --theta0 1e-90 --n 10 --trials 1000",
+    # A'' k' and k'' A' underflow to subnormals: the two forms of i disagreed.
+    "bound --formula expfam --model normal-variance --theta0 1e79 --n 10",
 ]
 
 

@@ -129,6 +129,25 @@ class TestFisherInfo:
             for theta in thetas:
                 assert fisher_info(m, theta) > 0.0
 
+    def test_d_prime_is_the_fisher_paths_d_prime(self):
+        # D' is written once: d_prime skips the Fisher checks, not the
+        # formula, so wherever the Fisher path returns the two agree bit for
+        # bit.  theta0 = 10^(k/4) across the float range.
+        from mlebounds.models import _fisher_and_d_prime
+
+        grid = [10.0 ** (k / 4) for k in range(-1240, 1232)]
+        for m, _ in all_builtin_cases():
+            thetas = grid + [-t for t in grid] if m.contains_theta(-1.0) else grid
+            compared = 0
+            for theta in thetas:
+                try:
+                    want = _fisher_and_d_prime(m, theta)[1]
+                except (DomainError, ConsistencyError):
+                    continue
+                assert d_prime(m, theta).hex() == want.hex(), (m.name, theta)
+                compared += 1
+            assert compared > 400, m.name
+
 
 class TestMLE:
     def test_exp_canonical_reciprocal_mean(self):
