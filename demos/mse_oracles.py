@@ -8,13 +8,11 @@ Monte Carlo standard error.
 """
 
 from mlebounds import (
-    GeneralizedGammaParams,
     exp_canonical_model,
     generalized_gamma_model,
     laplace_scale_model,
     mse_closed_form,
     mse_exp_canonical,
-    mse_gg,
     mse_monte_carlo,
 )
 
@@ -39,6 +37,7 @@ for n in (3, 10, 100):
 
 print()
 print("for d = p = 1 the gamma-ratio MSE collapses to theta^2 / n exactly:")
+exponential = generalized_gamma_model(d=1.0, p=1.0)
 for n in (1, 10, 1000):
-    got = mse_gg(n, GeneralizedGammaParams(theta=1.0, d=1.0, p=1.0))
+    got = mse_closed_form(exponential, n, 1.0)
     print(f"  n={n:<5} -> {got:.12f}  (1/n = {1.0 / n:.12f})")

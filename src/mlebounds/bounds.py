@@ -59,7 +59,6 @@ __all__ = [
     "exp_noncanonical_bound",
     "expfam_bound",
     "gg_bound",
-    "lemma_clt_bound",
     "reference_test_function",
     "theorem_bound",
 ]
@@ -224,27 +223,6 @@ class BoundBreakdown:
             stein_term=stein_term, tail_term=tail_term, taylor_term=taylor_term,
             total=stein_term + tail_term + taylor_term, formula_id=formula_id,
         )
-
-
-def lemma_clt_bound(
-    n: int, norm_h_prime: float, sigma: float, third_abs_moment: float
-) -> float:
-    """CLT bound for a standardized i.i.d. sum W = sum Y_i / sqrt(n).
-
-    For centered Y_i with variance sigma^2 and E|Y_1|^3 finite,
-
-        |E h(W) - E h(K)|  <=  ||h'|| / sqrt(n) * (2 + E|Y_1|^3 / sigma^3),
-
-    with K normal with variance sigma^2.  The Stein term of every bound in
-    this module has this form, but no bound calls this function:
-    :func:`theorem_bound` writes the term inline, because routing it
-    through here would move bounds by an ulp.
-    """
-    n = _require_int(n, "n")
-    norm_h_prime = _require_real(norm_h_prime, "norm_h_prime")
-    sigma = _require_real(sigma, "sigma")
-    third_abs_moment = _require_real(third_abs_moment, "third_abs_moment", "non-negative")
-    return norm_h_prime / math.sqrt(n) * (2.0 + third_abs_moment / sigma**3)
 
 
 def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> BoundBreakdown:

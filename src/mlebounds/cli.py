@@ -26,7 +26,7 @@ from .bounds import (
     reference_test_function,
 )
 from .errors import DomainError
-from .models import GeneralizedGammaParams, make_model
+from .models import ExpFamilyModel, GeneralizedGammaParams, make_model
 from .moments import mse_closed_form
 from .montecarlo import (
     SimulationConfig,
@@ -114,6 +114,15 @@ def _model_params(args) -> dict:
     }
 
 
+@functools.cache
+def _model(model_id: str, params: tuple) -> ExpFamilyModel:
+    """The built-in model for an id and its sorted (flag, repr of value)
+    pairs, built once per process: models are immutable, so later calls
+    reuse it and its identity and canonicity grid checks.  The repr keeps
+    -0.0 apart from 0.0, which the model's name shows."""
+    return make_model(model_id, **{name: float(text) for name, text in params})
+
+
 def _require(value, flag: str, context: str):
     if value is None:
         raise DomainError(f"{flag} is required for {context}")
@@ -165,7 +174,8 @@ def cmd_bound(args) -> int:
     else:
         model_id = _require(args.model, "--model", f"the {formula} formula")
         theta0 = _require(args.theta0, "--theta0", f"the {formula} formula")
-        m = make_model(model_id, **_model_params(args))
+        params = tuple(sorted((name, repr(v)) for name, v in _model_params(args).items()))
+        m = _model(model_id, params)
         epsilon = _default_epsilon(theta0, args.epsilon_frac)
         mse = mse_closed_form(m, n, theta0)
         if formula == "ar-canonical":

@@ -11,10 +11,11 @@ the error bounds need lives here: D, the Fisher information, the ratio
 sqrt(i)/|D'|, the supremum of |D''| over a parameter ball, and the MLE
 itself.  Each built-in constructor also sets its family's closed forms on
 the model (third moment, MSE of the MLE, the law of mean T), so the
-generic code in :mod:`.moments`, :mod:`.bounds` and :mod:`.montecarlo`
-never asks which family it holds.  Laplace and Weibull are copies of the
-exponential and generalized gamma models with only the differing fields
-replaced.
+generic code in :mod:`.moments` and :mod:`.bounds` never asks which family
+it holds; :mod:`.montecarlo` asks only to attach the published bounds of
+the two exponential models, which it picks by registry id.  Laplace and
+Weibull are copies of the exponential and generalized gamma models with
+only the differing fields replaced.
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -54,7 +55,6 @@ __all__ = [
     "make_model",
     "mle",
     "mse_exp_canonical",
-    "mse_gg",
     "normal_mean_model",
     "normal_variance_model",
     "sup_abs_d_second",
@@ -198,8 +198,8 @@ def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> floa
 def _not_evaluable(m: ExpFamilyModel, t0: float, exc: ArithmeticError) -> DomainError:
     """The refusal of a theta0 inside the parameter space at which the
     model's closed forms fail in floating point: an overflow, an underflow
-    that leaves a zero divisor, or (a FloatingPointError) an i(theta0)
-    that a product overflowed or underflowed without raising."""
+    that leaves a zero divisor, or (a FloatingPointError) a value or an
+    i(theta0) that overflowed or underflowed without raising."""
     return DomainError(
         f"theta0={t0!r} is inside the parameter space of model {m.name!r}, but its closed "
         f"forms fail there in floating point ({type(exc).__name__}: {exc})"
@@ -208,11 +208,17 @@ def _not_evaluable(m: ExpFamilyModel, t0: float, exc: ArithmeticError) -> Domain
 
 def _evaluated(m: ExpFamilyModel, t0: float, f: Callable, *args):
     """``f(*args)``, a closed form of ``m`` at theta0 = t0, with an
-    ArithmeticError refused through :func:`_not_evaluable`."""
+    ArithmeticError or a float that is not finite (a float division by a
+    subnormal overflows to inf without raising) refused through
+    :func:`_not_evaluable`.  A value that is not a float is returned for
+    the caller's own check, which names the field."""
     try:
-        return f(*args)
+        value = f(*args)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise FloatingPointError(f"a closed form evaluates to {value!r}")
     except ArithmeticError as exc:
         raise _not_evaluable(m, t0, exc) from exc
+    return value
 
 
 def _d(m: ExpFamilyModel, t, k1=None):
@@ -233,10 +239,15 @@ def d_value(m: ExpFamilyModel, theta: float) -> float:
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
     """D'(theta) = (A'' k' - k'' A') / k'^2, bit for bit the D' of the
     Fisher path, or DomainError where an evaluation raises an
-    ArithmeticError.  It skips :func:`fisher_info`'s checks, so a D' that
-    overflowed or lost its digits is returned as computed: :func:`invert_d`
-    needs D' where those checks fail."""
-    return _derivative_forms(m, _require_theta(m, theta))[2]
+    ArithmeticError or D' is not finite.  It skips :func:`fisher_info`'s
+    checks, so a finite D' that lost its digits is returned as computed:
+    :func:`invert_d` needs D' where those checks fail."""
+    t = _require_theta(m, theta)
+    value = _derivative_forms(m, t)[2]
+    if not math.isfinite(value):
+        exc = FloatingPointError(f"D' evaluates to {value!r}")
+        raise _not_evaluable(m, t, exc) from exc
+    return value
 
 
 def fisher_info(m: ExpFamilyModel, theta: float) -> float:
@@ -348,8 +359,8 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
         x0 = 0.0
 
     dp0 = d_prime(m, x0)
-    if not (math.isfinite(dp0) and dp0 != 0.0):
-        raise DomainError(f"D'({x0!r}) = {dp0!r} for model {m.name!r}; D is not monotone")
+    if dp0 == 0.0:
+        raise DomainError(f"D'({x0!r}) = 0.0 for model {m.name!r}; D is not monotone")
     sign = math.copysign(1.0, dp0)
 
     def g(th: float) -> float:
@@ -534,11 +545,6 @@ def gg_mse_factor(n: int, d: float, p: float) -> float:
     if not math.isfinite(factor):
         raise DomainError(f"the generalized gamma MSE factor is not finite at n*d/p = {z!r}")
     return factor
-
-
-def mse_gg(n: int, params: GeneralizedGammaParams) -> float:
-    """E[(theta_hat - theta0)^2] for the generalized gamma scale MLE."""
-    return params.theta**2 * gg_mse_factor(n, params.d, params.p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,33 +17,25 @@ from __future__ import annotations
 
 from .errors import DomainError, _require_int
 
-# The exponential, normal and generalized-gamma closed forms live in
-# .models beside the constructors that set them on each model; they are
-# re-exported here because callers import them as moment formulas.
+# The two gg closed forms live in .models; benchmarks/workloads.py reads
+# them as moments.*, so they stay exported here.
 from .models import (
-    EXP_THIRD_ABS_MOMENT,
-    NORMAL_THIRD_ABS_MOMENT,
     ExpFamilyModel,
     _evaluated,
     _require_theta,
     gg_mse_factor,
-    mse_exp_canonical,
-    mse_gg,
     third_abs_moment_holder_gg,
 )
 from .special import integrate_interval, std_normal_pdf
 
 __all__ = [
-    "EXP_THIRD_ABS_MOMENT",
-    "NORMAL_THIRD_ABS_MOMENT",
     "expected_h_of_z",
     "gg_mse_factor",
     "mse_closed_form",
-    "mse_exp_canonical",
-    "mse_gg",
     "third_abs_moment",
     "third_abs_moment_holder_gg",
 ]
+
 
 def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
     """E|T(X) - D(theta0)|^3 for one observation drawn at theta0, from the

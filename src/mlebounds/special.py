@@ -3,8 +3,8 @@
 These are the numerical primitives every other module leans on: the log
 of a gamma-function ratio less its limit, kept as a small quantity, the
 third absolute central moment of a Gamma law, the standard normal pdf/cdf,
-exactly rounded sums of an array or of each row of a block, and an
-adaptive Simpson integrator with explicit, testable error control.
+the exactly rounded sum of each row of a block, and an adaptive Simpson
+integrator with explicit, testable error control.
 
 All functions here are pure and stateless, so they are safe to call from
 concurrent code without any locking.
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DomainError, QuadratureError, _require_real
 
 __all__ = [
-    "exact_sum",
     "gamma_third_abs_moment",
     "integrate_interval",
     "log_gamma_shift_excess",
@@ -245,12 +244,6 @@ def _exact_row_sums(block) -> list[float]:
         np.not_equal(r, 0.0, out=left)
     rests = [rest[kept].tolist() for rest, kept in zip(r, left)] if count else [[]] * len(x)
     return [math.fsum([*p, *rest]) for p, rest in zip(zip(*parts), rests)]
-
-
-def exact_sum(values) -> float:
-    """The correctly rounded sum of a float64 array, equal to ``math.fsum``
-    bit for bit: the one-row case of :func:`_exact_row_sums`."""
-    return _exact_row_sums(np.asarray(values, dtype=float).reshape(1, -1))[0]
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:

@@ -31,7 +31,6 @@ from mlebounds import (
     laplace_scale_model,
     mse_closed_form,
     mse_exp_canonical,
-    mse_gg,
     mse_monte_carlo,
     normal_mean_model,
     normal_variance_model,
@@ -130,7 +129,7 @@ def test_criterion_5_closed_form_equivalence():
             for n in (10, 100):
                 m = generalized_gamma_model(d=d, p=p)
                 theta0 = 1.3
-                mse = mse_gg(n, GeneralizedGammaParams(theta0, d, p))
+                mse = mse_closed_form(m, n, theta0)
                 via_family = expfam_bound(m, theta0, n, theta0 / 2, H, mse).total
                 closed = gg_bound(n, GeneralizedGammaParams(1.0, d, p), H).total
                 assert via_family == pytest.approx(closed, rel=1e-10)
@@ -148,11 +147,12 @@ def test_criterion_6_mse_oracles():
             for n in (10, 50):
                 m = generalized_gamma_model(d=d, p=p)
                 est = mse_monte_carlo(m, 1.0, n, trials=100_000, seed=950 + i)
-                analytic = mse_gg(n, GeneralizedGammaParams(1.0, d, p))
+                analytic = mse_closed_form(m, n, 1.0)
                 assert abs(est.value - analytic) <= 3 * est.standard_error
+        exponential = generalized_gamma_model(d=1.0, p=1.0)
         for n in (1, 7, 100, 9999):
             for theta in (1.0, 3.0):
-                got = mse_gg(n, GeneralizedGammaParams(theta, 1.0, 1.0))
+                got = mse_closed_form(exponential, n, theta)
                 assert abs(got - theta**2 / n) <= 1e-12 * theta**2
 
 

@@ -33,11 +33,9 @@ from mlebounds import (
     generalized_gamma_model,
     gg_bound,
     laplace_scale_model,
-    lemma_clt_bound,
     make_model,
     mse_closed_form,
     mse_exp_canonical,
-    mse_gg,
     normal_mean_model,
     normal_variance_model,
     reference_test_function,
@@ -165,30 +163,6 @@ class TestBoundInputs:
         assert str(replaced.value) == str(built.value) == (
             "mse must be a positive real number, got -1.0"
         )
-
-
-class TestLemmaCltBound:
-    def test_unit_inputs(self):
-        assert lemma_clt_bound(1, 1.0, 1.0, 1.0) == pytest.approx(3.0, abs=0)
-
-    def test_degenerate_third_moment(self):
-        assert lemma_clt_bound(100, 1.0, 1.0, 0.0) == pytest.approx(0.2, abs=1e-15)
-
-    def test_equals_noncanonical_bound_for_standardized_exp(self):
-        # Standardized exponential summands have sigma = 1 and third
-        # absolute moment 12/e - 2; the lemma then reproduces the
-        # exp-noncanonical closed form exactly.
-        for n in (1, 10, 17, 1000):
-            lemma = lemma_clt_bound(n, HP, 1.0, EXP_THIRD_ABS_MOMENT)
-            assert lemma == exp_noncanonical_bound(n, H).total
-
-    def test_input_validation(self):
-        with pytest.raises(DomainError):
-            lemma_clt_bound(0, 1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            lemma_clt_bound(10, -1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            lemma_clt_bound(10, 1.0, 1.0, -0.5)
 
 
 def canonical_exp_inputs(n: int, theta0: float) -> BoundInputs:
@@ -355,7 +329,7 @@ class TestExpFamBound:
         closed = gg_bound(n, params, H)
         for theta0 in (0.6, 1.0, 1.7):
             m = generalized_gamma_model(d=d, p=p)
-            mse = mse_gg(n, GeneralizedGammaParams(theta=theta0, d=d, p=p))
+            mse = mse_closed_form(m, n, theta0)
             bd = expfam_bound(m, theta0, n, theta0 / 2, H, mse=mse)
             assert bd.total == pytest.approx(closed.total, rel=1e-10)
             assert bd.stein_term == pytest.approx(closed.stein_term, rel=1e-10)
@@ -529,7 +503,6 @@ class TestIntegerArguments:
             lambda n: exp_noncanonical_bound(n, H),
             lambda n: ar_bound_exp_noncanonical(n, H),
             lambda n: gg_bound(n, GeneralizedGammaParams(1.3, 2.0, 1.5), H),
-            lambda n: lemma_clt_bound(n, HP, 1.0, EXP_THIRD_ABS_MOMENT),
             lambda n: theorem_bound(canonical_exp_inputs(n, 1.3)),
             lambda n: expfam_bound(
                 exp_canonical_model(), 1.3, n, 0.65, H, mse_exp_canonical(n, 1.3)
@@ -712,6 +685,17 @@ class TestClosedFormsFailInFloatingPoint:
         self._refused(lambda: d_value(var, 1e-300), var, 1e-300)
         self._refused(lambda: d_prime(can, 1e-200), can, 1e-200)
 
+    def test_public_evaluators_refuse_a_value_that_is_not_finite(self):
+        # A float division by a subnormal overflows to inf without raising:
+        # each returned inf (d_value -inf) as if it were a value.
+        m = exp_canonical_model()
+        self._refused(lambda: sup_abs_d_second(m, 1e-103, 5e-104), m, 1e-103)
+        self._refused(lambda: third_abs_moment(m, 1e-103), m, 1e-103)
+        self._refused(lambda: d_prime(m, 1e-155), m, 1e-155)
+        self._refused(lambda: d_value(m, 5e-324), m, 5e-324)
+        mse = mse_closed_form(m, 10, 1e-103)
+        self._refused(lambda: expfam_bound(m, 1e-103, 10, 5e-104, H, mse), m, 1e-103)
+
     def test_stein_term_overflows(self):
         # |D'| = 1/theta0^2 = 1e104, so |D'|^3 overflows in the Stein term.
         m, theta0 = exp_canonical_model(), 1e-52
@@ -723,13 +707,25 @@ class TestClosedFormsFailInFloatingPoint:
 
 class TestModelPathRefusals:
     """expfam, ar-canonical and the CLI's theorem refuse a bad model value or
-    MSE with the DomainError that BoundInputs raises for the field."""
+    MSE with the DomainError that BoundInputs raises for the field; a model
+    field that evaluates to NaN or inf is refused before, by the guard of
+    the model's closed forms, naming theta0."""
 
     BASE = exp_canonical_model()
     BAD = [math.nan, math.inf, -1.0]
     BAD_IDS = ["nan", "inf", "-1"]
 
-    def _refused(self, m, mse, message, monkeypatch, capsys):
+    @staticmethod
+    def _not_finite(value):
+        """The guard's message for a closed form that evaluates to ``value``
+        at theta0 = 1.3, or None for a finite value."""
+        if math.isfinite(value):
+            return None
+        return ("theta0=1.3 is inside the parameter space of model 'exp-canonical', but its "
+                f"closed forms fail there in floating point (FloatingPointError: a closed "
+                f"form evaluates to {value!r})")
+
+    def _refused(self, m, mse, message, monkeypatch, capsys, cli_message=None):
         # Each test also checks that ``message`` is BoundInputs' own for the
         # field: both paths apply one check per field, so they word it alike.
         for fn in (expfam_bound, ar_bound_canonical_expfam):
@@ -738,10 +734,10 @@ class TestModelPathRefusals:
             assert str(info.value) == message, fn.__name__
         # The CLI builds the model, and takes its MSE from the closed form.
         cli_model = dataclasses.replace(m, mse=lambda n, t0: mse)
-        monkeypatch.setattr("mlebounds.cli.make_model", lambda model_id, **params: cli_model)
+        monkeypatch.setattr("mlebounds.cli._model", lambda model_id, params: cli_model)
         code = cli_main(["bound", "--formula", "theorem", "--model", "exp-canonical",
                          "--theta0", "1.3", "--n", "10", "--format", "json"])
-        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert (code, capsys.readouterr().err) == (2, f"error: {cli_message or message}\n")
 
     @staticmethod
     def _hand_built(field, value):
@@ -756,28 +752,36 @@ class TestModelPathRefusals:
         m = dataclasses.replace(self.BASE, **{field: lambda t0: value})
         message = f"third_moment must be a non-negative real number, got {value!r}"
         assert self._hand_built("third_moment", value) == message
-        self._refused(m, 0.01, message, monkeypatch, capsys)
+        self._refused(m, 0.01, self._not_finite(value) or message, monkeypatch, capsys)
 
     @pytest.mark.parametrize("value", BAD, ids=BAD_IDS)
     def test_a_bad_sup_d_second(self, value, monkeypatch, capsys):
         m = dataclasses.replace(self.BASE, sup_d_second=lambda t0, eps: value)
         message = f"sup_q_second must be a non-negative real number, got {value!r}"
         assert self._hand_built("sup_q_second", value) == message
-        self._refused(m, 0.01, message, monkeypatch, capsys)
+        self._refused(m, 0.01, self._not_finite(value) or message, monkeypatch, capsys)
 
     @pytest.mark.parametrize("mse", [0, -1, math.nan, np.float64("nan")],
                              ids=["0", "-1", "nan", "np.float64-nan"])
     def test_a_bad_mse(self, mse, monkeypatch, capsys):
         message = f"mse must be a positive real number, got {mse!r}"
         assert self._hand_built("mse", mse) == message
-        self._refused(self.BASE, mse, message, monkeypatch, capsys)
+        # The CLI takes its MSE from the model, through the guard.
+        self._refused(self.BASE, mse, message, monkeypatch, capsys, self._not_finite(mse))
+
+    def test_a_value_that_is_not_a_number(self, monkeypatch, capsys):
+        # The guard of the closed forms tests floats alone, so the record
+        # still names the field.
+        m = dataclasses.replace(self.BASE, third_moment=lambda t0: "x")
+        message = "third_moment must be a non-negative real number, got 'x'"
+        self._refused(m, 0.01, message, monkeypatch, capsys)
 
     def test_the_first_bad_field_is_named(self, monkeypatch, capsys):
         # The fields are checked in BoundInputs' order: n, then the third
         # moment, then the MSE.
-        m = dataclasses.replace(self.BASE, third_moment=lambda t0: math.nan)
-        message = "third_moment must be a non-negative real number, got nan"
-        self._refused(m, math.nan, message, monkeypatch, capsys)
+        m = dataclasses.replace(self.BASE, third_moment=lambda t0: -1.0)
+        message = "third_moment must be a non-negative real number, got -1.0"
+        self._refused(m, -1.0, message, monkeypatch, capsys)
         with pytest.raises(DomainError, match=r"^n must be an integer >= 1, got 0$"):
             expfam_bound(m, 1.3, 0, 0.65, H, math.nan)
 

@@ -14,11 +14,15 @@ import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from mlebounds import (
+    BoundBreakdown,
     BoundInputs,
     GeneralizedGammaParams,
+    MODEL_FAMILIES,
     ar_bound_canonical_expfam,
     ar_bound_exp_noncanonical,
     d_is_identity,
@@ -102,7 +106,8 @@ def exact_distance(model_id, shape_key, n):
 
 
 def _bounds(model_id, params, m, theta0, n, third):
-    """Every bound that applies to the family at (theta0, n), by name."""
+    """Every bound that applies to the family at (theta0, n), by name: a
+    BoundBreakdown, or the AR bound's bare total."""
     eps = 0.5 * abs(theta0)
     mse = mse_closed_form(m, n, theta0)
     identity = d_is_identity(m)
@@ -110,19 +115,19 @@ def _bounds(model_id, params, m, theta0, n, third):
     inputs = BoundInputs(n, theta0, eps, fisher_info(m, theta0), abs(d_prime(m, theta0)), third,
                          mse, 0.0 if identity else sup_abs_d_second(m, theta0, eps), identity, H)
     found = {
-        "expfam": expfam_bound(m, theta0, n, eps, H, mse).total,
-        "theorem": theorem_bound(inputs).total,
+        "expfam": expfam_bound(m, theta0, n, eps, H, mse),
+        "theorem": theorem_bound(inputs),
     }
     if m.is_canonical:
-        found["ar-canonical"] = ar_bound_canonical_expfam(m, theta0, n, eps, H, mse).total
+        found["ar-canonical"] = ar_bound_canonical_expfam(m, theta0, n, eps, H, mse)
     if model_id == "exp-canonical":
-        found["exp-canonical"] = exp_canonical_bound(n, H).total
+        found["exp-canonical"] = exp_canonical_bound(n, H)
     if model_id == "exp-noncanonical":
-        found["exp-noncanonical"] = exp_noncanonical_bound(n, H).total
+        found["exp-noncanonical"] = exp_noncanonical_bound(n, H)
         found["ar-exp-noncanonical"] = ar_bound_exp_noncanonical(n, H)
     if model_id in ("weibull", "gg"):
         d, p = _shapes(model_id, params)
-        found["gg"] = gg_bound(n, GeneralizedGammaParams(theta0, d, p), H).total
+        found["gg"] = gg_bound(n, GeneralizedGammaParams(theta0, d, p), H)
     return found
 
 
@@ -137,7 +142,45 @@ def test_every_bound_is_at_least_the_exact_distance(model_id, params):
         third = m.bound_moment(theta0) if m.bound_moment else third_abs_moment(m, theta0)
         for n in SAMPLE_SIZES:
             distance = exact_distance(model_id, tuple(sorted(params.items())), n)
-            for name, total in _bounds(model_id, params, m, theta0, n, third).items():
+            for name, bound in _bounds(model_id, params, m, theta0, n, third).items():
+                total = getattr(bound, "total", bound)
                 if not total >= distance:
                     broken.append((name, theta0, n, total, distance))
     assert broken == []
+
+
+@st.composite
+def random_cases(draw):
+    """(model id, shape parameters, theta0, n): gg and Weibull shapes and
+    the normal-mean sigma drawn, theta0 = 10^u of either sign for the
+    normal mean, n from 3 to 1e9."""
+    model_id = draw(st.sampled_from(sorted(MODEL_FAMILIES)))
+    shape = st.floats(0.5, 4.0)
+    params = {}
+    if model_id == "gg":
+        params = {"d": draw(shape), "p": draw(shape)}
+    elif model_id == "weibull":
+        params = {"alpha": draw(shape)}
+    elif model_id == "normal-mean":
+        params = {"sigma": draw(st.floats(0.25, 4.0))}
+    theta0 = 10.0 ** draw(st.floats(-2.0, 2.0))
+    if model_id == "normal-mean" and draw(st.booleans()):
+        theta0 = -theta0
+    return model_id, params, theta0, draw(st.integers(3, 10**9))
+
+
+@given(random_cases())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_random_bounds_are_certificates(case):
+    # A failure is a broken certificate, to be reported, not relaxed.
+    model_id, params, theta0, n = case
+    m = make_model(model_id, **params)
+    third = m.bound_moment(theta0) if m.bound_moment else third_abs_moment(m, theta0)
+    distance = exact_distance(model_id, tuple(sorted(params.items())), n)
+    for name, bound in _bounds(model_id, params, m, theta0, n, third).items():
+        if isinstance(bound, BoundBreakdown):
+            terms = (bound.stein_term, bound.tail_term, bound.taylor_term)
+            assert min(terms) >= 0.0, name
+            assert bound.total == terms[0] + terms[1] + terms[2], name
+            bound = bound.total
+        assert bound >= distance, (name, bound, distance)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from mlebounds import cli
 from mlebounds.cli import build_parser, main
 
 HP = 3.0 * math.sqrt(6.0) / 32.0
@@ -131,6 +132,9 @@ UNEVALUABLE = [
     "simulate --model laplace --theta0 1e-90 --n 10 --trials 1000",
     # A'' k' and k'' A' underflow to subnormals: the two forms of i disagreed.
     "bound --formula expfam --model normal-variance --theta0 1e79 --n 10",
+    # theta0^3 is subnormal, so the exp-canonical third moment divides to inf
+    # without raising; this exited 2 naming third_moment, not theta0.
+    "bound --formula expfam --model exp-canonical --theta0 1e-103 --n 10",
 ]
 
 
@@ -266,6 +270,27 @@ class TestModelParameters:
         assert code == 2 and out == ""
         assert "'mu'" in err and "'sigma'" in err
         assert "normal_variance_model" not in err
+
+    def test_each_model_is_built_once_per_process(self, capsys, monkeypatch):
+        # Flag order does not matter; another shape, or the sign of a zero,
+        # is another model.
+        built = []
+        make_model = cli.make_model
+        monkeypatch.setattr(cli, "make_model",
+                            lambda model_id, **params: built.append(params) or make_model(
+                                model_id, **params))
+        cli._model.cache_clear()
+        gg = ["bound", "--formula", "expfam", "--model", "gg", "--theta0", "1.5", "--n", "10"]
+        first = run_cli(capsys, *gg, "--d", "2", "--p", "1.5")
+        assert first[0] == 0
+        assert run_cli(capsys, *gg, "--p", "1.5", "--d", "2") == first
+        run_cli(capsys, *gg, "--d", "3", "--p", "1.5")
+        for mu in ("0", "0.0", "-0.0"):
+            code, _, err = run_cli(capsys, "bound", "--formula", "expfam", "--model",
+                                   "normal-variance", "--mu", mu, "--theta0", "-1", "--n", "10")
+            assert code == 2 and f"(mu={float(mu)!r})" in err
+        assert built == [{"d": 2.0, "p": 1.5}, {"d": 3.0, "p": 1.5}, {"mu": 0.0}, {"mu": -0.0}]
+        cli._model.cache_clear()
 
 
 class TestArgumentParsing:

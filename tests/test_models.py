@@ -20,12 +20,12 @@ from mlebounds import (
     exp_noncanonical_model,
     fisher_info,
     generalized_gamma_model,
+    gg_mse_factor,
     integrate_interval,
     invert_d,
     laplace_scale_model,
     make_model,
     mle,
-    mse_gg,
     normal_mean_model,
     normal_variance_model,
     sup_abs_d_second,
@@ -147,6 +147,33 @@ class TestFisherInfo:
                 assert d_prime(m, theta).hex() == want.hex(), (m.name, theta)
                 compared += 1
             assert compared > 400, m.name
+
+
+# Each built-in family at three theta, plus a second shape of normal-mean and gg.
+DERIVATIVE_CASES = [
+    *[(model_id, {}, [0.5, 1.3, 2.5])
+      for model_id in ("exp-canonical", "exp-noncanonical", "laplace", "normal-variance")],
+    ("normal-mean", {}, [-1.0, 0.3, 2.0]),
+    ("normal-mean", {"sigma": 1.5}, [-1.0, 0.3, 2.0]),
+    ("weibull", {"alpha": 2.0}, [0.5, 1.3, 2.5]),
+    ("gg", {"d": 2.0, "p": 1.5}, [0.5, 1.3, 2.5]),
+    ("gg", {"d": 0.5, "p": 3.0}, [0.5, 1.3, 2.5]),
+]
+
+
+@pytest.mark.parametrize("model_id,params,thetas", DERIVATIVE_CASES,
+                         ids=[f"{c[0]}{c[1] or ''}" for c in DERIVATIVE_CASES])
+def test_derivative_fields_are_the_derivatives_of_k_and_a(model_id, params, thetas):
+    # fisher_info's two-form check cannot catch a wrong derivative, so k1,
+    # k2, A1 and A2 are compared with central differences of k, k1, A and
+    # A1.  k and A (with S) stay on the model as the family's definition:
+    # density, and so normal-variance's quadrature third moment, reads them.
+    m = make_model(model_id, **params)
+    for theta in thetas:
+        step = 1e-5 * max(1.0, abs(theta))
+        for f, derivative in ((m.k, m.k1), (m.k1, m.k2), (m.A, m.A1), (m.A1, m.A2)):
+            central = (float(f(theta + step)) - float(f(theta - step))) / (2.0 * step)
+            assert central == pytest.approx(float(derivative(theta)), rel=1e-7), (theta, f)
 
 
 class TestMLE:
@@ -641,9 +668,9 @@ class TestShapeValidation:
 
 
 class TestGGClosures:
-    """The gg and Weibull fields are the public closed forms on a
-    GeneralizedGammaParams, bit for bit and as Python floats, whatever
-    kind of real theta0 is."""
+    """The gg and Weibull fields are the public closed forms, the Holder
+    bound on a GeneralizedGammaParams and theta^2 times gg_mse_factor, bit
+    for bit and as Python floats, whatever kind of real theta0 is."""
 
     @pytest.mark.parametrize(
         "m,d,p",
@@ -664,7 +691,7 @@ class TestGGClosures:
         assert type(moment) is float and moment == third_abs_moment_holder_gg(params)
         for n in (10, 1000, 10**9):
             mse = m.mse(n, t0)
-            assert type(mse) is float and mse == mse_gg(n, params)
+            assert type(mse) is float and mse == params.theta**2 * gg_mse_factor(n, d, p)
 
 
 class TestFisherConsistencyGuard:

@@ -27,7 +27,6 @@ from mlebounds import (
     make_model,
     mse_closed_form,
     mse_exp_canonical,
-    mse_gg,
     mse_monte_carlo,
     normal_mean_model,
     normal_variance_model,
@@ -197,16 +196,15 @@ class TestMseExpCanonical:
 class TestMseGG:
     def test_exponential_case_collapses(self):
         # d = p = 1 makes the gamma ratios telescopic: MSE = theta^2 / n.
-        assert mse_gg(10, GeneralizedGammaParams(1.0, 1.0, 1.0)) == pytest.approx(
-            0.1, abs=1e-14
-        )
+        m = generalized_gamma_model(d=1.0, p=1.0)
+        assert mse_closed_form(m, 10, 1.0) == pytest.approx(0.1, abs=1e-14)
         for n in (1, 2, 7, 33, 100, 999, 10_000):
-            got = mse_gg(n, GeneralizedGammaParams(1.0, 1.0, 1.0))
+            got = mse_closed_form(m, n, 1.0)
             assert abs(got - 1.0 / n) <= 1e-12
 
     def test_single_draw_weibull2(self):
         # n=1, d=p=2: MSE = theta^2 (2 - sqrt(pi)).
-        got = mse_gg(1, GeneralizedGammaParams(1.0, 2.0, 2.0))
+        got = mse_closed_form(generalized_gamma_model(d=2.0, p=2.0), 1, 1.0)
         assert got == pytest.approx(2.0 - math.sqrt(math.pi), rel=1e-13)
 
     def test_order_one_over_n(self):
@@ -252,7 +250,7 @@ class TestMseGG:
     def test_matches_monte_carlo(self):
         m = generalized_gamma_model(d=2.0, p=2.0)
         est = mse_monte_carlo(m, 1.0, 20, trials=100_000, seed=23)
-        analytic = mse_gg(20, GeneralizedGammaParams(1.0, 2.0, 2.0))
+        analytic = mse_closed_form(m, 20, 1.0)
         assert abs(est.value - analytic) <= 3.0 * est.standard_error
 
 
@@ -272,7 +270,7 @@ class TestMseClosedFormRegistry:
     def test_weibull_routes_through_gg(self):
         w = weibull_scale_model(alpha=2.0)
         assert mse_closed_form(w, 20, 1.3) == pytest.approx(
-            mse_gg(20, GeneralizedGammaParams(1.3, 2.0, 2.0)), rel=1e-14
+            mse_closed_form(generalized_gamma_model(d=2.0, p=2.0), 20, 1.3), rel=1e-14
         )
 
     def test_monte_carlo_against_registry(self):

@@ -13,7 +13,6 @@ from mlebounds import (
     EXP_THIRD_ABS_MOMENT,
     DomainError,
     QuadratureError,
-    exact_sum,
     gamma_third_abs_moment,
     integrate_interval,
     log_gamma_shift_excess,
@@ -114,7 +113,7 @@ def _fsum_outcome(fn, values):
 def assert_same_as_fsum(values):
     values = np.asarray(values, dtype=float)
     want = _fsum_outcome(lambda v: math.fsum(v.tolist()), values)
-    assert _fsum_outcome(exact_sum, values) == want
+    assert _fsum_outcome(lambda v: _exact_row_sums(np.reshape(v, (1, -1)))[0], values) == want
 
 
 @st.composite
@@ -183,7 +182,7 @@ class TestExactSum:
         original = block.copy()
         for view in (block[:, 5], block[::-1, 3], block.T[7], block[::3, ::2].ravel()[::5]):
             assert not view.flags.c_contiguous
-            assert exact_sum(view) == math.fsum(view.tolist())
+            assert _exact_row_sums(np.reshape(view, (1, -1)))[0] == math.fsum(view.tolist())
         assert _exact_row_sums(block[::2, ::3]) == [math.fsum(row.tolist()) for row in block[::2, ::3]]
         assert np.array_equal(block, original)
 
@@ -213,13 +212,6 @@ class TestExactRowSums:
         # Rows of unrelated magnitudes share one sigma; short rows are
         # zero-padded, which leaves their fsum unchanged.
         assert_rows_same_as_fsum(_padded_block(rows))
-
-    @given(summands())
-    @settings(max_examples=100, deadline=None)
-    def test_exact_sum_is_the_one_row_case(self, values):
-        assert _fsum_outcome(exact_sum, values) == _fsum_outcome(
-            lambda v: _exact_row_sums(v[None])[0], values
-        )
 
     def test_rows_far_apart_and_signed_zeros(self):
         # The small row is 2^-1000 below the sigma set by the large one, so

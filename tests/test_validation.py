@@ -36,7 +36,6 @@ from mlebounds import (
     gg_bound,
     gg_mse_factor,
     invert_d,
-    lemma_clt_bound,
     mse_closed_form,
     mse_exp_canonical,
     mse_monte_carlo,
@@ -127,9 +126,6 @@ REAL_ARGS = [
             ("third_moment", 0.0), ("mse", 0.25), ("sup_q_second", 0.0),
         )
     ],
-    ("lemma_clt_bound.norm_h_prime", lambda v: lemma_clt_bound(10, v, 1.0, 1.0), 0.5),
-    ("lemma_clt_bound.sigma", lambda v: lemma_clt_bound(10, 0.5, v, 1.0), 1.5),
-    ("lemma_clt_bound.third_abs_moment", lambda v: lemma_clt_bound(10, 0.5, 1.0, v), 2.0),
     ("expfam_bound.theta0", lambda v: expfam_bound(M, v, 10, 0.5, H, 0.1), 1.5),
     ("expfam_bound.epsilon", lambda v: expfam_bound(M, 1.5, 10, v, H, 0.1), 0.5),
     ("expfam_bound.mse", lambda v: expfam_bound(M, 1.5, 10, 0.5, H, v), 0.25),
@@ -145,7 +141,6 @@ INT_ARGS = [
     ("gg_mse_factor.n", lambda v: gg_mse_factor(v, 2.0, 1.5), 10),
     ("mse_exp_canonical.n", lambda v: mse_exp_canonical(v, 1.5), 10),
     ("BoundInputs.n", lambda v: _inputs(n=v), 10),
-    ("lemma_clt_bound.n", lambda v: lemma_clt_bound(v, 0.5, 1.0, 1.0), 10),
     ("expfam_bound.n", lambda v: expfam_bound(M, 1.5, v, 0.5, H, 0.1), 10),
     ("gg_bound.n", lambda v: gg_bound(v, GeneralizedGammaParams(1.0, 2.0, 1.5), H), 10),
     ("exp_canonical_bound.n", lambda v: exp_canonical_bound(v, H), 10),
@@ -250,7 +245,6 @@ FORMER_FAULTS = [
     ("d_value(m, '2')", lambda: d_value(M, "2")),
     ("sup_abs_d_second(m, 1.0, 'x')", lambda: sup_abs_d_second(M, 1.0, "x")),
     ("expfam_bound(epsilon='x')", lambda: expfam_bound(M, 1.0, 10, "x", H, 0.1)),
-    ("lemma_clt_bound(10, 1.0, 'x', 1.0)", lambda: lemma_clt_bound(10, 1.0, "x", 1.0)),
     ("BoundInputs(mse='x')", lambda: _inputs(mse="x")),
     ("iter_mle_chunks(n=0)", lambda: _chunks(n=0)),
     ("iter_mle_chunks(n=2.5)", lambda: _chunks(n=2.5)),
