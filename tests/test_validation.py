@@ -129,10 +129,17 @@ REAL_ARGS = [
     ("expfam_bound.theta0", lambda v: expfam_bound(M, v, 10, 0.5, H, 0.1), 1.5),
     ("expfam_bound.epsilon", lambda v: expfam_bound(M, 1.5, 10, v, H, 0.1), 0.5),
     ("expfam_bound.mse", lambda v: expfam_bound(M, 1.5, 10, 0.5, H, v), 0.25),
+    ("ar_bound_canonical_expfam.theta0",
+     lambda v: ar_bound_canonical_expfam(M, v, 10, 0.5, H, 0.1), 1.5),
+    ("ar_bound_canonical_expfam.epsilon",
+     lambda v: ar_bound_canonical_expfam(M, 1.5, 10, v, H, 0.1), 0.5),
+    ("ar_bound_canonical_expfam.mse",
+     lambda v: ar_bound_canonical_expfam(M, 1.5, 10, 0.5, H, v), 0.25),
     ("third_abs_moment.theta0", lambda v: third_abs_moment(M, v), 1.5),
     ("mse_closed_form.theta0", lambda v: mse_closed_form(M, 10, v), 1.5),
     ("sample_model.theta0", lambda v: sample_model(M, v, np.random.default_rng(0), 3, 10), 1.5),
     ("iter_mle_chunks.theta0", lambda v: _chunks(theta0=v), 1.5),
+    ("mse_monte_carlo.theta0", lambda v: _mse_mc(theta0=v), 1.5),
     ("SimulationConfig.theta0", lambda v: _config(theta0=v), 1.5),
 ]
 
