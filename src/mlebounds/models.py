@@ -210,8 +210,9 @@ def _evaluated(m: ExpFamilyModel, t0: float, f: Callable, *args):
     """``f(*args)``, a closed form of ``m`` at theta0 = t0, with an
     ArithmeticError or a float that is not finite (a float division by a
     subnormal overflows to inf without raising) refused through
-    :func:`_not_evaluable`.  A value that is not a float is returned for
-    the caller's own check, which names the field."""
+    :func:`_not_evaluable`: the one guard of every value at theta0.  A
+    value that is not a float (a numpy number, or the record of
+    :func:`_derivative_forms`) is returned for the caller's own check."""
     try:
         value = f(*args)
         if isinstance(value, float) and not math.isfinite(value):
@@ -221,11 +222,9 @@ def _evaluated(m: ExpFamilyModel, t0: float, f: Callable, *args):
     return value
 
 
-def _d(m: ExpFamilyModel, t, k1=None):
-    """D(t) = A'(t) / k'(t) at an unchecked float or float array t, with
-    k'(t) passed as ``k1`` when the caller has it: the one place D is
-    computed."""
-    return m.A1(t) / (m.k1(t) if k1 is None else k1)
+def _d(m: ExpFamilyModel, t):
+    """D(t) = A'(t) / k'(t) at an unchecked float or array t: D's one formula."""
+    return m.A1(t) / m.k1(t)
 
 
 def d_value(m: ExpFamilyModel, theta: float) -> float:
@@ -238,16 +237,12 @@ def d_value(m: ExpFamilyModel, theta: float) -> float:
 
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
     """D'(theta) = (A'' k' - k'' A') / k'^2, bit for bit the D' of the
-    Fisher path, or DomainError where an evaluation raises an
-    ArithmeticError or D' is not finite.  It skips :func:`fisher_info`'s
-    checks, so a finite D' that lost its digits is returned as computed:
-    :func:`invert_d` needs D' where those checks fail."""
+    Fisher path, refused by :func:`_evaluated` where it raises or is not
+    finite.  It skips :func:`fisher_info`'s checks, so a finite D' that
+    lost its digits is returned as computed: :func:`invert_d` needs D'
+    where those checks fail."""
     t = _require_theta(m, theta)
-    value = _derivative_forms(m, t)[2]
-    if not math.isfinite(value):
-        exc = FloatingPointError(f"D' evaluates to {value!r}")
-        raise _not_evaluable(m, t, exc) from exc
-    return value
+    return _evaluated(m, t, lambda: _derivative_forms(m, t)[2])
 
 
 def fisher_info(m: ExpFamilyModel, theta: float) -> float:
@@ -275,21 +270,18 @@ def _derivative_forms(m: ExpFamilyModel, t: float) -> tuple[float, float, float,
     """The two forms of i(t), (A'' k' - k'' A') / k' and A'' - k'' A'/k',
     D'(t) = (A'' k' - k'' A') / k'^2 and, last, the tuple (k', k'', A',
     A'') they come from, one evaluation at a checked t: the one place D'
-    is written."""
-    try:
-        k1, k2, a1, a2 = derivatives = (float(m.k1(t)), float(m.k2(t)),
-                                        float(m.A1(t)), float(m.A2(t)))
-        numerator = a2 * k1 - k2 * a1
-        return numerator / k1, a2 - k2 * (a1 / k1), numerator / (k1 * k1), derivatives
-    except ArithmeticError as exc:
-        raise _not_evaluable(m, t, exc) from exc
+    is written.  Unguarded: callers evaluate it through :func:`_evaluated`."""
+    k1, k2, a1, a2 = derivatives = (float(m.k1(t)), float(m.k2(t)),
+                                    float(m.A1(t)), float(m.A2(t)))
+    numerator = a2 * k1 - k2 * a1
+    return numerator / k1, a2 - k2 * (a1 / k1), numerator / (k1 * k1), derivatives
 
 
 def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
     """i(t) with :func:`fisher_info`'s checks, and D'(t), at a checked t
     (:func:`d_prime` skips the checks for :func:`invert_d`, which needs D'
     where they fail)."""
-    form_ratio, form_d, d_prime_t, derivatives = _derivative_forms(m, t)
+    form_ratio, form_d, d_prime_t, derivatives = _evaluated(m, t, _derivative_forms, m, t)
     scale = max(abs(form_ratio), abs(form_d), 1e-300)
     disagree = abs(form_ratio - form_d) > _FISHER_CONSISTENCY_RTOL * scale
     # A NaN passes the comparison and fails the second test.
@@ -382,8 +374,8 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
             gap *= 2.0
             cand = x0 + gap
         try:
-            k1 = m.k1(cand) if m.contains_theta(cand) else math.nan
-            dc = float(_d(m, cand, k1)) if math.isfinite(k1) else math.nan
+            inside = m.contains_theta(cand) and math.isfinite(m.k1(cand))
+            dc = float(_d(m, cand)) if inside else math.nan
         except ArithmeticError:
             dc = math.nan
         if not math.isfinite(dc):
@@ -411,6 +403,11 @@ def mle(m: ExpFamilyModel, sample) -> float:
     Computes the sample mean of T and inverts D at it: by the model's
     closed-form ``d_inverse`` when it has one, else by :func:`invert_d`.
     A copy of a model with ``d_inverse=None`` takes the generic path.
+
+    Both paths refuse, with DomainError, an MLE they cannot return: a mean
+    T that is not finite (T overflowed), or one whose inverse raises an
+    ArithmeticError or lies outside the open parameter space (a mean T
+    that underflowed to 0 on an edge of the space, say).
     """
     xs = np.asarray(sample, dtype=float)
     if xs.size == 0:
@@ -420,10 +417,20 @@ def mle(m: ExpFamilyModel, sample) -> float:
         raise DomainError(
             f"sample contains points outside the open support {m.support} of {m.name!r}"
         )
-    tbar = float(np.mean(m.T(xs)))
-    if m.d_inverse is not None:
-        return float(m.d_inverse(tbar))
-    return invert_d(m, tbar)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which is refused
+        tbar = float(np.mean(m.T(xs)))
+    if m.d_inverse is None:
+        return invert_d(m, tbar)
+    try:
+        theta = float(m.d_inverse(tbar)) if math.isfinite(tbar) else math.nan
+    except ArithmeticError:
+        theta = math.nan
+    if not m.contains_theta(theta):
+        raise DomainError(
+            f"mean T = {tbar!r} has no MLE inside the parameter space {m.param_space} of "
+            f"model {m.name!r}"
+        )
+    return theta
 
 
 def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:

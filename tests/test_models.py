@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +285,34 @@ class TestMLE:
             mle(m, [])
         with pytest.raises(DomainError):
             mle(m, [1.0, -2.0])
+
+    @pytest.mark.parametrize(
+        "m,sample",
+        [
+            # 1/mean is inf: mean T is subnormal.
+            (exp_canonical_model(), [5e-324]),
+            (exp_canonical_model(), [1e-310, 1e-310]),
+            # x^2 underflows, so mean T is 0 and its inverse is the edge 0.
+            (weibull_scale_model(2.0), [1e-170]),
+            # x^p or the sum overflows, so mean T is inf.
+            (generalized_gamma_model(2.0, 3.0), [1e200]),
+            (exp_noncanonical_model(), [1e308, 1e308]),
+            # mean T is finite, but d_inverse's power raises OverflowError:
+            # theta_hat would be (500 * 1e154)^2.
+            (generalized_gamma_model(1e-3, 0.5), [1e308]),
+        ],
+        ids=["exp-canonical-5e-324", "exp-canonical-1e-310", "weibull-1e-170", "gg-1e200",
+             "exp-noncanonical-1e308", "gg-d_inverse-overflows"],
+    )
+    @pytest.mark.parametrize("path", ["closed", "generic"])
+    def test_an_mle_outside_the_parameter_space_is_refused(self, m, sample, path):
+        # Both paths refuse rather than return inf or 0 for a sample inside
+        # the support, and an overflow in mean T warns nowhere.
+        match = f"mean T = .* has no MLE inside the parameter space .* {re.escape(repr(m.name))}"
+        if path == "generic":
+            m, match = dataclasses.replace(m, d_inverse=None), None
+        with pytest.raises(DomainError, match=match):
+            mle(m, sample)
 
     def test_invert_d_matches_closed_form_both_sides(self):
         # The generic inverse starts at 1 on (0, inf) and at 0 on the real
@@ -703,6 +732,16 @@ class TestFisherConsistencyGuard:
         broken = dataclasses.replace(exp_canonical_model(), A2=lambda th: -1.0 / th**2)
         with pytest.raises(ConsistencyError):
             fisher_info(broken, 2.0)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+    def test_cancellation_between_the_forms_is_detected(self, theta):
+        # At p = 1e-8, A''k' - k''A' cancels to about 1e-8 relative, so the
+        # two forms of i disagree by more than 1e-9.  d_prime skips the
+        # Fisher checks and returns its D' as computed.
+        m = generalized_gamma_model(1.0, 1e-8)
+        with pytest.raises(ConsistencyError, match="forms disagree"):
+            fisher_info(m, theta)
+        assert math.isfinite(d_prime(m, theta))
 
     @pytest.mark.parametrize("a2", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_information_detected(self, a2):

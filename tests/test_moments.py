@@ -331,6 +331,23 @@ class TestExpectedHOfZ:
         )
         assert val == pytest.approx(oracle, abs=1e-8)
 
+    # E[1/(Z^2 + a^2)] = sqrt(pi/2)/a e^{a^2/2} erfc(a/sqrt 2), which at
+    # a = sqrt 2 is (sqrt(pi)/2) e erfc(1).
+    EXACT = 0.5 * math.sqrt(math.pi) * math.e * math.erfc(1.0)
+
+    def test_closed_form_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            closed = mpmath.sqrt(mpmath.pi) / 2 * mpmath.e * mpmath.erfc(1)
+            quad = mpmath.quad(lambda z: mpmath.npdf(z) / (z * z + 2),
+                               [-mpmath.inf, 0, mpmath.inf])
+            assert abs(closed - quad) < mpmath.mpf("1e-38")
+        assert self.EXACT == pytest.approx(float(closed), rel=1e-15)
+
+    def test_reference_function_meets_the_closed_form(self):
+        # The integrator's tol is 1e-10; the quadrature lands 3.4e-12 away.
+        assert reference_test_function().expected_h == pytest.approx(self.EXACT, abs=1e-10)
+
     def test_constant(self):
         assert expected_h_of_z(lambda z: 3.25) == pytest.approx(3.25, abs=1e-10)
 
