@@ -44,8 +44,9 @@ class QuadratureError(MLEBoundsError, RuntimeError):
 
 
 class ConsistencyError(MLEBoundsError, RuntimeError):
-    """Two algebraically equivalent computations disagreed beyond tolerance,
-    or a model produced values that contradict its own contract."""
+    """A model produced values that contradict its own contract: a negative
+    Fisher information, or an MLE from its closed-form inverse that fails
+    D(theta_hat) = mean T."""
 
 
 def _require_int(

@@ -10,12 +10,12 @@ with D = A'/k', so the MLE is D^{-1} applied to a sample average.  Everything
 the error bounds need lives here: D, the Fisher information, the ratio
 sqrt(i)/|D'|, the supremum of |D''| over a parameter ball, and the MLE
 itself.  Each built-in constructor also sets its family's closed forms on
-the model (third moment, MSE of the MLE, the law of mean T), so the
-generic code in :mod:`.moments` and :mod:`.bounds` never asks which family
-it holds; :mod:`.montecarlo` asks only to attach the published bounds of
-the two exponential models, which it picks by registry id.  Laplace and
-Weibull are copies of the exponential and generalized gamma models with
-only the differing fields replaced.
+the model (Fisher information, third moment, MSE of the MLE, the law of
+mean T), so the generic code in :mod:`.moments` and :mod:`.bounds` never
+asks which family it holds; :mod:`.montecarlo` asks only to attach the
+published bounds of the two exponential models, which it picks by registry
+id.  Laplace and Weibull are copies of the exponential and generalized
+gamma models with only the differing fields replaced.
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -64,14 +64,6 @@ __all__ = [
 
 Interval = tuple[float, float]
 
-# Relative disagreement between the two algebraic forms of the Fisher
-# information that is treated as lost precision.
-_FISHER_CONSISTENCY_RTOL = 1e-9
-
-# The smallest normal float: a product or difference below it has lost
-# digits to underflow.
-_TINY = 2.0**-1022
-
 # E|X - mu|^3 for an exponential variable with mean mu equals (12/e - 2) mu^3.
 # Stored as the exact expression; the usual 5-decimal rendering is 2.41456.
 EXP_THIRD_ABS_MOMENT = 12.0 / math.e - 2.0
@@ -100,13 +92,17 @@ class GeneralizedGammaParams:
 
 @dataclass(frozen=True, eq=False)
 class ExpFamilyModel:
-    """A one-parameter exponential family with analytic derivatives.
+    """A one-parameter exponential family with its Fisher information.
 
-    ``k, k1, k2`` and ``A, A1, A2`` are the parameter functions and their
-    first two derivatives, which only this module reads; ``T`` is the
-    natural statistic and ``S`` the data-only carrier term.  Each takes a
-    float or a float array; a field that is constant may return its
-    constant as a scalar for either, since every caller broadcasts it.
+    ``k, k1`` and ``A, A1`` are the parameter functions and their first
+    derivatives, and ``fisher(theta)`` is the family's Fisher information
+    i(theta) = A'' - k'' D = k' D' in closed form; only this module reads
+    these three.  A custom model must state ``fisher``, written so that no
+    intermediate underflows to a subnormal while the result is finite
+    (``c / theta / theta``, not ``c / theta**2``).  ``T`` is the natural
+    statistic and ``S`` the data-only carrier term.  Each takes a float or
+    a float array; a field that is constant may return its constant as a
+    scalar for either, since every caller broadcasts it.
 
     The optional fields hold the family's closed forms, which take theta0
     unchecked (the public functions that call them check it first); each
@@ -139,10 +135,9 @@ class ExpFamilyModel:
     name: str
     k: Callable
     k1: Callable
-    k2: Callable
     A: Callable
     A1: Callable
-    A2: Callable
+    fisher: Callable
     T: Callable
     S: Callable
     support: Interval
@@ -211,8 +206,8 @@ def _evaluated(m: ExpFamilyModel, t0: float, f: Callable, *args):
     ArithmeticError or a float that is not finite (a float division by a
     subnormal overflows to inf without raising) refused through
     :func:`_not_evaluable`: the one guard of every value at theta0.  A
-    value that is not a float (a numpy number, or the record of
-    :func:`_derivative_forms`) is returned for the caller's own check."""
+    value that is not a float (a numpy number other than float64) is
+    returned for the caller's own check."""
     try:
         value = f(*args)
         if isinstance(value, float) and not math.isfinite(value):
@@ -236,87 +231,50 @@ def d_value(m: ExpFamilyModel, theta: float) -> float:
 
 
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
-    """D'(theta) = (A'' k' - k'' A') / k'^2, bit for bit the D' of the
-    Fisher path, refused by :func:`_evaluated` where it raises or is not
-    finite.  It skips :func:`fisher_info`'s checks, so a finite D' that
-    lost its digits is returned as computed: :func:`invert_d` needs D'
-    where those checks fail."""
+    """D'(theta) = i(theta) / k'(theta), bit for bit the D' of the bounds,
+    refused by :func:`_evaluated` where i or D' raises or is not finite.
+    It skips :func:`fisher_info`'s sign and underflow checks: :func:`invert_d`
+    reads the direction of D from the sign of D'."""
     t = _require_theta(m, theta)
-    return _evaluated(m, t, lambda: _derivative_forms(m, t)[2])
+    return _evaluated(m, t, _d_prime, m, t, float(_evaluated(m, t, m.fisher, t)))
+
+
+def _d_prime(m: ExpFamilyModel, t: float, i: float) -> float:
+    """D'(t) = i / k'(t) from i = i(t), at a checked t: D''s one formula.
+    Unguarded: callers evaluate it through :func:`_evaluated`."""
+    return i / float(m.k1(t))
 
 
 def fisher_info(m: ExpFamilyModel, theta: float) -> float:
-    """Expected Fisher information i(theta) for a single observation.
+    """Expected Fisher information i(theta) for a single observation: the
+    model's stated ``fisher``, evaluated through :func:`_evaluated`.
 
-    Evaluates both algebraic forms, (A'' k' - k'' A') / k' and
-    A'' - k'' D with D = A'/k', and raises ConsistencyError if they disagree
-    by more than 1e-9 relative.  Both are the same algebra on the same four
-    derivative values, so a wrong derivative passes that comparison; what
-    it catches is cancellation in A'' k' - k'' A'.  The only check of the
-    derivatives themselves is that i(theta) must come out finite and
-    positive.
-
-    A theta at which floating point fails raises DomainError naming it: an
-    evaluation that raises an ArithmeticError, or a failed check where the
-    four derivatives are finite but a form of i or D' is not (a product
-    overflowed), or A'' k', k'' A' or their difference is below 2^-1022 in
-    magnitude from nonzero operands (an underflow lost the digits of i).
-    A derivative that is itself NaN or infinite keeps the ConsistencyError.
+    A theta at which i cannot be evaluated raises DomainError naming it:
+    an evaluation that raises an ArithmeticError, an i that is NaN or
+    infinite, or a non-negative i below 2^-1022 (0.0 included), which has
+    underflowed.  A negative i breaks the model's contract and raises
+    ConsistencyError.
     """
-    return _fisher_and_d_prime(m, _require_theta(m, theta))[0]
+    return _fisher(m, _require_theta(m, theta))
 
 
-def _derivative_forms(m: ExpFamilyModel, t: float) -> tuple[float, float, float, tuple]:
-    """The two forms of i(t), (A'' k' - k'' A') / k' and A'' - k'' A'/k',
-    D'(t) = (A'' k' - k'' A') / k'^2 and, last, the tuple (k', k'', A',
-    A'') they come from, one evaluation at a checked t: the one place D'
-    is written.  Unguarded: callers evaluate it through :func:`_evaluated`."""
-    k1, k2, a1, a2 = derivatives = (float(m.k1(t)), float(m.k2(t)),
-                                    float(m.A1(t)), float(m.A2(t)))
-    numerator = a2 * k1 - k2 * a1
-    return numerator / k1, a2 - k2 * (a1 / k1), numerator / (k1 * k1), derivatives
+def _fisher(m: ExpFamilyModel, t: float) -> float:
+    """:func:`fisher_info` at a checked t."""
+    i = float(_evaluated(m, t, m.fisher, t))
+    if i < 0.0:
+        raise ConsistencyError(
+            f"Fisher information must be positive, got {i!r} for model {m.name!r} at theta={t}"
+        )
+    if not 2.0**-1022 <= i < math.inf:
+        exc = FloatingPointError(f"i(theta0) = {i!r} is not a normal float")
+        raise _not_evaluable(m, t, exc) from exc
+    return i
 
 
 def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
-    """i(t) with :func:`fisher_info`'s checks, and D'(t), at a checked t
-    (:func:`d_prime` skips the checks for :func:`invert_d`, which needs D'
-    where they fail)."""
-    form_ratio, form_d, d_prime_t, derivatives = _evaluated(m, t, _derivative_forms, m, t)
-    scale = max(abs(form_ratio), abs(form_d), 1e-300)
-    disagree = abs(form_ratio - form_d) > _FISHER_CONSISTENCY_RTOL * scale
-    # A NaN passes the comparison and fails the second test.
-    if disagree or not 0.0 < form_ratio < math.inf:
-        lost = _lost_digits((form_ratio, form_d, d_prime_t), *derivatives)
-        if lost is not None:
-            exc = FloatingPointError(lost)
-            raise _not_evaluable(m, t, exc) from exc
-        if disagree:
-            raise ConsistencyError(
-                f"Fisher information forms disagree for model {m.name!r} at theta={t}: "
-                f"{form_ratio!r} vs {form_d!r}"
-            )
-        raise ConsistencyError(
-            f"Fisher information must be finite and positive, got {form_ratio!r} for model "
-            f"{m.name!r} at theta={t}"
-        )
-    return form_ratio, d_prime_t
-
-
-def _lost_digits(forms: tuple, k1: float, k2: float, a1: float, a2: float) -> str | None:
-    """How floating point lost i although k', k'', A' and A'' are finite,
-    or None: a form of i or D' is not finite, or A'' k', k'' A' or their
-    difference is below 2^-1022 from nonzero operands (at normal-variance
-    theta = 10^80.75 the difference is exactly 0.0, not subnormal)."""
-    if not all(map(math.isfinite, (k1, k2, a1, a2))):
-        return None
-    if not all(map(math.isfinite, forms)):
-        return "a form of i, or D', is not finite"
-    a2k1, k2a1 = a2 * k1, k2 * a1
-    if ((abs(a2k1) < _TINY and a2 != 0.0 and k1 != 0.0)
-            or (abs(k2a1) < _TINY and k2 != 0.0 and a1 != 0.0)
-            or (abs(a2k1 - k2a1) < _TINY and a2k1 != 0.0 and k2a1 != 0.0)):
-        return "A''k' - k''A' underflows below 2**-1022"
-    return None
+    """i(t) with :func:`fisher_info`'s checks, and D'(t), at a checked t."""
+    i = _fisher(m, t)
+    return i, _evaluated(m, t, _d_prime, m, t, i)
 
 
 def invert_d(m: ExpFamilyModel, target: float) -> float:
@@ -572,10 +530,9 @@ def exp_canonical_model() -> ExpFamilyModel:
         name="exp-canonical",
         k=lambda th: th,
         k1=lambda th: 1.0,
-        k2=lambda th: 0.0,
         A=lambda th: -np.log(th),
         A1=lambda th: -1.0 / th,
-        A2=lambda th: 1.0 / th**2,
+        fisher=lambda th: 1.0 / th / th,
         T=lambda x: -x,
         S=lambda x: 0.0,
         support=_POS,
@@ -599,10 +556,9 @@ def exp_noncanonical_model() -> ExpFamilyModel:
         name="exp-noncanonical",
         k=lambda th: -1.0 / th,
         k1=lambda th: 1.0 / th**2,
-        k2=lambda th: -2.0 / th**3,
         A=lambda th: np.log(th),
         A1=lambda th: 1.0 / th,
-        A2=lambda th: -1.0 / th**2,
+        fisher=lambda th: 1.0 / th / th,
         T=lambda x: x,
         S=lambda x: 0.0,
         support=_POS,
@@ -640,15 +596,14 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
     s2 = sigma**2
     log_norm = math.log(sigma * math.sqrt(2.0 * math.pi))
     third = NORMAL_THIRD_ABS_MOMENT * sigma**3
-    inv_s2 = 1.0 / s2  # k' and A''
+    inv_s2 = 1.0 / s2  # k' and i
     return ExpFamilyModel(
         name=f"normal-mean(sigma={sigma})",
         k=lambda th: th / s2,
         k1=lambda th: inv_s2,
-        k2=lambda th: 0.0,
         A=lambda th: th**2 / (2.0 * s2),
         A1=lambda th: th / s2,
-        A2=lambda th: inv_s2,
+        fisher=lambda th: inv_s2,
         T=lambda x: np.asarray(x, dtype=float) + 0.0,
         S=lambda x: -np.asarray(x, dtype=float) ** 2 / (2.0 * s2) - log_norm,
         support=_REAL,
@@ -664,9 +619,11 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
     """Normal scale family: theta is the variance, the mean mu is known.
 
     T(x) = (x - mu)^2, D is the identity, and the MLE is mean (x_i - mu)^2.
-    The third moment is :func:`_quadrature_third_moment` over mu -/+ 14 sd
-    (normal mass 1.6e-44 outside), which equals 8 m3(1/2) theta^3 (T is
-    Gamma(1/2, scale 2 theta)).
+    The third moment is theta^3 times :func:`_quadrature_third_moment` at
+    theta = 1 over mu -/+ 14 (normal mass 1.6e-44 outside), which equals
+    8 m3(1/2) theta^3 (T is Gamma(1/2, scale 2 theta)).  It integrates in
+    the standardized variable because the quadrature's error target is
+    absolute for an integral below 1, as the moment is for small theta.
     """
     mu = _require_real(mu, "mu", "finite")
     log_norm = 0.5 * math.log(2.0 * math.pi)
@@ -674,17 +631,15 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         name=f"normal-variance(mu={mu})",
         k=lambda th: -1.0 / (2.0 * th),
         k1=lambda th: 1.0 / (2.0 * th**2),
-        k2=lambda th: -1.0 / th**3,
         A=lambda th: 0.5 * np.log(th),
         A1=lambda th: 1.0 / (2.0 * th),
-        A2=lambda th: -1.0 / (2.0 * th**2),
+        fisher=lambda th: 0.5 / th / th,
         T=lambda x: (np.asarray(x, dtype=float) - mu) ** 2,
         S=lambda x: -log_norm,
         support=_REAL,
         param_space=_POS,
         d_inverse=lambda t: t,
-        third_moment=lambda t0: _quadrature_third_moment(
-            model, t0, mu - 14.0 * math.sqrt(t0), mu + 14.0 * math.sqrt(t0)),
+        third_moment=lambda t0: t0**3 * _quadrature_third_moment(model, 1.0, mu - 14.0, mu + 14.0),
         mse=lambda n, t0: 2.0 * t0**2 / n,
         # The sum of n draws of (x - mu)^2 is theta times a chi-square with
         # n degrees of freedom: Gamma(n/2, scale 2 theta).
@@ -704,6 +659,7 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     dv = _require_real(d, "generalized gamma shape d")
     pv = _require_real(p, "generalized gamma shape p")
     a = dv / pv
+    dp = dv * pv  # i(theta) = d p / theta^2
     log_gamma_a = math.lgamma(a)
 
     def sup_d2(t0: float, eps: float) -> float:
@@ -714,10 +670,9 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
         name=f"gg(d={dv}, p={pv})",
         k=lambda th: -th ** (-pv),
         k1=lambda th: pv * th ** (-pv - 1.0),
-        k2=lambda th: -pv * (pv + 1.0) * th ** (-pv - 2.0),
         A=lambda th: dv * np.log(th),
         A1=lambda th: dv / th,
-        A2=lambda th: -dv / th**2,
+        fisher=lambda th: dp / th / th,
         T=lambda x: np.asarray(x, dtype=float) ** pv,
         S=lambda x: math.log(pv) + (dv - 1.0) * np.log(x) - log_gamma_a,
         support=_POS,

@@ -100,8 +100,10 @@ class SimulationConfig:
     """One simulation specification: model, truth, sizes, seed, test function.
 
     The chunk layout is fixed, so these fields determine the random stream.
-    ``theta0`` is stored as a Python float; whether it lies in the model's
-    parameter space is checked when the simulation runs.
+    ``theta0`` is stored as a Python float, and ``model_params`` as a dict
+    copy of the caller's mapping, which it may then change without changing
+    the run; whether theta0 lies in the model's parameter space is checked
+    when the simulation runs.
     """
 
     model_id: str
@@ -118,6 +120,7 @@ class SimulationConfig:
         for name in ("n", "trials"):
             object.__setattr__(self, name, _require_int(getattr(self, name), name))
         object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, maximum=_SEED_MAX))
+        object.__setattr__(self, "model_params", dict(self.model_params))
         _require_test_function(self.h)
 
 
@@ -291,7 +294,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     the wall-time field), independent of chunk scheduling.
     """
     start_time = time.perf_counter()
-    m = make_model(config.model_id, **dict(config.model_params))
+    m = make_model(config.model_id, **config.model_params)
     theta0, n, trials = config.theta0, config.n, config.trials
     h_fn = config.h.h
     expected = config.h.expected_h

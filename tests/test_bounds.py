@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -652,36 +653,48 @@ class TestClosedFormsFailInFloatingPoint:
         mse = mse_closed_form(m, 10, theta0)
         self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, mse), m, theta0)
 
-    @pytest.mark.parametrize("theta0", [1e-200, 1e200])
+    # i = 1/theta0^2 overflows (1e-200, 1e-160) or underflows below 2^-1022
+    # (1e155, 1e200).
+    @pytest.mark.parametrize("theta0", [1e-200, 1e-160, 1e155, 1e200])
     def test_fisher_information_fails(self, theta0):
         for m in (exp_canonical_model(), exp_noncanonical_model()):
             self._refused(lambda: fisher_info(m, theta0), m, theta0)
 
-    # One theta0 in each band where a product in the Fisher formula
-    # overflows or underflows without raising, while k', k'', A' and A''
-    # are finite: i came out NaN or its two forms disagreed, and each raised
-    # ConsistencyError.
-    @pytest.mark.parametrize("model_id, params, theta0", [
-        ("exp-noncanonical", {}, 1e-80),
-        ("exp-noncanonical", {}, 1e80),
-        ("laplace", {}, 1e-90),
-        ("laplace", {}, 1e80),
-        ("normal-variance", {}, 1e-90),
-        ("normal-variance", {}, 1e79),
-        ("weibull", {"alpha": 2.0}, 1e-70),
-        ("gg", {"d": 2.0, "p": 1.5}, 1e-75),
-        ("gg", {"d": 0.5, "p": 3.0}, 1e-55),
+    # One theta0 in each band where a product in the Fisher information
+    # derived from k', k'', A' and A'' overflowed or underflowed without
+    # raising: each was refused.  The stated i = c/theta0^2 is exact there.
+    # The identity-D families' bound is scale-free, so it equals their
+    # bound at theta0 = 1; gg's and Weibull's |D'|^3 overflows in the
+    # theorem.
+    @pytest.mark.parametrize("model_id, params, theta0, c", [
+        ("exp-noncanonical", {}, 1e-80, 1),
+        ("exp-noncanonical", {}, 1e80, 1),
+        ("laplace", {}, 1e-90, 1),
+        ("laplace", {}, 1e80, 1),
+        ("normal-variance", {}, 1e-90, Fraction(1, 2)),
+        ("normal-variance", {}, 1e79, Fraction(1, 2)),
+        ("weibull", {"alpha": 2.0}, 1e-70, 4),
+        ("gg", {"d": 2.0, "p": 1.5}, 1e-75, 3),
+        ("gg", {"d": 0.5, "p": 3.0}, 1e-55, Fraction(3, 2)),
     ])
-    def test_fisher_formula_fails_without_raising(self, model_id, params, theta0):
+    def test_fisher_is_exact_where_its_derived_form_failed(self, model_id, params, theta0, c):
         m = make_model(model_id, **params)
-        self._refused(lambda: fisher_info(m, theta0), m, theta0)
-        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3), m, theta0)
+        exact = c / Fraction(theta0) ** 2
+        assert abs(Fraction(fisher_info(m, theta0)) - exact) <= 4 * math.ulp(float(exact))
+        if m.is_identity:
+            got = expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3)
+            assert got.total == expfam_bound(m, 1.0, 10, 0.5, H, 1e-3).total
+        else:
+            message = f"^theta0={theta0!r}, n=10: the expfam bound is not finite"
+            with pytest.raises(DomainError, match=message):
+                expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3)
 
     def test_public_evaluators_refuse(self):
-        # Each raised a bare ZeroDivisionError.
+        # Each raised a bare ZeroDivisionError but the third moment, whose
+        # theta0^3 now underflows to 0.0 at 1e-300 and overflows at 1e103.
         can, var = exp_canonical_model(), normal_variance_model()
         self._refused(lambda: sup_abs_d_second(can, 1e-110, 5e-111), can, 1e-110)
-        self._refused(lambda: third_abs_moment(var, 1e-300), var, 1e-300)
+        self._refused(lambda: third_abs_moment(var, 1e103), var, 1e103)
         self._refused(lambda: d_value(var, 1e-300), var, 1e-300)
         self._refused(lambda: d_prime(can, 1e-200), can, 1e-200)
 

@@ -113,25 +113,20 @@ class TestBoundCommand:
 
 
 # theta0 inside the parameter space at which a closed form fails in floating
-# point; each exited 3 ("runtime failure") with a bare arithmetic error or,
-# for the Fisher information, a ConsistencyError.
+# point; each exited 3 ("runtime failure") with a bare arithmetic error, or
+# exits 2 since the Fisher information is stated by the model.
 UNEVALUABLE = [
     # (theta0 - epsilon)^3 underflows to 0 in exp-canonical's sup|D''|.
     "bound --formula expfam --model exp-canonical --theta0 1e-110 --n 10",
     # theta0^2 overflows in the exp-noncanonical MSE.
     "bound --formula expfam --model exp-noncanonical --theta0 1e200 --n 10",
-    # k' = 1/(2 theta^2) divides by 0 in the normal-variance third moment.
+    # The normal-variance Fisher information 1/(2 theta0^2) overflows.
     "bound --formula expfam --model normal-variance --theta0 1e-300 --n 10",
     # theta^{3p} overflows in the gg Holder moment.
     "bound --formula theorem --model gg --d 2 --p 1.5 --theta0 1e150 --n 10",
-    # A'' = 1/theta^2 divides by 0 in the Fisher information.
+    # The Fisher information 1/theta0^2 overflows.
     "simulate --model exp-canonical --theta0 1e-200 --n 10 --trials 100",
-    # A'' k' overflows to -inf in the Fisher information, which came out NaN.
-    "bound --formula expfam --model exp-noncanonical --theta0 1e-80 --n 10",
-    "bound --formula theorem --model gg --d 2 --p 1.5 --theta0 1e-75 --n 10",
-    "simulate --model laplace --theta0 1e-90 --n 10 --trials 1000",
-    # A'' k' and k'' A' underflow to subnormals: the two forms of i disagreed.
-    "bound --formula expfam --model normal-variance --theta0 1e79 --n 10",
+    "bound --formula expfam --model exp-noncanonical --theta0 1e-160 --n 10",
     # theta0^3 is subnormal, so the exp-canonical third moment divides to inf
     # without raising; this exited 2 naming third_moment, not theta0.
     "bound --formula expfam --model exp-canonical --theta0 1e-103 --n 10",
@@ -146,6 +141,37 @@ def test_theta0_where_the_closed_forms_fail_is_refused(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: theta0={float(theta0)!r} is inside the parameter space")
     assert model in err
+
+
+# theta0 at which the Fisher information derived from k', k'', A' and A''
+# lost its digits, so each exited 2.  The stated i is exact there, and the
+# identity-D families' bound is scale-free: each prints what it prints at
+# theta0 = 1.
+@pytest.mark.parametrize("argv", [
+    "bound --formula expfam --model exp-noncanonical --theta0 1e-80 --n 10 --format json",
+    "simulate --model laplace --theta0 1e-90 --n 10 --trials 1000 --format json",
+    "bound --formula expfam --model normal-variance --theta0 1e79 --n 10 --format json",
+])
+def test_theta0_where_the_derived_fisher_failed_is_evaluated(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    theta0 = argv.split("--theta0 ")[1].split()[0]
+    _, at_one, _ = run_cli(capsys, *argv.replace(f"--theta0 {theta0}", "--theta0 1").split())
+    if argv.startswith("bound"):
+        assert json.loads(out) == json.loads(at_one)
+    else:
+        assert json.loads(out)[0]["new_bound"] == json.loads(at_one)[0]["new_bound"]
+    if "exp-noncanonical" in argv:
+        assert json.loads(out)["total"] == 0.3205779635405446
+
+
+def test_gg_theorem_where_the_stein_term_is_nan_is_refused(capsys):
+    # i^{3/2}/|D'|^3 overflows and the Holder moment underflows to 0, so the
+    # Stein term is NaN, and the theorem refuses it naming theta0 and n.
+    argv = "bound --formula theorem --model gg --d 2 --p 1.5 --theta0 1e-75 --n 10"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theta0=1e-75, n=10: the theorem bound is not finite")
 
 
 @pytest.mark.parametrize("formula", ["expfam", "theorem", "ar-canonical"])

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +77,20 @@ DATA_WINDOWS = [
 ]
 
 
+# For each case of all_builtin_cases(), in order: scipy's law of T at theta
+# (of -T for exp-canonical, which has the same variance).
+T_LAWS = [
+    lambda t: stats.expon(scale=1.0 / t),
+    lambda t: stats.expon(scale=t),
+    lambda t: stats.expon(scale=t),
+    lambda t: stats.norm(t, 1.5),
+    lambda t: stats.chi2(1, scale=t),
+    lambda t: stats.gamma(1.0, scale=t**2.0),
+    lambda t: stats.gamma(2.0 / 1.5, scale=t**1.5),
+    lambda t: stats.gamma(1.5, scale=t**2.0),
+]
+
+
 class TestDValue:
     def test_gg(self):
         m = generalized_gamma_model(d=2.0, p=1.0)
@@ -116,14 +132,24 @@ class TestFisherInfo:
         assert fisher_info(m, theta0) == pytest.approx(val, rel=1e-8)
 
     def test_gg_quadrature_oracle(self):
-        # i = A'' - k'' E[T] with E[T] computed by quadrature against the
-        # GG(theta0, d, p) law, scipy's gengamma(a=d/p, c=p, scale=theta0).
+        # i = k'^2 Var(T) with E[T] and E[T^2] computed by quadrature
+        # against the GG(theta0, d, p) law, scipy's gengamma(a=d/p, c=p,
+        # scale=theta0).
         m = generalized_gamma_model(d=4.0, p=2.0)
         theta0 = 1.0
-        et = stats.gengamma(a=2.0, c=2.0, scale=theta0).expect(lambda x: float(m.T(x)))
-        expected = float(m.A2(theta0)) - float(m.k2(theta0)) * et
+        law = stats.gengamma(a=2.0, c=2.0, scale=theta0)
+        et = law.expect(lambda x: float(m.T(x)))
+        et2 = law.expect(lambda x: float(m.T(x)) ** 2)
+        expected = float(m.k1(theta0)) ** 2 * (et2 - et * et)
         assert fisher_info(m, theta0) == pytest.approx(8.0, rel=1e-12)
         assert fisher_info(m, theta0) == pytest.approx(expected, rel=1e-8)
+
+    def test_information_is_k_prime_squared_times_the_variance_of_t(self):
+        # i = k'^2 Var(T), with Var(T) from scipy's law of T at each theta.
+        for (m, thetas), law in zip(all_builtin_cases(), T_LAWS, strict=True):
+            for theta in thetas:
+                expected = float(m.k1(theta)) ** 2 * law(theta).var()
+                assert fisher_info(m, theta) == pytest.approx(expected, rel=1e-12), (m.name, theta)
 
     def test_positive_on_grid(self):
         for m, thetas in all_builtin_cases():
@@ -165,16 +191,22 @@ DERIVATIVE_CASES = [
 @pytest.mark.parametrize("model_id,params,thetas", DERIVATIVE_CASES,
                          ids=[f"{c[0]}{c[1] or ''}" for c in DERIVATIVE_CASES])
 def test_derivative_fields_are_the_derivatives_of_k_and_a(model_id, params, thetas):
-    # fisher_info's two-form check cannot catch a wrong derivative, so k1,
-    # k2, A1 and A2 are compared with central differences of k, k1, A and
-    # A1.  k and A (with S) stay on the model as the family's definition:
-    # density, and so normal-variance's quadrature third moment, reads them.
+    # k1 and A1 are compared with central differences of k and A, and the
+    # stated fisher with k' times the central difference of D = A'/k'.  k
+    # and A (with S) stay on the model as the family's definition: density,
+    # and so normal-variance's quadrature third moment, reads them.
     m = make_model(model_id, **params)
+
+    def d(th):
+        return float(m.A1(th)) / float(m.k1(th))
+
     for theta in thetas:
         step = 1e-5 * max(1.0, abs(theta))
-        for f, derivative in ((m.k, m.k1), (m.k1, m.k2), (m.A, m.A1), (m.A1, m.A2)):
+        for f, derivative in ((m.k, m.k1), (m.A, m.A1)):
             central = (float(f(theta + step)) - float(f(theta - step))) / (2.0 * step)
             assert central == pytest.approx(float(derivative(theta)), rel=1e-7), (theta, f)
+        central = (d(theta + step) - d(theta - step)) / (2.0 * step)
+        assert float(m.k1(theta)) * central == pytest.approx(float(m.fisher(theta)), rel=1e-7)
 
 
 class TestMLE:
@@ -249,12 +281,11 @@ class TestMLE:
             xs = rng.exponential(scale, size=30)
             assert mle(rate, xs) == pytest.approx(1.0 / np.mean(xs), rel=1e-10)
 
-    @pytest.mark.parametrize("a2", [lambda th: -2.0 / th**2, lambda th: math.nan])
-    def test_invert_d_needs_a_monotone_d(self, a2):
-        # With A'' = -2/theta^2, D' = (A'' k' - k'' A') / k'^2 is 0 for the
-        # exponential's k and A'; with a NaN it is not finite.  Either way
-        # the root finder has no direction and must say so.
-        flat = dataclasses.replace(exp_noncanonical_model(), name="flat", A2=a2)
+    @pytest.mark.parametrize("fisher", [lambda th: 0.0, lambda th: math.nan])
+    def test_invert_d_needs_a_monotone_d(self, fisher):
+        # With i = 0, D' = i/k' is 0; with a NaN it is not finite.  Either
+        # way the root finder has no direction and must say so.
+        flat = dataclasses.replace(exp_noncanonical_model(), name="flat", fisher=fisher)
         with pytest.raises(DomainError, match="flat"):
             invert_d(flat, 1.0)
 
@@ -389,10 +420,9 @@ class TestBoundedParameterSpace:
         name="bernoulli-mean",
         k=lambda p: np.log(p / (1.0 - p)),
         k1=lambda p: 1.0 / (p * (1.0 - p)),
-        k2=lambda p: (2.0 * p - 1.0) / (p * (1.0 - p)) ** 2,
         A=lambda p: -np.log(1.0 - p),
         A1=lambda p: 1.0 / (1.0 - p),
-        A2=lambda p: 1.0 / (1.0 - p) ** 2,
+        fisher=lambda p: 1.0 / (p * (1.0 - p)),
         param_space=(0.0, 1.0),
         d_inverse=None,
     )
@@ -403,10 +433,9 @@ class TestBoundedParameterSpace:
         name="exp-natural",
         k=lambda eta: eta,
         k1=lambda eta: 1.0 + 0.0 * eta,
-        k2=lambda eta: 0.0 * eta,
         A=lambda eta: -np.log(-eta),
         A1=lambda eta: -1.0 / eta,
-        A2=lambda eta: 1.0 / eta**2,
+        fisher=lambda eta: 1.0 / eta / eta,
         param_space=(-math.inf, 0.0),
         d_inverse=None,
     )
@@ -725,33 +754,71 @@ class TestGGClosures:
 
 class TestFisherConsistencyGuard:
     def test_nonpositive_information_detected(self):
-        import dataclasses
-
-        # A model whose derivatives imply i(theta) < 0 violates its own
+        # A model whose stated i(theta) is negative violates its own
         # contract and must be reported rather than silently propagated.
-        broken = dataclasses.replace(exp_canonical_model(), A2=lambda th: -1.0 / th**2)
-        with pytest.raises(ConsistencyError):
+        broken = dataclasses.replace(exp_canonical_model(), fisher=lambda th: -1.0 / th / th)
+        with pytest.raises(ConsistencyError, match="must be positive"):
             fisher_info(broken, 2.0)
 
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-    def test_cancellation_between_the_forms_is_detected(self, theta):
-        # At p = 1e-8, A''k' - k''A' cancels to about 1e-8 relative, so the
-        # two forms of i disagree by more than 1e-9.  d_prime skips the
-        # Fisher checks and returns its D' as computed.
+    def test_small_p_information_is_exact(self, theta):
+        # At p = 1e-8, the i derived from k'', A'' and D cancelled to about
+        # 1e-8 relative.  The stated i = d p / theta^2 is exact to 4 ulps.
         m = generalized_gamma_model(1.0, 1e-8)
-        with pytest.raises(ConsistencyError, match="forms disagree"):
-            fisher_info(m, theta)
+        exact = Fraction(1e-8) / Fraction(theta) ** 2
+        assert abs(Fraction(fisher_info(m, theta)) - exact) <= 4 * math.ulp(float(exact))
         assert math.isfinite(d_prime(m, theta))
 
-    @pytest.mark.parametrize("a2", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_non_finite_information_detected(self, a2):
-        # A NaN passes the comparison of the two forms; it is refused where
-        # it is computed, so every caller sees the ConsistencyError.
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_information_detected(self, value):
+        # A NaN or infinite i is refused by the guard of the closed forms,
+        # naming theta0, so every caller sees the same DomainError.
         from mlebounds import expfam_bound, reference_test_function
 
-        broken = dataclasses.replace(make_model("exp-noncanonical"), A2=lambda th: a2)
-        message = "Fisher information must be finite and positive.*'exp-noncanonical'"
-        with pytest.raises(ConsistencyError, match=message):
+        broken = dataclasses.replace(make_model("exp-noncanonical"), fisher=lambda th: value)
+        message = "^theta0=1.0 is inside the parameter space of model 'exp-noncanonical'"
+        with pytest.raises(DomainError, match=message):
             fisher_info(broken, 1.0)
-        with pytest.raises(ConsistencyError, match=message):
+        with pytest.raises(DomainError, match=message):
             expfam_bound(broken, 1.0, 10, 0.5, reference_test_function(), 0.1)
+
+
+# The exact i(theta) of each built-in, and of gg(1, p) down to p = 1e-8, as
+# a Fraction of the float theta.
+EXACT_FISHER = [
+    (exp_canonical_model(), lambda t: 1 / t**2),
+    (exp_noncanonical_model(), lambda t: 1 / t**2),
+    (laplace_scale_model(), lambda t: 1 / t**2),
+    (normal_mean_model(), lambda t: Fraction(1)),
+    (normal_mean_model(sigma=1.5), lambda t: 1 / Fraction(1.5) ** 2),
+    (normal_variance_model(mu=0.5), lambda t: 1 / (2 * t**2)),
+    (weibull_scale_model(alpha=2.0), lambda t: 4 / t**2),
+    (generalized_gamma_model(d=2.0, p=1.5), lambda t: 3 / t**2),
+    (generalized_gamma_model(d=0.5, p=3.0), lambda t: Fraction(3, 2) / t**2),
+    *[(generalized_gamma_model(d=1.0, p=p), lambda t, p=p: Fraction(p) / t**2)
+      for p in (1e-5, 1e-6, 1e-7, 1e-8)],
+]
+
+
+@pytest.mark.parametrize("m,exact", EXACT_FISHER, ids=[m.name for m, _ in EXACT_FISHER])
+def test_stated_fisher_is_exact_across_the_float_range(m, exact):
+    # On theta = 10^(k/16) across the float range (both signs where the
+    # space allows), fisher_info returns i within 4 ulps of the exact value
+    # wherever that value is a normal float, and refuses with DomainError
+    # only where it is not.
+    grid = [10.0 ** (k / 16) for k in range(-16 * 323, 16 * 308 + 5)]
+    thetas = grid + [-t for t in grid] if m.contains_theta(-1.0) else grid
+    smallest, largest = Fraction(2.0**-1022), Fraction(sys.float_info.max)
+    returned = 0
+    for theta in thetas:
+        want = exact(Fraction(theta))
+        try:
+            got = fisher_info(m, theta)
+        except DomainError:
+            # At the two ends of the normal range one rounding may cross it.
+            margin = 1 + Fraction(1, 2**50)
+            assert not smallest * margin <= want <= largest / margin, (m.name, theta)
+            continue
+        assert abs(Fraction(got) - want) <= 4 * math.ulp(float(want)), (m.name, theta)
+        returned += 1
+    assert returned > 2000, m.name

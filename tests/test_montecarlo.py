@@ -266,6 +266,16 @@ class TestSimulationConfig:
         result = run_simulation(config)
         assert pickle.loads(pickle.dumps(result)) == result
 
+    def test_a_later_change_to_the_callers_params_leaves_the_run_unchanged(self):
+        # The config kept a reference to the caller's dict, so setting sigma
+        # after construction changed the run of the same config.
+        params = {"sigma": 1.0}
+        config = SimulationConfig("normal-mean", 0.5, 10, 2000, 3, H, params)
+        before = run_simulation(config)
+        params["sigma"] = 3.0
+        assert run_simulation(config) == before
+        assert type(config.model_params) is dict and config.model_params == {"sigma": 1.0}
+
     def test_numpy_integers_stored_as_int(self):
         a = SimulationConfig("exp-noncanonical", 2.0, 100, 5000, 7, H)
         b = SimulationConfig("exp-noncanonical", 2.0, np.int64(100), np.int64(5000), np.uint64(7), H)

@@ -75,12 +75,12 @@ def test_modules_import_only_lower_layers(name):
 
 
 def test_only_models_reads_the_derivative_fields():
-    # D = A'/k', D' and i(theta) are computed in models alone.
+    # D = A'/k', i(theta) and D' = i/k' are computed in models alone.
     calls = {}
     for path in (SRC / "mlebounds").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("k1", "k2", "A1", "A2")):
+                    and node.func.attr in ("k1", "A1", "fisher")):
                 calls.setdefault(path.stem, set()).add(node.func.attr)
     assert set(calls) == {"models"}
 
