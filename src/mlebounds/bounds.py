@@ -292,11 +292,11 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
     # epsilon enters the bound only through the tail/Taylor terms, so the
     # ball-inside-the-space constraint is enforced exactly when they exist.
     sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
+    fisher, q_prime = _fisher_and_d_prime(m, t0)
     if m.bound_moment is None:
         third_moment = third_abs_moment(m, t0)
     else:
         third_moment = _evaluated(m, t0, m.bound_moment, t0)
-    fisher, q_prime = _fisher_and_d_prime(m, t0)
     inputs = BoundInputs(n, t0, epsilon, fisher, abs(q_prime), third_moment, mse, sup_q2,
                          identity, h)
     return theorem_bound(inputs, _formula_id=formula_id)

@@ -193,8 +193,8 @@ def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> floa
 def _not_evaluable(m: ExpFamilyModel, t0: float, exc: ArithmeticError) -> DomainError:
     """The refusal of a theta0 inside the parameter space at which the
     model's closed forms fail in floating point: an overflow, an underflow
-    that leaves a zero divisor, or (a FloatingPointError) a value or an
-    i(theta0) that overflowed or underflowed without raising."""
+    that leaves a zero divisor, or (a FloatingPointError) a value that
+    overflowed or underflowed without raising."""
     return DomainError(
         f"theta0={t0!r} is inside the parameter space of model {m.name!r}, but its closed "
         f"forms fail there in floating point ({type(exc).__name__}: {exc})"
@@ -231,18 +231,9 @@ def d_value(m: ExpFamilyModel, theta: float) -> float:
 
 
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
-    """D'(theta) = i(theta) / k'(theta), bit for bit the D' of the bounds,
-    refused by :func:`_evaluated` where i or D' raises or is not finite.
-    It skips :func:`fisher_info`'s sign and underflow checks: :func:`invert_d`
-    reads the direction of D from the sign of D'."""
-    t = _require_theta(m, theta)
-    return _evaluated(m, t, _d_prime, m, t, float(_evaluated(m, t, m.fisher, t)))
-
-
-def _d_prime(m: ExpFamilyModel, t: float, i: float) -> float:
-    """D'(t) = i / k'(t) from i = i(t), at a checked t: D''s one formula.
-    Unguarded: callers evaluate it through :func:`_evaluated`."""
-    return i / float(m.k1(t))
+    """D'(theta) = i(theta) / k'(theta), the D' of the bounds, refused
+    where :func:`fisher_info` refuses i or where D' raises or is not finite."""
+    return _fisher_and_d_prime(m, _require_theta(m, theta))[1]
 
 
 def fisher_info(m: ExpFamilyModel, theta: float) -> float:
@@ -265,16 +256,24 @@ def _fisher(m: ExpFamilyModel, t: float) -> float:
         raise ConsistencyError(
             f"Fisher information must be positive, got {i!r} for model {m.name!r} at theta={t}"
         )
-    if not 2.0**-1022 <= i < math.inf:
-        exc = FloatingPointError(f"i(theta0) = {i!r} is not a normal float")
-        raise _not_evaluable(m, t, exc) from exc
-    return i
+    return _normal(m, t, "i(theta0)", i)
+
+
+def _normal(m: ExpFamilyModel, t0: float, what: str, value):
+    """``value`` of ``m`` at theta0 = t0, refused through :func:`_not_evaluable`
+    where it is a float that is NaN, infinite, or in [0, 2^-1022), where it
+    has underflowed.  Any other value is returned for the caller's check."""
+    if isinstance(value, float) and not (value < 0.0 or 2.0**-1022 <= value < math.inf):
+        exc = FloatingPointError(f"{what} = {value!r} is not a normal float")
+        raise _not_evaluable(m, t0, exc) from exc
+    return value
 
 
 def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
-    """i(t) with :func:`fisher_info`'s checks, and D'(t), at a checked t."""
+    """i(t) with :func:`fisher_info`'s checks, and D'(t) = i / k'(t), D''s
+    one formula, at a checked t."""
     i = _fisher(m, t)
-    return i, _evaluated(m, t, _d_prime, m, t, i)
+    return i, _evaluated(m, t, lambda: i / float(m.k1(t)))
 
 
 def invert_d(m: ExpFamilyModel, target: float) -> float:
@@ -289,7 +288,7 @@ def invert_d(m: ExpFamilyModel, target: float) -> float:
     models normally bypass this via their closed-form ``d_inverse``.
 
     Raises DomainError when the target is not attained by D on the space,
-    or when D' at the starting point is zero or not finite.  The search
+    or when D' at the starting point is zero or refused.  The search
     ends unattained where its candidate reaches the end of the space or of
     the float range, or where k' or D there is not finite or raises an
     ArithmeticError: past that point D = A'/k' is no longer D (once k'
@@ -639,6 +638,9 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         support=_REAL,
         param_space=_POS,
         d_inverse=lambda t: t,
+        # The quadrature does not depend on t0, yet reruns its 5 985
+        # evaluations on each call; ROADMAP item 2 replaces it with the
+        # closed form 8 m3(1/2) t0^3.
         third_moment=lambda t0: t0**3 * _quadrature_third_moment(model, 1.0, mu - 14.0, mu + 14.0),
         mse=lambda n, t0: 2.0 * t0**2 / n,
         # The sum of n draws of (x - mu)^2 is theta times a chi-square with

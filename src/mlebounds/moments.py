@@ -22,6 +22,7 @@ from .errors import DomainError, _require_int
 from .models import (
     ExpFamilyModel,
     _evaluated,
+    _normal,
     _require_theta,
     gg_mse_factor,
     third_abs_moment_holder_gg,
@@ -43,7 +44,8 @@ def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
 
     A model without one raises DomainError: a quadrature of the moment is
     not an upper bound, and it would feed the Stein term of every bound.
-    So does a theta0 at which the moment fails in floating point.
+    So does a theta0 at which the moment fails in floating point, or is
+    below 2^-1022 (0.0 included), where it has underflowed.
     """
     t0 = _require_theta(m, theta0, "theta0")
     if m.third_moment is None:
@@ -52,7 +54,7 @@ def third_abs_moment(m: ExpFamilyModel, theta0: float) -> float:
             "state third_moment (special.gamma_third_abs_moment gives it for a Gamma-law T) "
             "or a certified upper bound as bound_moment"
         )
-    return _evaluated(m, t0, m.third_moment, t0)
+    return _normal(m, t0, "E|T - D|^3", _evaluated(m, t0, m.third_moment, t0))
 
 
 def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:

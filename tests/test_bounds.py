@@ -625,13 +625,14 @@ class TestClosedFormsFailInFloatingPoint:
     theta0 and the model, with the arithmetic error as its cause."""
 
     @staticmethod
-    def _refused(call, m, theta0):
+    def _refused(call, m, theta0, cause=""):
         with pytest.raises(DomainError) as info:
             call()
         assert str(info.value).startswith(
             f"theta0={theta0!r} is inside the parameter space of model {m.name!r}"
         )
         assert isinstance(info.value.__cause__, ArithmeticError)
+        assert cause in str(info.value.__cause__)
 
     def test_sup_d_second_underflows(self):
         m, theta0 = exp_canonical_model(), 1e-110
@@ -639,19 +640,27 @@ class TestClosedFormsFailInFloatingPoint:
         for fn in (expfam_bound, ar_bound_canonical_expfam):
             self._refused(lambda: fn(m, theta0, 10, 0.5 * theta0, H, mse), m, theta0)
 
+    # The bound evaluates i and D' before the moment, so its theta0 keeps
+    # i a normal float: 1e120, not the MSE's 1e200, where i underflows.
     def test_mse_and_moment_overflow(self):
-        m, theta0 = exp_noncanonical_model(), 1e200
-        self._refused(lambda: mse_closed_form(m, 10, theta0), m, theta0)
-        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1.0), m, theta0)
+        m = exp_noncanonical_model()
+        self._refused(lambda: mse_closed_form(m, 10, 1e200), m, 1e200)
+        self._refused(lambda: expfam_bound(m, 1e120, 10, 5e119, H, 1.0), m, 1e120,
+                      "Numerical result out of range")
 
-    def test_quadrature_moment_divides_by_zero(self):
-        m, theta0 = normal_variance_model(), 1e-300
-        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3), m, theta0)
+    # theta0^3 underflows at 1e-110, where i = 1/(2 theta0^2) is finite.
+    def test_quadrature_moment_underflows(self):
+        m, theta0 = normal_variance_model(), 1e-110
+        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3), m, theta0,
+                      "E|T - D|^3 = 0.0")
 
+    # theta0^4.5 overflows at 1e100; at 1e150 k' underflows to a zero
+    # divisor of D' first.
     def test_holder_moment_overflows(self):
-        m, theta0 = generalized_gamma_model(d=2.0, p=1.5), 1e150
+        m, theta0 = generalized_gamma_model(d=2.0, p=1.5), 1e100
         mse = mse_closed_form(m, 10, theta0)
-        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, mse), m, theta0)
+        self._refused(lambda: expfam_bound(m, theta0, 10, 0.5 * theta0, H, mse), m, theta0,
+                      "Numerical result out of range")
 
     # i = 1/theta0^2 overflows (1e-200, 1e-160) or underflows below 2^-1022
     # (1e155, 1e200).
@@ -690,11 +699,17 @@ class TestClosedFormsFailInFloatingPoint:
                 expfam_bound(m, theta0, 10, 0.5 * theta0, H, 1e-3)
 
     def test_public_evaluators_refuse(self):
-        # Each raised a bare ZeroDivisionError but the third moment, whose
-        # theta0^3 now underflows to 0.0 at 1e-300 and overflows at 1e103.
+        # Each raised a bare ZeroDivisionError.  The third moment's theta0^3
+        # now underflows to 0.0 at 1e-300 and overflows at 1e103.
         can, var = exp_canonical_model(), normal_variance_model()
         self._refused(lambda: sup_abs_d_second(can, 1e-110, 5e-111), can, 1e-110)
+        self._refused(lambda: third_abs_moment(var, 1e-300), var, 1e-300)
         self._refused(lambda: third_abs_moment(var, 1e103), var, 1e103)
+        # A subnormal moment has lost digits: the bound read one ulp low.
+        noncan = exp_noncanonical_model()
+        self._refused(lambda: third_abs_moment(noncan, 1.8e-103), noncan, 1.8e-103)
+        self._refused(lambda: expfam_bound(noncan, 1.8e-103, 10, 9e-104, H, 1e-3),
+                      noncan, 1.8e-103)
         self._refused(lambda: d_value(var, 1e-300), var, 1e-300)
         self._refused(lambda: d_prime(can, 1e-200), can, 1e-200)
 

@@ -157,9 +157,9 @@ class TestFisherInfo:
                 assert fisher_info(m, theta) > 0.0
 
     def test_d_prime_is_the_fisher_paths_d_prime(self):
-        # D' is written once: d_prime skips the Fisher checks, not the
-        # formula, so wherever the Fisher path returns the two agree bit for
-        # bit.  theta0 = 10^(k/4) across the float range.
+        # D' is written once: d_prime is the Fisher path's D', so wherever
+        # that path returns the two agree bit for bit, and where it refuses
+        # d_prime refuses too.  theta0 = 10^(k/4) across the float range.
         from mlebounds.models import _fisher_and_d_prime
 
         grid = [10.0 ** (k / 4) for k in range(-1240, 1232)]
@@ -169,7 +169,9 @@ class TestFisherInfo:
             for theta in thetas:
                 try:
                     want = _fisher_and_d_prime(m, theta)[1]
-                except (DomainError, ConsistencyError):
+                except (DomainError, ConsistencyError) as exc:
+                    with pytest.raises(type(exc)):
+                        d_prime(m, theta)
                     continue
                 assert d_prime(m, theta).hex() == want.hex(), (m.name, theta)
                 compared += 1
