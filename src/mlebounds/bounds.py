@@ -239,7 +239,8 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
     ``inputs`` must be a :class:`BoundInputs`, whose construction checked
     every value; anything else raises DomainError.  So does a bound whose
     arithmetic overflows, or underflows to a zero divisor, in floating
-    point: the terms are non-negative, so a finite total has finite terms.
+    point (the terms are non-negative, so a finite total has finite terms),
+    or whose i^{3/2}, |q'|^3, eps^2 or MSE has underflowed below 2^-1022.
     ``_formula_id`` is private: the model bounds pass theirs, so each
     breakdown is built once.
     """
@@ -249,14 +250,21 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
     n, fisher, q_prime_abs, h = i.n, i.fisher, i.q_prime_abs, i.h
     hp = h.norm_h_prime
     try:
-        stein = hp / math.sqrt(n) * (2.0 + fisher**1.5 / q_prime_abs**3 * i.third_moment)
+        i32, q3 = fisher**1.5, q_prime_abs**3
+        stein = hp / math.sqrt(n) * (2.0 + i32 / q3 * i.third_moment)
         if i.q_is_identity:
-            tail = 0.0
-            taylor = 0.0
+            tail = taylor = 0.0
+            factors = (i32, q3)
         else:
-            mse = i.mse
-            tail = mse * 2.0 * h.norm_h / i.epsilon**2
+            mse, eps2 = i.mse, i.epsilon**2
+            tail = mse * 2.0 * h.norm_h / eps2
             taylor = mse * hp * math.sqrt(n * fisher) / (2.0 * q_prime_abs) * i.sup_q_second
+            factors = (i32, q3, eps2, mse)
+        # Finite (a float power that overflows raises) and non-negative here.
+        if min(factors) < 2.0**-1022:
+            k = factors.index(min(factors))
+            what = ("i^{3/2}", "|q'|^3", "eps^2", "MSE")[k]
+            raise FloatingPointError(f"{what} = {factors[k]!r} is not a normal float")
     except ArithmeticError as exc:
         raise _not_finite(i, _formula_id, f"{type(exc).__name__}: {exc}") from exc
     bd = BoundBreakdown(stein, tail, taylor, _formula_id)

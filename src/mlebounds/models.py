@@ -9,13 +9,18 @@ For such a family the likelihood equation collapses to D(theta) = mean T(x_i)
 with D = A'/k', so the MLE is D^{-1} applied to a sample average.  Everything
 the error bounds need lives here: D, the Fisher information, the ratio
 sqrt(i)/|D'|, the supremum of |D''| over a parameter ball, and the MLE
-itself.  Each built-in constructor also sets its family's closed forms on
-the model (Fisher information, third moment, MSE of the MLE, the law of
-mean T), so the generic code in :mod:`.moments` and :mod:`.bounds` never
-asks which family it holds; :mod:`.montecarlo` asks only to attach the
-published bounds of the two exponential models, which it picks by registry
-id.  Laplace and Weibull are copies of the exponential and generalized
-gamma models with only the differing fields replaced.
+itself.  Each built-in sets its family's closed forms on the model, so
+:mod:`.moments` and :mod:`.bounds` never ask which family they hold, and
+:mod:`.montecarlo` asks only to attach the published exponential bounds.
+
+Six built-ins are declared by the law of T, sign * Gamma(a, scale c theta^r):
+exp-canonical, exp-noncanonical, normal-variance and gg state k, A, T, S,
+support and (a, c, r, sign), Laplace and Weibull are their copies, and
+:func:`_gamma_law_model` fills k', A', i, D^{-1}, sup|D''|, the third moment,
+the MSE and the sampler.  Two forms stay stated: normal-variance's third
+moment, a quadrature until ROADMAP item 1 lands, and exp-canonical's MSE,
+:func:`mse_exp_canonical`, the acceptance tests' reference with its own
+refusal of n < 3.
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -224,15 +229,23 @@ def _d(m: ExpFamilyModel, t):
 
 def d_value(m: ExpFamilyModel, theta: float) -> float:
     """D(theta) = A'(theta) / k'(theta), the reparametrization under which
-    the MLE is a sample average of T.  A theta at which A' or k' overflows,
-    or underflows to a zero divisor, raises DomainError."""
+    the MLE is a sample average of T.  A theta at which A' or D fails in
+    floating point, or |k'| is not a normal float, raises DomainError."""
     t = _require_theta(m, theta)
+    _k1(m, t)
     return float(_evaluated(m, t, _d, m, t))
 
 
+def _k1(m: ExpFamilyModel, t: float) -> float:
+    """k'(t) at a checked t, refused where |k'| is not a normal float."""
+    k1 = float(_evaluated(m, t, m.k1, t))
+    _normal(m, t, "|k'(theta0)|", abs(k1))
+    return k1
+
+
 def d_prime(m: ExpFamilyModel, theta: float) -> float:
-    """D'(theta) = i(theta) / k'(theta), the D' of the bounds, refused
-    where :func:`fisher_info` refuses i or where D' raises or is not finite."""
+    """D'(theta) = i(theta) / k'(theta), the D' of the bounds, refused where
+    :func:`fisher_info` refuses i, |k'| is not normal, or D' is not finite."""
     return _fisher_and_d_prime(m, _require_theta(m, theta))[1]
 
 
@@ -272,8 +285,8 @@ def _normal(m: ExpFamilyModel, t0: float, what: str, value):
 def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
     """i(t) with :func:`fisher_info`'s checks, and D'(t) = i / k'(t), D''s
     one formula, at a checked t."""
-    i = _fisher(m, t)
-    return i, _evaluated(m, t, lambda: i / float(m.k1(t)))
+    i, k1 = _fisher(m, t), _k1(m, t)
+    return i, _evaluated(m, t, lambda: i / k1)
 
 
 def invert_d(m: ExpFamilyModel, target: float) -> float:
@@ -519,54 +532,68 @@ _POS = (0.0, math.inf)
 _REAL = (-math.inf, math.inf)
 
 
+def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, sign: float,
+                     **fields) -> ExpFamilyModel:
+    """A built-in on theta > 0 whose T is sign * Gamma(a = a_num/a_den, scale
+    c theta^r), with ``fields`` its k, A, T, S, support and any form it states.
+    The law gives k' = sign r/(c theta^{r+1}), A' = a r/theta, i = a r^2/theta^2,
+    D = sign a c theta^r, |D''| = a c |r (r - 1)| theta^{r-2} (so its sup on a
+    ball is at t0 - eps where r < 2), E|T - D|^3 = m3(a) c^3 theta^{3r}, n mean T
+    ~ sign * Gamma(n a, c theta^r), and the MSE: c theta^2/n where D is the
+    identity (r = 1, sign a c = 1), else, for r > 0, the GG(theta, a r, r) MLE's.
+    Each form repeats the float operations of the family's former own: a r is
+    a_num (r / a_den), d for gg; m3(1) is EXP_THIRD_ABS_MOMENT; a power of
+    theta is a division where r < 0; at r = -1, k' is a constant and D^{-1}
+    one division; and the sampler negates only where sign = -1.
+    """
+    a, ar = a_num / a_den, a_num * (r / a_den)
+    k1c, d2c = sign * r / c, abs(ar * c * (r - 1.0))  # = k' theta^(r+1), |D''| theta^(2-r)
+    identity = r == 1.0 and sign * a_num * c == a_den
+
+    def third_moment(t0):
+        m3 = (EXP_THIRD_ABS_MOMENT if a == 1.0 else gamma_third_abs_moment(a)) * c**3
+        return m3 / t0 ** (-3.0 * r) if r < 0.0 else m3 * t0 ** (3.0 * r)
+
+    def sample_tbar(t0, n, rng, size):
+        draws = rng.gamma(n * a_num / a_den, c * t0**r if r > 0.0 else c / t0 ** (-r), size)
+        return (draws if sign > 0.0 else -draws) / n
+
+    return ExpFamilyModel(**(dict(
+        name=name, param_space=_POS, third_moment=third_moment, sample_tbar=sample_tbar,
+        k1=(lambda th: k1c) if r == -1.0 else (lambda th: k1c / th ** (r + 1.0)),
+        A1=lambda th: ar / th, fisher=lambda th: ar * r / th / th,
+        d_inverse=(lambda t: t) if identity else (lambda t: sign * a * c / t) if r == -1.0
+        else (lambda t: (a_den * t / (sign * c * a_num)) ** (1.0 / r)),
+        sup_d_second=lambda t0, eps: d2c / (t0 - eps) ** (2.0 - r) if r < 0.0
+        else d2c * (t0 - eps if r < 2.0 else t0 + eps) ** (r - 2.0),
+        mse=(lambda n, t0: c * t0**2 / n) if identity
+        else (lambda n, t0: float(t0) ** 2 * gg_mse_factor(n, ar, r)),
+    ) | fields))
+
+
 def exp_canonical_model() -> ExpFamilyModel:
     """Exponential distribution with density theta * exp(-theta x), x > 0.
 
-    Canonical parametrization: k(theta) = theta, T(x) = -x, A = -log theta.
-    D(theta) = -1/theta and the MLE is 1 / sample mean.
+    Canonical: k(theta) = theta, A = -log theta, and T(x) = -x is
+    -Gamma(1, scale 1/theta), so D(theta) = -1/theta and the MLE is
+    1 / sample mean.  Its MSE is stated: :func:`mse_exp_canonical`.
     """
-    return ExpFamilyModel(
-        name="exp-canonical",
-        k=lambda th: th,
-        k1=lambda th: 1.0,
-        A=lambda th: -np.log(th),
-        A1=lambda th: -1.0 / th,
-        fisher=lambda th: 1.0 / th / th,
-        T=lambda x: -x,
-        S=lambda x: 0.0,
-        support=_POS,
-        param_space=_POS,
-        d_inverse=lambda t: -1.0 / t,
-        sup_d_second=lambda t0, eps: 2.0 / (t0 - eps) ** 3,
-        third_moment=lambda t0: EXP_THIRD_ABS_MOMENT / t0**3,
+    return _gamma_law_model(
+        "exp-canonical", a_num=1.0, a_den=1.0, c=1.0, r=-1.0, sign=-1.0, support=_POS,
+        k=lambda th: th, A=lambda th: -np.log(th), T=lambda x: -x, S=lambda x: 0.0,
         mse=mse_exp_canonical,
-        # The sum of n exponential draws with rate theta is Gamma(n, scale 1/theta).
-        sample_tbar=lambda t0, n, rng, size: -rng.gamma(n, 1.0 / t0, size) / n,
     )
 
 
 def exp_noncanonical_model() -> ExpFamilyModel:
     """Exponential distribution with mean theta: density exp(-x/theta)/theta.
 
-    Here D(theta) = theta, so the MLE is the sample mean itself and the
-    tail/Taylor terms of the bounds vanish identically.
+    T = Gamma(1, scale theta), so D(theta) = theta: the MLE is the sample
+    mean itself and the tail/Taylor terms of the bounds vanish identically.
     """
-    return ExpFamilyModel(
-        name="exp-noncanonical",
-        k=lambda th: -1.0 / th,
-        k1=lambda th: 1.0 / th**2,
-        A=lambda th: np.log(th),
-        A1=lambda th: 1.0 / th,
-        fisher=lambda th: 1.0 / th / th,
-        T=lambda x: x,
-        S=lambda x: 0.0,
-        support=_POS,
-        param_space=_POS,
-        d_inverse=lambda t: t,
-        third_moment=lambda t0: EXP_THIRD_ABS_MOMENT * t0**3,
-        mse=lambda n, t0: t0**2 / n,
-        # The sum of n exponential draws with mean theta is Gamma(n, scale theta).
-        sample_tbar=lambda t0, n, rng, size: rng.gamma(n, t0, size) / n,
+    return _gamma_law_model(
+        "exp-noncanonical", a_num=1.0, a_den=1.0, c=1.0, r=1.0, sign=1.0, support=_POS,
+        k=lambda th: -1.0 / th, A=lambda th: np.log(th), T=lambda x: x, S=lambda x: 0.0,
     )
 
 
@@ -578,11 +605,8 @@ def laplace_scale_model() -> ExpFamilyModel:
     the mean of |x_i|.
     """
     return dataclasses.replace(
-        exp_noncanonical_model(),
-        name="laplace",
-        A=lambda th: np.log(2.0 * th),
-        T=lambda x: np.abs(x),
-        support=_REAL,
+        exp_noncanonical_model(), name="laplace",
+        A=lambda th: np.log(2.0 * th), T=lambda x: np.abs(x), support=_REAL,
     )
 
 
@@ -617,35 +641,23 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
 def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
     """Normal scale family: theta is the variance, the mean mu is known.
 
-    T(x) = (x - mu)^2, D is the identity, and the MLE is mean (x_i - mu)^2.
-    The third moment is theta^3 times :func:`_quadrature_third_moment` at
-    theta = 1 over mu -/+ 14 (normal mass 1.6e-44 outside), which equals
-    8 m3(1/2) theta^3 (T is Gamma(1/2, scale 2 theta)).  It integrates in
-    the standardized variable because the quadrature's error target is
-    absolute for an integral below 1, as the moment is for small theta.
+    T(x) = (x - mu)^2 is Gamma(1/2, scale 2 theta), D is the identity, and
+    the MLE is mean (x_i - mu)^2.  The third moment is stated: theta^3 times
+    :func:`_quadrature_third_moment` at theta = 1 over mu -/+ 14 (normal
+    mass 1.6e-44 outside), since the quadrature's error target is absolute
+    for an integral below 1, as the moment is at a small theta.
     """
     mu = _require_real(mu, "mu", "finite")
     log_norm = 0.5 * math.log(2.0 * math.pi)
-    model = ExpFamilyModel(
-        name=f"normal-variance(mu={mu})",
-        k=lambda th: -1.0 / (2.0 * th),
-        k1=lambda th: 1.0 / (2.0 * th**2),
-        A=lambda th: 0.5 * np.log(th),
-        A1=lambda th: 1.0 / (2.0 * th),
-        fisher=lambda th: 0.5 / th / th,
-        T=lambda x: (np.asarray(x, dtype=float) - mu) ** 2,
-        S=lambda x: -log_norm,
-        support=_REAL,
-        param_space=_POS,
-        d_inverse=lambda t: t,
-        # The quadrature does not depend on t0, yet reruns its 5 985
-        # evaluations on each call; ROADMAP item 2 replaces it with the
-        # closed form 8 m3(1/2) t0^3.
+    model = _gamma_law_model(
+        f"normal-variance(mu={mu})", a_num=1.0, a_den=2.0, c=2.0, r=1.0, sign=1.0,
+        k=lambda th: -1.0 / (2.0 * th), A=lambda th: 0.5 * np.log(th),
+        T=lambda x: (np.asarray(x, dtype=float) - mu) ** 2, S=lambda x: -log_norm, support=_REAL,
+        # The quadrature does not depend on t0, yet reruns its 5 985 evaluations
+        # (about 0.15 s) each call.  The closed form 8 m3(1/2) t0^3 waits on
+        # ROADMAP item 1's Rounds mend: Rounds keeps 0.1 MiB a round, and the
+        # about 50x more certify rounds would raise its peak RSS about 4x.
         third_moment=lambda t0: t0**3 * _quadrature_third_moment(model, 1.0, mu - 14.0, mu + 14.0),
-        mse=lambda n, t0: 2.0 * t0**2 / n,
-        # The sum of n draws of (x - mu)^2 is theta times a chi-square with
-        # n degrees of freedom: Gamma(n/2, scale 2 theta).
-        sample_tbar=lambda t0, n, rng, size: rng.gamma(0.5 * n, 2.0 * t0, size) / n,
     )
     return model
 
@@ -653,39 +665,19 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
 def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
     """Generalized gamma GG(theta, d, p) with known shapes d, p > 0.
 
-    T(x) = x^p follows a Gamma(d/p, rate theta^-p) law, D(theta) =
-    (d/p) theta^p, and the MLE is ((p/(n d)) sum x_i^p)^(1/p).  So
-    E|T - D|^3 = theta^{3p} m3(d/p), with m3 the Gamma third absolute
-    moment of :func:`~mlebounds.special.gamma_third_abs_moment`.
+    T(x) = x^p is Gamma(d/p, scale theta^p), D(theta) = (d/p) theta^p, and
+    the MLE is ((p/(n d)) sum x_i^p)^(1/p).  The bounds use the paper's
+    Holder bound on E|T - D|^3, ``bound_moment``.
     """
     dv = _require_real(d, "generalized gamma shape d")
     pv = _require_real(p, "generalized gamma shape p")
-    a = dv / pv
-    dp = dv * pv  # i(theta) = d p / theta^2
-    log_gamma_a = math.lgamma(a)
-
-    def sup_d2(t0: float, eps: float) -> float:
-        edge = t0 - eps if pv < 2.0 else t0 + eps
-        return dv * abs(pv - 1.0) * edge ** (pv - 2.0)
-
-    return ExpFamilyModel(
-        name=f"gg(d={dv}, p={pv})",
-        k=lambda th: -th ** (-pv),
-        k1=lambda th: pv * th ** (-pv - 1.0),
-        A=lambda th: dv * np.log(th),
-        A1=lambda th: dv / th,
-        fisher=lambda th: dp / th / th,
+    log_gamma_a = math.lgamma(dv / pv)
+    return _gamma_law_model(
+        f"gg(d={dv}, p={pv})", a_num=dv, a_den=pv, c=1.0, r=pv, sign=1.0,
+        k=lambda th: -th ** (-pv), A=lambda th: dv * np.log(th),
         T=lambda x: np.asarray(x, dtype=float) ** pv,
         S=lambda x: math.log(pv) + (dv - 1.0) * np.log(x) - log_gamma_a,
-        support=_POS,
-        param_space=_POS,
-        d_inverse=lambda t: (pv * t / dv) ** (1.0 / pv),
-        sup_d_second=sup_d2,
-        third_moment=lambda t0: gamma_third_abs_moment(a) * t0 ** (3.0 * pv),
-        bound_moment=lambda t0: _holder_gg(float(t0), dv, pv),
-        mse=lambda n, t0: float(t0) ** 2 * gg_mse_factor(n, dv, pv),
-        # The sum of n draws of T = X^p is Gamma(n d/p, scale theta^p).
-        sample_tbar=lambda t0, n, rng, size: rng.gamma(n * dv / pv, t0**pv, size) / n,
+        support=_POS, bound_moment=lambda t0: _holder_gg(float(t0), dv, pv),
     )
 
 

@@ -6,9 +6,8 @@ error E[(theta_hat - theta0)^2] of the MLE, and the reference expectation
 E[h(Z)] against the standard normal law.
 
 Closed forms live on the model itself (:class:`~mlebounds.models.ExpFamilyModel`
-fields set by each built-in constructor, with the generalized-gamma and
-exponential formulas defined in :mod:`.models`); a model without a third
-moment is refused, not integrated.  The adaptive quadrature of
+fields, most derived from the law of T in :mod:`.models`); a model without
+a third moment is refused, not integrated.  The adaptive quadrature of
 :mod:`.special` gives E[h(Z)].  The seeded Monte Carlo MSE lives beside its
 sampler in :mod:`.montecarlo`.
 """

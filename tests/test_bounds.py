@@ -1,6 +1,7 @@
 """Tests for the bound formulas and their closed-form specializations."""
 
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -46,6 +47,8 @@ from mlebounds import (
     third_abs_moment_holder_gg,
 )
 from mlebounds.bounds import TestFunction as HFunc
+from mlebounds.bounds import _model_bound
+from mlebounds.models import _quadrature_third_moment
 from mlebounds.cli import main as cli_main
 
 H = reference_test_function()
@@ -724,6 +727,20 @@ class TestClosedFormsFailInFloatingPoint:
         mse = mse_closed_form(m, 10, 1e-103)
         self._refused(lambda: expfam_bound(m, 1e-103, 10, 5e-104, H, mse), m, 1e-103)
 
+    # k' = p / theta0^{p+1} is subnormal where i = d p / theta0^2 is not:
+    # D and D' carried its lost digits (gg(0.5, 3) at 1e78 read D' =
+    # 5.000000000007673e155 against 5e155).  At 1e78, theta0^4 overflows.
+    @pytest.mark.parametrize("params, theta0, cause", [
+        ({"d": 2.0, "p": 1.5}, 1.6e123, "|k'(theta0)| = 1.46484375e-308 is not a normal float"),
+        ({"d": 0.5, "p": 3.0}, 1.1e77, "|k'(theta0)| = 2.049040366095212e-308"),
+        ({"d": 0.5, "p": 3.0}, 1e78, "Numerical result out of range"),
+    ])
+    def test_d_value_and_d_prime_refuse_a_subnormal_k_prime(self, params, theta0, cause):
+        m = generalized_gamma_model(**params)
+        assert fisher_info(m, theta0) > 2.0**-1022
+        for fn in (d_value, d_prime):
+            self._refused(lambda: fn(m, theta0), m, theta0, cause)
+
     def test_stein_term_overflows(self):
         # |D'| = 1/theta0^2 = 1e104, so |D'|^3 overflows in the Stein term.
         m, theta0 = exp_canonical_model(), 1e-52
@@ -731,6 +748,83 @@ class TestClosedFormsFailInFloatingPoint:
         for fn, formula in ((expfam_bound, "expfam"), (ar_bound_canonical_expfam, "ar-canonical")):
             with pytest.raises(DomainError, match=f"^theta0=1e-52, n=10: the {formula} bound "):
                 fn(m, theta0, 10, 0.5 * theta0, H, mse)
+
+
+# Every built-in: with epsilon = theta0/2, each model bound is the same number
+# at every theta0 (the scale families' bounds are scale-free, normal-mean's
+# do not involve theta0).
+FULL_RANGE_CASES = [
+    ("exp-canonical", {}), ("exp-noncanonical", {}), ("laplace", {}), ("normal-mean", {}),
+    ("normal-mean", {"sigma": 1.5}), ("normal-variance", {}), ("weibull", {"alpha": 2.0}),
+    ("gg", {"d": 2.0, "p": 1.5}), ("gg", {"d": 0.5, "p": 3.0}), ("gg", {"d": 1.0, "p": 0.5}),
+]
+
+
+class TestBoundsAcrossTheFloatRange:
+    """Each model bound either raises DomainError or is its theta0 = 1 value
+    to 4e-15 relative, at theta0 = 10^(k/16) across the float range: where
+    the theorem's arithmetic underflows, it is refused, not printed low."""
+
+    @pytest.mark.parametrize("model_id,params", FULL_RANGE_CASES,
+                             ids=[f"{c[0]}{c[1] or ''}" for c in FULL_RANGE_CASES])
+    def test_refused_or_the_theta0_1_value(self, model_id, params, monkeypatch):
+        m = make_model(model_id, **params)
+        if model_id == "normal-variance":
+            # Its third moment is theta0^3 times a quadrature at theta = 1,
+            # which does not depend on theta0: integrate it once.
+            monkeypatch.setattr("mlebounds.models._quadrature_third_moment",
+                                functools.cache(_quadrature_third_moment))
+        formulas = {"expfam": expfam_bound,
+                    "theorem": functools.partial(_model_bound, "theorem")}
+        if m.is_canonical:
+            formulas["ar-canonical"] = ar_bound_canonical_expfam
+        returned = 0
+        for n in (10, 10**6):
+            want = {fid: fn(m, 1.0, n, 0.5, H, mse_closed_form(m, n, 1.0)).total
+                    for fid, fn in formulas.items()}
+            for k in range(-16 * 323, 16 * 308 + 1):
+                theta0 = 10.0 ** (k / 16)
+                try:
+                    mse = mse_closed_form(m, n, theta0)
+                except DomainError:
+                    continue
+                for fid, fn in formulas.items():
+                    try:
+                        got = fn(m, theta0, n, 0.5 * theta0, H, mse).total
+                    except DomainError:
+                        continue
+                    assert got == pytest.approx(want[fid], rel=4e-15, abs=0.0), (fid, n, theta0)
+                    returned += 1
+        assert returned > 1000
+
+    @pytest.mark.parametrize("argv, theta0", [
+        (["--formula", "expfam", "--model", "exp-canonical", "--theta0", "6.494e53",
+          "--n", "10"], "6.494e+53"),
+        (["--formula", "theorem", "--model", "gg", "--d", "1", "--p", "0.5",
+          "--theta0", "2.371e108", "--n", "1000000"], "2.371e+108"),
+    ], ids=["exp-canonical-q3", "gg-i32"])
+    def test_an_underflowed_factor_is_refused_by_the_cli(self, argv, theta0, capsys):
+        # Each printed a total below its theta0 = 1 value with exit 0:
+        # 1.93788 against 1.95549, and 6.97e-4 against 1.577e-3.
+        assert cli_main(["bound", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"theta0={theta0}" in err and "is not a normal float" in err
+
+    @pytest.mark.parametrize("fields, what", [
+        ({"epsilon": 1e-160}, "eps^2 = 1e-320"),
+        ({"q_prime_abs": 1e-104}, "|q'|^3 = 1e-312"),
+        ({"fisher": 1e-210}, "i^{3/2} = 1e-315"),
+        ({"mse": 1e-310}, "MSE = 1e-310"),
+    ], ids=["epsilon", "q_prime_abs", "fisher", "mse"])
+    def test_theorem_refuses_a_factor_that_is_not_normal(self, fields, what):
+        inputs = dataclasses.replace(canonical_exp_inputs(10, 1.3), **fields)
+        with pytest.raises(DomainError) as info:
+            theorem_bound(inputs)
+        assert str(info.value).startswith(
+            "theta0=1.3, n=10: the theorem bound is not finite in floating point ("
+        )
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        assert what in str(info.value)
 
 
 class TestModelPathRefusals:

@@ -211,6 +211,40 @@ def test_derivative_fields_are_the_derivatives_of_k_and_a(model_id, params, thet
         assert float(m.k1(theta)) * central == pytest.approx(float(m.fisher(theta)), rel=1e-7)
 
 
+# Each Gamma-law built-in and its declared law: T = sign * Gamma(a, scale c theta^r).
+GAMMA_LAWS = [
+    ("exp-canonical", {}, 1.0, 1.0, -1.0, -1.0),
+    ("exp-noncanonical", {}, 1.0, 1.0, 1.0, 1.0),
+    ("laplace", {}, 1.0, 1.0, 1.0, 1.0),
+    ("normal-variance", {"mu": 0.5}, 0.5, 2.0, 1.0, 1.0),
+    ("weibull", {"alpha": 2.0}, 1.0, 1.0, 2.0, 1.0),
+    ("gg", {"d": 2.0, "p": 1.5}, 4.0 / 3.0, 1.0, 1.5, 1.0),
+    ("gg", {"d": 0.5, "p": 3.0}, 1.0 / 6.0, 1.0, 3.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("model_id,params,a,c,r,sign", GAMMA_LAWS,
+                         ids=[f"{law[0]}{law[1] or ''}" for law in GAMMA_LAWS])
+def test_gamma_law_builtins_match_their_law(model_id, params, a, c, r, sign):
+    # D = A'/k' is the law's mean sign a c theta^r on a grid, and sample_tbar's
+    # mean T over n draws has the law's mean and variance a c^2 theta^{2r}/n,
+    # each within 5 standard errors on a fixed seed.
+    m = make_model(model_id, **params)
+    for theta in np.geomspace(1e-3, 1e3, 25):
+        th = float(theta)
+        want = sign * a * c * th**r
+        assert float(m.A1(th)) / float(m.k1(th)) == pytest.approx(want, rel=1e-14), th
+    rng = np.random.default_rng(11)
+    size = 200_000
+    for theta0, n in ((0.7, 1), (1.3, 3), (2.5, 40)):
+        mean, var = sign * a * c * theta0**r, a * c**2 * theta0 ** (2.0 * r) / n
+        draws = m.sample_tbar(theta0, n, rng, size)
+        assert abs(draws.mean() - mean) <= 5.0 * math.sqrt(var / size), (theta0, n)
+        # The sum of n draws is Gamma(n a), whose excess kurtosis is 6/(n a).
+        se_var = var * math.sqrt((2.0 + 6.0 / (n * a)) / size)
+        assert abs(draws.var() - var) <= 5.0 * se_var, (theta0, n)
+
+
 class TestMLE:
     def test_exp_canonical_reciprocal_mean(self):
         assert mle(exp_canonical_model(), [0.5, 1.5]) == pytest.approx(1.0, rel=1e-14)
