@@ -54,7 +54,7 @@ h = reference_test_function()
 
 def median_us(fn, batches=15, calls=20):
     """Median over ``batches`` of the mean time of ``calls`` calls, in µs."""
-    fn()  # the first call fills the per-model caches
+    fn()  # the first call builds the shared reference h and the CLI's parser
     means = []
     for _ in range(batches):
         start = time.perf_counter()

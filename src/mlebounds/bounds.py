@@ -260,24 +260,28 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
             tail = mse * 2.0 * h.norm_h / eps2
             taylor = mse * hp * math.sqrt(n * fisher) / (2.0 * q_prime_abs) * i.sup_q_second
             factors = (i32, q3, eps2, mse)
-        # Finite (a float power that overflows raises) and non-negative here.
-        if min(factors) < 2.0**-1022:
-            k = factors.index(min(factors))
-            what = ("i^{3/2}", "|q'|^3", "eps^2", "MSE")[k]
-            raise FloatingPointError(f"{what} = {factors[k]!r} is not a normal float")
     except ArithmeticError as exc:
-        raise _not_finite(i, _formula_id, f"{type(exc).__name__}: {exc}") from exc
+        raise _refusal(i, _formula_id, "is not finite", f"{type(exc).__name__}: {exc}") from exc
+    # Finite (a float power that overflows raises) and non-negative here.
+    if min(factors) < 2.0**-1022:
+        k = factors.index(min(factors))
+        what = ("i^{3/2}", "|q'|^3", "eps^2", "MSE")[k]
+        detail = f"{what} = {factors[k]!r} is not a normal float"
+        raise _refusal(i, _formula_id, "has lost digits", detail) from FloatingPointError(detail)
     bd = BoundBreakdown(stein, tail, taylor, _formula_id)
     if not math.isfinite(bd.total):
-        raise _not_finite(i, _formula_id, f"its terms are {stein!r}, {tail!r} and {taylor!r}")
+        raise _refusal(i, _formula_id, "is not finite",
+                       f"its terms are {stein!r}, {tail!r} and {taylor!r}")
     return bd
 
 
-def _not_finite(i: BoundInputs, formula_id: str, detail: str) -> DomainError:
+def _refusal(i: BoundInputs, formula_id: str, verdict: str, detail: str) -> DomainError:
     """The refusal of checked inputs on which :func:`theorem_bound` has no
-    finite value in floating point."""
+    value in floating point: its arithmetic overflowed or divided by zero
+    ("is not finite"), or a factor underflowed below 2^-1022 ("has lost
+    digits")."""
     return DomainError(
-        f"theta0={i.theta0!r}, n={i.n}: the {formula_id} bound is not finite in floating "
+        f"theta0={i.theta0!r}, n={i.n}: the {formula_id} bound {verdict} in floating "
         f"point ({detail})"
     )
 
@@ -428,12 +432,13 @@ def ar_bound_canonical_expfam(
     """The AR reference bound for a canonical exponential family.
 
     In the canonical case k(theta) = theta the AR bound coincides term for
-    term with :func:`expfam_bound`: after a canonicality check on k it is
-    the same evaluation, labelled ``ar-canonical``.
+    term with :func:`expfam_bound`: for a model that declares
+    ``k=models.identity`` it is the same evaluation, labelled
+    ``ar-canonical``; any other model raises DomainError.
     """
     if not m.is_canonical:
         raise DomainError(
-            f"model {m.name!r} is not canonical (k(theta) != theta); "
+            f"model {m.name!r} is not canonical (it does not declare k=models.identity); "
             "the AR bound has no closed form here"
         )
     return _model_bound("ar-canonical", m, theta0, n, epsilon, h, mse)

@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 2 for argument/precondition errors (one-line
 diagnostic on stderr), 3 for runtime failures.  Output formats: a human
 table (default), CSV, or JSON; CSV and JSON serialize floats in shortest
-round-trip form.
+round-trip form.  A call builds the one model it names with
+:func:`~mlebounds.models.make_model`, which evaluates nothing: whether D
+is the identity and whether the model is canonical are declared on it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .bounds import (
     reference_test_function,
 )
 from .errors import DomainError
-from .models import ExpFamilyModel, GeneralizedGammaParams, make_model
+from .models import GeneralizedGammaParams, make_model
 from .moments import mse_closed_form
 from .montecarlo import (
     SimulationConfig,
@@ -114,15 +116,6 @@ def _model_params(args) -> dict:
     }
 
 
-@functools.cache
-def _model(model_id: str, params: tuple) -> ExpFamilyModel:
-    """The built-in model for an id and its sorted (flag, repr of value)
-    pairs, built once per process: models are immutable, so later calls
-    reuse it and its identity and canonicity grid checks.  The repr keeps
-    -0.0 apart from 0.0, which the model's name shows."""
-    return make_model(model_id, **{name: float(text) for name, text in params})
-
-
 def _require(value, flag: str, context: str):
     if value is None:
         raise DomainError(f"{flag} is required for {context}")
@@ -174,8 +167,7 @@ def cmd_bound(args) -> int:
     else:
         model_id = _require(args.model, "--model", f"the {formula} formula")
         theta0 = _require(args.theta0, "--theta0", f"the {formula} formula")
-        params = tuple(sorted((name, repr(v)) for name, v in _model_params(args).items()))
-        m = _model(model_id, params)
+        m = make_model(model_id, **_model_params(args))
         epsilon = _default_epsilon(theta0, args.epsilon_frac)
         mse = mse_closed_form(m, n, theta0)
         if formula == "ar-canonical":

@@ -29,7 +29,6 @@ instances can be shared freely across threads or processes.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -55,6 +54,7 @@ __all__ = [
     "fisher_info",
     "generalized_gamma_model",
     "gg_mse_factor",
+    "identity",
     "invert_d",
     "laplace_scale_model",
     "make_model",
@@ -132,9 +132,11 @@ class ExpFamilyModel:
     identity; it has no closed-form MSE, sampler or simulation.  Asking
     for any of these raises DomainError.
 
-    ``is_identity`` (D(theta) = theta) and ``is_canonical`` (k(theta) =
-    theta) are checked on a 401-point parameter grid on first use and kept
-    on the instance.
+    A model declares that D is the identity by ``d_inverse=identity`` (D^{-1}
+    is the identity exactly when D is), and that it is canonical by
+    ``k=identity``, with :func:`identity` the function itself: ``is_identity``
+    and ``is_canonical`` read these declarations and evaluate nothing.  A
+    model that declares neither takes the non-identity, non-canonical path.
     """
 
     name: str
@@ -158,32 +160,21 @@ class ExpFamilyModel:
         lo, hi = self.param_space
         return lo < theta < hi
 
-    @functools.cached_property
+    @property
     def is_identity(self) -> bool:
-        """True iff D(theta) = theta (to 1e-12) on the parameter grid."""
-        grid = _param_grid(self.param_space)
-        return bool(np.all(np.abs(_d(self, grid) - grid) <= 1e-12))
+        """True iff the model declares D(theta) = theta: ``d_inverse=identity``."""
+        return self.d_inverse is identity
 
-    @functools.cached_property
+    @property
     def is_canonical(self) -> bool:
-        """True iff k(theta) = theta (to 1e-12 relative) on the parameter grid."""
-        grid = _param_grid(self.param_space)
-        kvals = np.asarray(self.k(grid), dtype=float)
-        return bool(np.all(np.abs(kvals - grid) <= 1e-12 * np.maximum(1.0, np.abs(grid))))
+        """True iff the model declares k(theta) = theta: ``k=identity``."""
+        return self.k is identity
 
 
-def _param_grid(space: Interval) -> np.ndarray:
-    """401 points across the parameter space, 0.5 % of the width in from
-    each finite end; an infinite end is cut at -20 or 20."""
-    lo, hi = space
-    glo = lo if math.isfinite(lo) else -20.0
-    ghi = hi if math.isfinite(hi) else 20.0
-    width = ghi - glo
-    if math.isfinite(lo):
-        glo += 0.005 * width
-    if math.isfinite(hi):
-        ghi -= 0.005 * width
-    return np.linspace(glo, ghi, 401)
+def identity(t):
+    """The identity map, t itself.  A model states D^{-1} or k as this very
+    function to declare that D, or k, is the identity."""
+    return t
 
 
 def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> float:
@@ -405,7 +396,7 @@ def mle(m: ExpFamilyModel, sample) -> float:
 
 def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
     """sup of |D''(theta)| over the ball |theta - theta0| <= epsilon: 0 when
-    D is the identity, else the model's ``sup_d_second``.
+    the model declares D the identity, else the model's ``sup_d_second``.
 
     Any other model raises DomainError: |D''| sampled on the ball would
     only be a lower estimate, and a bound built on it would not be certified.
@@ -423,14 +414,15 @@ def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
     if m.sup_d_second is None:
         raise DomainError(
             f"model {m.name!r} has no sup_d_second, so sup|D''| on the ball has no certified "
-            "value; where |D''| is monotone on the ball, the larger of its two end values is one"
+            "value; where |D''| is monotone on the ball, the larger of its two end values is "
+            "one, and a model whose D is the identity declares it by d_inverse=models.identity"
         )
     return float(_evaluated(m, t0, m.sup_d_second, t0, eps))
 
 
 def d_is_identity(m: ExpFamilyModel) -> bool:
-    """True iff D(theta) = theta (to 1e-12) on a dense parameter grid;
-    computed once per model (:attr:`ExpFamilyModel.is_identity`)."""
+    """True iff the model declares D(theta) = theta by ``d_inverse=identity``
+    (:attr:`ExpFamilyModel.is_identity`)."""
     return m.is_identity
 
 
@@ -540,7 +532,8 @@ def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, 
     D = sign a c theta^r, |D''| = a c |r (r - 1)| theta^{r-2} (so its sup on a
     ball is at t0 - eps where r < 2), E|T - D|^3 = m3(a) c^3 theta^{3r}, n mean T
     ~ sign * Gamma(n a, c theta^r), and the MSE: c theta^2/n where D is the
-    identity (r = 1, sign a c = 1), else, for r > 0, the GG(theta, a r, r) MLE's.
+    identity (r = 1, sign a c = 1, declared by d_inverse=identity), else, for
+    r > 0, the GG(theta, a r, r) MLE's.
     Each form repeats the float operations of the family's former own: a r is
     a_num (r / a_den), d for gg; m3(1) is EXP_THIRD_ABS_MOMENT; a power of
     theta is a division where r < 0; at r = -1, k' is a constant and D^{-1}
@@ -548,7 +541,7 @@ def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, 
     """
     a, ar = a_num / a_den, a_num * (r / a_den)
     k1c, d2c = sign * r / c, abs(ar * c * (r - 1.0))  # = k' theta^(r+1), |D''| theta^(2-r)
-    identity = r == 1.0 and sign * a_num * c == a_den
+    is_id = r == 1.0 and sign * a_num * c == a_den
 
     def third_moment(t0):
         m3 = (EXP_THIRD_ABS_MOMENT if a == 1.0 else gamma_third_abs_moment(a)) * c**3
@@ -562,11 +555,11 @@ def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, 
         name=name, param_space=_POS, third_moment=third_moment, sample_tbar=sample_tbar,
         k1=(lambda th: k1c) if r == -1.0 else (lambda th: k1c / th ** (r + 1.0)),
         A1=lambda th: ar / th, fisher=lambda th: ar * r / th / th,
-        d_inverse=(lambda t: t) if identity else (lambda t: sign * a * c / t) if r == -1.0
+        d_inverse=identity if is_id else (lambda t: sign * a * c / t) if r == -1.0
         else (lambda t: (a_den * t / (sign * c * a_num)) ** (1.0 / r)),
         sup_d_second=lambda t0, eps: d2c / (t0 - eps) ** (2.0 - r) if r < 0.0
         else d2c * (t0 - eps if r < 2.0 else t0 + eps) ** (r - 2.0),
-        mse=(lambda n, t0: c * t0**2 / n) if identity
+        mse=(lambda n, t0: c * t0**2 / n) if is_id
         else (lambda n, t0: float(t0) ** 2 * gg_mse_factor(n, ar, r)),
     ) | fields))
 
@@ -580,7 +573,7 @@ def exp_canonical_model() -> ExpFamilyModel:
     """
     return _gamma_law_model(
         "exp-canonical", a_num=1.0, a_den=1.0, c=1.0, r=-1.0, sign=-1.0, support=_POS,
-        k=lambda th: th, A=lambda th: -np.log(th), T=lambda x: -x, S=lambda x: 0.0,
+        k=identity, A=lambda th: -np.log(th), T=lambda x: -x, S=lambda x: 0.0,
         mse=mse_exp_canonical,
     )
 
@@ -622,7 +615,7 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
     inv_s2 = 1.0 / s2  # k' and i
     return ExpFamilyModel(
         name=f"normal-mean(sigma={sigma})",
-        k=lambda th: th / s2,
+        k=identity if s2 == 1.0 else (lambda th: th / s2),
         k1=lambda th: inv_s2,
         A=lambda th: th**2 / (2.0 * s2),
         A1=lambda th: th / s2,
@@ -631,7 +624,7 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
         S=lambda x: -np.asarray(x, dtype=float) ** 2 / (2.0 * s2) - log_norm,
         support=_REAL,
         param_space=_REAL,
-        d_inverse=lambda t: t,
+        d_inverse=identity,
         third_moment=lambda t0: third,
         mse=lambda n, t0: s2 / n,
         sample_tbar=lambda t0, n, rng, size: rng.normal(t0, sigma / math.sqrt(n), size),

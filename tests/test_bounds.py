@@ -809,6 +809,7 @@ class TestBoundsAcrossTheFloatRange:
         assert cli_main(["bound", *argv]) == 2
         err = capsys.readouterr().err
         assert f"theta0={theta0}" in err and "is not a normal float" in err
+        assert "bound has lost digits in floating point" in err
 
     @pytest.mark.parametrize("fields, what", [
         ({"epsilon": 1e-160}, "eps^2 = 1e-320"),
@@ -821,7 +822,7 @@ class TestBoundsAcrossTheFloatRange:
         with pytest.raises(DomainError) as info:
             theorem_bound(inputs)
         assert str(info.value).startswith(
-            "theta0=1.3, n=10: the theorem bound is not finite in floating point ("
+            "theta0=1.3, n=10: the theorem bound has lost digits in floating point ("
         )
         assert isinstance(info.value.__cause__, FloatingPointError)
         assert what in str(info.value)
@@ -856,7 +857,7 @@ class TestModelPathRefusals:
             assert str(info.value) == message, fn.__name__
         # The CLI builds the model, and takes its MSE from the closed form.
         cli_model = dataclasses.replace(m, mse=lambda n, t0: mse)
-        monkeypatch.setattr("mlebounds.cli._model", lambda model_id, params: cli_model)
+        monkeypatch.setattr("mlebounds.cli.make_model", lambda model_id, **params: cli_model)
         code = cli_main(["bound", "--formula", "theorem", "--model", "exp-canonical",
                          "--theta0", "1.3", "--n", "10", "--format", "json"])
         assert (code, capsys.readouterr().err) == (2, f"error: {cli_message or message}\n")

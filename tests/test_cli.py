@@ -298,27 +298,6 @@ class TestModelParameters:
         assert "'mu'" in err and "'sigma'" in err
         assert "normal_variance_model" not in err
 
-    def test_each_model_is_built_once_per_process(self, capsys, monkeypatch):
-        # Flag order does not matter; another shape, or the sign of a zero,
-        # is another model.
-        built = []
-        make_model = cli.make_model
-        monkeypatch.setattr(cli, "make_model",
-                            lambda model_id, **params: built.append(params) or make_model(
-                                model_id, **params))
-        cli._model.cache_clear()
-        gg = ["bound", "--formula", "expfam", "--model", "gg", "--theta0", "1.5", "--n", "10"]
-        first = run_cli(capsys, *gg, "--d", "2", "--p", "1.5")
-        assert first[0] == 0
-        assert run_cli(capsys, *gg, "--p", "1.5", "--d", "2") == first
-        run_cli(capsys, *gg, "--d", "3", "--p", "1.5")
-        for mu in ("0", "0.0", "-0.0"):
-            code, _, err = run_cli(capsys, "bound", "--formula", "expfam", "--model",
-                                   "normal-variance", "--mu", mu, "--theta0", "-1", "--n", "10")
-            assert code == 2 and f"(mu={float(mu)!r})" in err
-        assert built == [{"d": 2.0, "p": 1.5}, {"d": 3.0, "p": 1.5}, {"mu": 0.0}, {"mu": -0.0}]
-        cli._model.cache_clear()
-
 
 class TestArgumentParsing:
     def test_missing_subcommand_exits_2(self):

@@ -24,6 +24,7 @@ from mlebounds import (
     fisher_info,
     generalized_gamma_model,
     gg_mse_factor,
+    identity,
     integrate_interval,
     invert_d,
     laplace_scale_model,
@@ -447,8 +448,7 @@ class TestMLE:
 
 class TestBoundedParameterSpace:
     """The generic inverse starts at the midpoint of a bounded space and at
-    hi - 1 on one bounded above, and the grid flags stop short of a finite
-    upper end."""
+    hi - 1 on one bounded above; each model declares what it is."""
 
     # Bernoulli with its mean p on (0, 1): D(p) = p.
     BERNOULLI = dataclasses.replace(
@@ -460,14 +460,14 @@ class TestBoundedParameterSpace:
         A1=lambda p: 1.0 / (1.0 - p),
         fisher=lambda p: 1.0 / (p * (1.0 - p)),
         param_space=(0.0, 1.0),
-        d_inverse=None,
+        d_inverse=identity,
     )
     # The exponential with natural parameter eta = -rate on (-inf, 0):
     # D(eta) = -1/eta.
     EXP_NATURAL = dataclasses.replace(
         exp_noncanonical_model(),
         name="exp-natural",
-        k=lambda eta: eta,
+        k=identity,
         k1=lambda eta: 1.0 + 0.0 * eta,
         A=lambda eta: -np.log(-eta),
         A1=lambda eta: -1.0 / eta,
@@ -578,25 +578,69 @@ class TestGridFlags:
         assert d_is_identity(m) is identity
         assert m.is_canonical is canonical
 
-    def test_flags_are_computed_once_per_model(self):
+    def test_flags_read_the_declarations(self):
+        # Reading either flag evaluates no callable of the model.
         calls = []
 
-        def k(th):
-            calls.append("k")
-            return th
+        def traced(name, f):
+            return lambda *args: calls.append(name) or f(*args)
 
-        def a1(th):
-            calls.append("A1")
-            return -1.0 / th
+        base = exp_noncanonical_model()
+        m = dataclasses.replace(base, **{
+            name: traced(name, getattr(base, name))
+            for name in ("k", "k1", "A", "A1", "fisher", "T", "S")
+        })
+        assert (m.is_identity, d_is_identity(m), m.is_canonical) == (True, True, False)
+        undeclared = dataclasses.replace(m, d_inverse=None)
+        assert (undeclared.is_identity, d_is_identity(undeclared)) == (False, False)
+        assert dataclasses.replace(m, k=identity).is_canonical is True
+        assert calls == []
+        # An equal lambda declares nothing: a copy whose k or D^{-1} is one
+        # takes the non-canonical, non-identity path.
+        canonical = exp_canonical_model()
+        assert canonical.is_canonical is True
+        assert dataclasses.replace(canonical, k=lambda th: th).is_canonical is False
+        assert dataclasses.replace(m, d_inverse=lambda t: t).is_identity is False
 
-        m = dataclasses.replace(exp_canonical_model(), k=k, A1=a1)
-        for _ in range(3):
-            assert m.is_canonical is True
-            assert d_is_identity(m) is False
-        assert sorted(calls) == ["A1", "k"]
-        # A copy is a new model and checks its own flags.
-        assert dataclasses.replace(m, name="copy").is_canonical is True
-        assert sorted(calls) == ["A1", "k", "k"]
+
+def _param_grid(space):
+    """401 points across a parameter space, 0.5 % of the width in from each
+    finite end; an infinite end is cut at -20 or 20."""
+    lo, hi = space
+    glo = lo if math.isfinite(lo) else -20.0
+    ghi = hi if math.isfinite(hi) else 20.0
+    width = ghi - glo
+    if math.isfinite(lo):
+        glo += 0.005 * width
+    if math.isfinite(hi):
+        ghi -= 0.005 * width
+    return np.linspace(glo, ghi, 401)
+
+
+@pytest.mark.parametrize("model_id, params", [
+    ("exp-canonical", {}),
+    ("exp-noncanonical", {}),
+    ("laplace", {}),
+    ("normal-mean", {"sigma": 1.0}),
+    ("normal-mean", {"sigma": 1.5}),
+    ("normal-mean", {"sigma": 0.5}),
+    ("normal-variance", {"mu": 0.5}),
+    ("weibull", {"alpha": 1.0}),
+    ("weibull", {"alpha": 2.0}),
+    ("gg", {"d": 1.0, "p": 1.0}),
+    ("gg", {"d": 3.0, "p": 1.0}),
+    ("gg", {"d": 2.0, "p": 1.5}),
+])
+def test_declared_flags_match_a_grid_oracle(model_id, params):
+    # Each built-in declares what D and k are; the declaration must agree
+    # with D and k sampled on 401 points of its parameter space.
+    m = make_model(model_id, **params)
+    grid = _param_grid(m.param_space)
+    tol = 1e-12 * np.maximum(1.0, np.abs(grid))
+    d = np.array([d_value(m, th) for th in grid])
+    k = np.asarray(m.k(grid), dtype=float)
+    assert m.is_identity is bool(np.all(np.abs(d - grid) <= tol))
+    assert m.is_canonical is bool(np.all(np.abs(k - grid) <= tol))
 
 
 def test_the_model_states_no_integration_window():

@@ -23,6 +23,7 @@ from mlebounds import (
     generalized_gamma_model,
     gg_bound,
     gg_mse_factor,
+    identity,
     laplace_scale_model,
     make_model,
     mse_closed_form,
@@ -427,8 +428,12 @@ QUADRATURE_WINDOWS = {
 
 
 class TestCustomModel:
+    # The bare copies of the identity families declare their identity D, so
+    # only the missing moment can refuse them.
     @pytest.mark.parametrize(
-        "m, theta0", [(bare(m), t0) for m, t0 in WITH_CLOSED_FORM] + [(GG_NO_MOMENT, 1.3)]
+        "m, theta0",
+        [(dataclasses.replace(bare(m), d_inverse=identity), t0) for m, t0 in WITH_CLOSED_FORM]
+        + [(GG_NO_MOMENT, 1.3)]
     )
     def test_model_without_a_third_moment_is_refused(self, m, theta0):
         mse = 1e-3
@@ -463,10 +468,14 @@ class TestCustomModel:
             next(iter_mle_chunks(m, 2.0, 10, 100, 1))
 
     @pytest.mark.parametrize("model_id, params", [case[:2] for case in OUTSIDE])
-    def test_grid_flags_match_the_builtin(self, model_id, params):
+    def test_a_bare_copy_keeps_only_what_it_declares(self, model_id, params):
+        # A bare copy states no d_inverse, so it is not identity whatever its
+        # D; it keeps k, and with it the built-in's canonicity.
         m = make_model(model_id, **params)
         custom = bare(m)
-        assert (custom.is_identity, custom.is_canonical) == (m.is_identity, m.is_canonical)
+        assert (custom.is_identity, custom.is_canonical) == (False, m.is_canonical)
+        recoded = dataclasses.replace(custom, k=lambda th: m.k(th))
+        assert recoded.is_canonical is False
 
     def test_bound_uses_the_exact_moment_without_a_bound_moment(self):
         # Without bound_moment the gg bound falls back to the exact
