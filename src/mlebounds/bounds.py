@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, _require_int, _require_real
+from .errors import ConsistencyError, DomainError, _require_int, _require_real
 from .models import (
     EXP_THIRD_ABS_MOMENT,
     ExpFamilyModel,
@@ -296,7 +296,9 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
     computed from them; the record then checks each value, so a refusal
     reads as it would for a hand-built :class:`BoundInputs`.  A theta0 at
     which the model's closed forms fail in floating point raises
-    DomainError.
+    DomainError; a model that declares ``d_inverse=models.identity`` while
+    its D' = i/k' at theta0 is more than 1e-10 from 1 raises
+    ConsistencyError, since the bound would drop its tail and Taylor terms.
     """
     epsilon = _require_real(epsilon, "epsilon")
     t0 = _require_theta(m, theta0, "theta0")
@@ -305,6 +307,11 @@ def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
     # ball-inside-the-space constraint is enforced exactly when they exist.
     sup_q2 = 0.0 if identity else sup_abs_d_second(m, t0, epsilon)
     fisher, q_prime = _fisher_and_d_prime(m, t0)
+    if identity and abs(q_prime - 1.0) > 1e-10:
+        raise ConsistencyError(
+            f"model {m.name!r} declares d_inverse=models.identity, but D'(theta0) = "
+            f"i/k' = {q_prime!r} at theta0={t0!r}, not 1"
+        )
     if m.bound_moment is None:
         third_moment = third_abs_moment(m, t0)
     else:

@@ -45,8 +45,8 @@ class QuadratureError(MLEBoundsError, RuntimeError):
 
 class ConsistencyError(MLEBoundsError, RuntimeError):
     """A model produced values that contradict its own contract: a negative
-    Fisher information, or an MLE from its closed-form inverse that fails
-    D(theta_hat) = mean T."""
+    Fisher information, an MLE from its closed-form inverse that fails
+    D(theta_hat) = mean T, or a declared identity D whose D' is not 1."""
 
 
 def _require_int(

@@ -17,10 +17,13 @@ Six built-ins are declared by the law of T, sign * Gamma(a, scale c theta^r):
 exp-canonical, exp-noncanonical, normal-variance and gg state k, A, T, S,
 support and (a, c, r, sign), Laplace and Weibull are their copies, and
 :func:`_gamma_law_model` fills k', A', i, D^{-1}, sup|D''|, the third moment,
-the MSE and the sampler.  Two forms stay stated: normal-variance's third
-moment, a quadrature until ROADMAP item 1 lands, and exp-canonical's MSE,
+the MSE and the sampler.  Two forms stay stated: exp-canonical's MSE,
 :func:`mse_exp_canonical`, the acceptance tests' reference with its own
-refusal of n < 3.
+refusal of n < 3, and normal-variance's third moment, a quadrature of about
+80 ms a call.  Its closed form waits on ROADMAP item 1, the mend of
+`Rounds` in benchmarks/run.py and its 10 % peak_rss_mb bound: on seed 3
+the closed form took the certify workload from 65 to 2 998 rounds and its
+peak RSS from 47.1 to 332.6 MiB.
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -647,9 +650,10 @@ def normal_variance_model(mu: float = 0.0) -> ExpFamilyModel:
         k=lambda th: -1.0 / (2.0 * th), A=lambda th: 0.5 * np.log(th),
         T=lambda x: (np.asarray(x, dtype=float) - mu) ** 2, S=lambda x: -log_norm, support=_REAL,
         # The quadrature does not depend on t0, yet reruns its 5 985 evaluations
-        # (about 0.15 s) each call.  The closed form 8 m3(1/2) t0^3 waits on
-        # ROADMAP item 1's Rounds mend: Rounds keeps 0.1 MiB a round, and the
-        # about 50x more certify rounds would raise its peak RSS about 4x.
+        # (about 80 ms unscaled) each call.  The closed form 8 m3(1/2) t0^3
+        # waits on ROADMAP item 1's mend of `Rounds` in benchmarks/run.py:
+        # on seed 3 it took certify from 65 to 2 998 rounds and its peak RSS
+        # from 47.1 to 332.6 MiB, past the 10 % peak_rss_mb bound.
         third_moment=lambda t0: t0**3 * _quadrature_third_moment(model, 1.0, mu - 14.0, mu + 14.0),
     )
     return model

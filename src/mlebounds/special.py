@@ -196,12 +196,6 @@ def std_normal_cdf(x: float) -> float:
 # stays far from overflow.
 _EXACT_SUM_LIMIT = 2.0**900
 
-# At most this many extraction passes; each takes 53 - ceil(log2(width + 2))
-# bits off the remainders (40 for 4096 columns), so two clear every element
-# within 2^27 of the largest.  The passes stop early once at most 1/64 of
-# the remainders are non-zero: math.fsum takes that few faster than a pass.
-_EXACT_SUM_PASSES = 3
-
 
 def _exact_row_sums(block) -> list[float]:
     """``math.fsum`` of each row of a 2-d float64 array, bit for bit.
@@ -211,12 +205,13 @@ def _exact_row_sums(block) -> list[float]:
     and sigma = 2^m 2^e above 2^m max|x| of the block, q = (sigma + r) -
     sigma and r - q are both exact, and every q is a multiple of 2^-53 sigma
     at most sigma / 2^m in magnitude, so each row sum of q is exact in any
-    order.  Each pass leaves |r| <= 2^-53 sigma, so the next sigma is
-    2^(m - 53) sigma.  A row's pass sums and its remainders still non-zero
-    after the last pass hold its exact sum, which ``math.fsum`` rounds once.
-    Rows that are all zero, non-finite or huge (max|x| >= 2^900) go to
-    ``math.fsum`` itself, which keeps its value, its sign of zero and its
-    exceptions.  Every pass works in place on the same two blocks, q and r.
+    order.  A pass leaves |r| <= 2^-53 sigma, so the second pass's sigma is
+    2^(m - 53) sigma; the two take 2 (53 - m) bits off (80 for 4096 columns,
+    clearing every element within 2^27 of the largest).  A row's two pass
+    sums and its non-zero remainders hold its exact sum, which ``math.fsum``
+    rounds once.  Rows that are all zero, non-finite or huge (max|x| >=
+    2^900) go to ``math.fsum`` itself, which keeps its value, its sign of
+    zero and its exceptions.  Both passes work in place on q and r.
     """
     x = np.asarray(block, dtype=float)
     if not x.size:
@@ -232,18 +227,14 @@ def _exact_row_sums(block) -> list[float]:
     sigma = math.ldexp(1.0, m + math.frexp(max(tops))[1])
     np.add(x, sigma, out=q)
     q -= sigma
-    parts = [q.sum(axis=1).tolist()]
+    first = q.sum(axis=1).tolist()
     r = x - q
-    left = r != 0.0
-    while (count := np.count_nonzero(left)) > x.size >> 6 and len(parts) < _EXACT_SUM_PASSES:
-        sigma = math.ldexp(sigma, m - 53)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        parts.append(q.sum(axis=1).tolist())
-        r -= q
-        np.not_equal(r, 0.0, out=left)
-    rests = [rest[kept].tolist() for rest, kept in zip(r, left)] if count else [[]] * len(x)
-    return [math.fsum([*p, *rest]) for p, rest in zip(zip(*parts), rests)]
+    sigma = math.ldexp(sigma, m - 53)
+    np.add(r, sigma, out=q)
+    q -= sigma
+    second = q.sum(axis=1).tolist()
+    r -= q
+    return [math.fsum([a, b, *rest[rest != 0.0].tolist()]) for a, b, rest in zip(first, second, r)]
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mlebounds import (
     BoundBreakdown,
     BoundInputs,
+    ConsistencyError,
     DomainError,
     EXP_STEIN_CONST,
     EXP_THIRD_ABS_MOMENT,
@@ -34,6 +35,7 @@ from mlebounds import (
     fisher_info,
     generalized_gamma_model,
     gg_bound,
+    identity,
     laplace_scale_model,
     make_model,
     mse_closed_form,
@@ -482,6 +484,45 @@ class TestModelWithoutSupDSecond:
             assert ar_bound_canonical_expfam(custom, 1.2, 50, 0.6, H, mse) == (
                 ar_bound_canonical_expfam(m, 1.2, 50, 0.6, H, mse)
             )
+
+
+class TestDeclaredIdentity:
+    """A model that declares d_inverse=models.identity while its D' = i/k'
+    is not 1 at theta0 is refused, not given the tail- and Taylor-free bound."""
+
+    MISDECLARED = dataclasses.replace(exp_canonical_model(), d_inverse=identity)
+
+    def test_a_misdeclared_identity_is_refused(self):
+        # exp-canonical's |D'| is 1/theta^2, 0.5917 at 1.3, and its true
+        # bound there is 0.3366 where the identity's would be 0.1014.
+        mse = mse_closed_form(exp_canonical_model(), 100, 1.3)
+        assert expfam_bound(exp_canonical_model(), 1.3, 100, 0.65, H, mse).total == (
+            pytest.approx(0.3366, abs=1e-4)
+        )
+        message = ("model 'exp-canonical' declares d_inverse=models.identity, but "
+                   "D'(theta0) = i/k' = 0.5917159763313609 at theta0=1.3, not 1")
+        for fn in (expfam_bound, ar_bound_canonical_expfam):
+            with pytest.raises(ConsistencyError) as info:
+                fn(self.MISDECLARED, 1.3, 100, 0.65, H, mse)
+            assert str(info.value) == message, fn.__name__
+
+    def test_earlier_refusals_keep_their_order(self):
+        # A bad epsilon or theta0 is refused before the model is evaluated.
+        with pytest.raises(DomainError, match="epsilon"):
+            expfam_bound(self.MISDECLARED, 1.3, 100, math.nan, H, 0.01)
+        with pytest.raises(DomainError, match="theta0"):
+            expfam_bound(self.MISDECLARED, -1.0, 100, 0.65, H, 0.01)
+
+    @pytest.mark.parametrize("model_id, params", [
+        ("exp-noncanonical", {}), ("laplace", {}), ("normal-mean", {"sigma": 1.0}),
+        ("normal-variance", {"mu": 0.5}), ("gg", {"d": 1.0, "p": 1.0}),
+        ("weibull", {"alpha": 1.0}),
+    ])
+    def test_builtin_identities_hold_across_the_float_range(self, model_id, params):
+        m = make_model(model_id, **params)
+        assert m.is_identity
+        for theta0 in (1e-100, 0.37, 1.0, 2.5, 1e100):
+            assert abs(d_prime(m, theta0) - 1.0) <= 2.3e-16
 
 
 class TestOrderProperty:

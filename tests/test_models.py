@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from mlebounds import (
+    BoundInputs,
     ConsistencyError,
     DomainError,
     ExpFamilyModel,
@@ -21,6 +22,7 @@ from mlebounds import (
     density,
     exp_canonical_model,
     exp_noncanonical_model,
+    expfam_bound,
     fisher_info,
     generalized_gamma_model,
     gg_mse_factor,
@@ -32,7 +34,9 @@ from mlebounds import (
     mle,
     normal_mean_model,
     normal_variance_model,
+    reference_test_function,
     sup_abs_d_second,
+    theorem_bound,
     third_abs_moment_holder_gg,
     weibull_scale_model,
 )
@@ -497,6 +501,17 @@ class TestBoundedParameterSpace:
         for m, y in ((self.BERNOULLI, 1.5), (self.BERNOULLI, -0.1), (self.EXP_NATURAL, -1.0)):
             with pytest.raises(DomainError, match="not attained"):
                 invert_d(m, y)
+
+    def test_the_declared_identity_gets_its_bound(self):
+        # D' = i/k' = 1, so the declaration holds and the bound is its Stein
+        # term alone, with Bernoulli's E|X - p|^3 = p q (p^2 + q^2).
+        p, n, h = 0.3, 100, reference_test_function()
+        m3 = p * (1.0 - p) * (p * p + (1.0 - p) ** 2)
+        m = dataclasses.replace(self.BERNOULLI, third_moment=lambda t0: m3)
+        mse = p * (1.0 - p) / n
+        got = expfam_bound(m, p, n, 0.1, h, mse)
+        want = theorem_bound(BoundInputs(n, p, 0.1, fisher_info(m, p), 1.0, m3, mse, 0.0, True, h))
+        assert (got.stein_term, got.tail_term, got.taylor_term) == (want.stein_term, 0.0, 0.0)
 
 
 class TestSupAbsDSecond:

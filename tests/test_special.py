@@ -241,6 +241,24 @@ class TestExactRowSums:
         block = gen.normal(size=(4, width)) * np.array([[1e-8], [1.0], [1e8], [1e300]])
         assert_rows_same_as_fsum(block)
 
+    def test_a_block_the_first_pass_clears(self):
+        # Small integers are multiples of the first pass's 2^-53 sigma, so
+        # every remainder after it is zero.
+        block = np.random.default_rng(13).integers(-1000, 1001, size=(4, 4096)).astype(float)
+        sigma = 2.0 ** (13 + math.frexp(np.abs(block).max())[1])
+        assert np.array_equal((block + sigma) - sigma, block)
+        assert_rows_same_as_fsum(block)
+
+    def test_many_elements_far_below_the_largest(self):
+        # A quarter of each row lies 2^30 to 2^60 below the block's largest
+        # element, out of reach of two passes' 80 bits, so over 1/64 of the
+        # remainders are still non-zero after them.
+        gen = np.random.default_rng(14)
+        block = gen.normal(size=(4, 4096))
+        block[:, ::4] = np.ldexp(block[:, ::4], -gen.integers(30, 61, size=(4, 1024)))
+        assert np.count_nonzero(np.abs(block) < 2.0**-27 * np.abs(block).max()) > block.size / 64
+        assert_rows_same_as_fsum(block)
+
 
 def _cdf_series(x: float) -> float:
     """Independent series oracle: Phi(x) = 1/2 + phi(x) sum x^(2k+1)/(2k+1)!!."""
