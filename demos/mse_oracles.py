@@ -12,7 +12,6 @@ from mlebounds import (
     generalized_gamma_model,
     laplace_scale_model,
     mse_closed_form,
-    mse_exp_canonical,
     mse_monte_carlo,
 )
 
@@ -33,7 +32,7 @@ for label, model, theta0, n in cases:
 print()
 print("the canonical-exponential MSE (n+2) theta^2 / ((n-1)(n-2)) needs n >= 3:")
 for n in (3, 10, 100):
-    print(f"  n={n:<5} -> {mse_exp_canonical(n, 1.0):.6f}")
+    print(f"  n={n:<5} -> {mse_closed_form(exp_canonical_model(), n, 1.0):.6f}")
 
 print()
 print("for d = p = 1 the gamma-ratio MSE collapses to theta^2 / n exactly:")

@@ -21,7 +21,9 @@ With MSE = O(1/n) all three are O(1/sqrt(n)).  The general formula is
 one-parameter exponential family, and the ``exp_*``/``gg_*`` functions are
 fully simplified closed forms for the bundled models.  The ``ar_*``
 functions give the earlier general-purpose bound ("AR bound") that these
-improve on, in the two cases where it has a usable closed form.
+improve on, in the two cases where it has a usable closed form.  Every
+bound refuses with DomainError, naming n (and theta0 where it has one), a
+value it cannot finish in floating point.
 """
 
 from __future__ import annotations
@@ -261,29 +263,46 @@ def theorem_bound(inputs: BoundInputs, *, _formula_id: str = "theorem") -> Bound
             taylor = mse * hp * math.sqrt(n * fisher) / (2.0 * q_prime_abs) * i.sup_q_second
             factors = (i32, q3, eps2, mse)
     except ArithmeticError as exc:
-        raise _refusal(i, _formula_id, "is not finite", f"{type(exc).__name__}: {exc}") from exc
+        detail = f"{type(exc).__name__}: {exc}"
+        raise _refusal(_formula_id, "is not finite", detail, n, i.theta0) from exc
     # Finite (a float power that overflows raises) and non-negative here.
     if min(factors) < 2.0**-1022:
         k = factors.index(min(factors))
         what = ("i^{3/2}", "|q'|^3", "eps^2", "MSE")[k]
         detail = f"{what} = {factors[k]!r} is not a normal float"
-        raise _refusal(i, _formula_id, "has lost digits", detail) from FloatingPointError(detail)
-    bd = BoundBreakdown(stein, tail, taylor, _formula_id)
+        exc = FloatingPointError(detail)
+        raise _refusal(_formula_id, "has lost digits", detail, n, i.theta0) from exc
+    return _finite(BoundBreakdown(stein, tail, taylor, _formula_id), n, i.theta0)
+
+
+def _refusal(formula_id: str, verdict: str, detail: str, n: int,
+             theta0: float | None = None) -> DomainError:
+    """The refusal of checked inputs on which a bound has no value in
+    floating point: its arithmetic overflowed or divided by zero ("is not
+    finite"), or a factor of :func:`theorem_bound` underflowed below
+    2^-1022 ("has lost digits").  It names theta0 where the bound has one."""
+    where = f"n={n}" if theta0 is None else f"theta0={theta0!r}, n={n}"
+    return DomainError(f"{where}: the {formula_id} bound {verdict} in floating point ({detail})")
+
+
+def _finite(bd: BoundBreakdown, n: int, theta0: float | None = None) -> BoundBreakdown:
+    """``bd``, refused through :func:`_refusal` where its total is not
+    finite (the terms are non-negative, so a finite total has finite terms)."""
     if not math.isfinite(bd.total):
-        raise _refusal(i, _formula_id, "is not finite",
-                       f"its terms are {stein!r}, {tail!r} and {taylor!r}")
+        terms = f"its terms are {bd.stein_term!r}, {bd.tail_term!r} and {bd.taylor_term!r}"
+        raise _refusal(bd.formula_id, "is not finite", terms, n, theta0)
     return bd
 
 
-def _refusal(i: BoundInputs, formula_id: str, verdict: str, detail: str) -> DomainError:
-    """The refusal of checked inputs on which :func:`theorem_bound` has no
-    value in floating point: its arithmetic overflowed or divided by zero
-    ("is not finite"), or a factor underflowed below 2^-1022 ("has lost
-    digits")."""
-    return DomainError(
-        f"theta0={i.theta0!r}, n={i.n}: the {formula_id} bound {verdict} in floating "
-        f"point ({detail})"
-    )
+def _closed_form(formula_id: str, n: int, f: Callable, *args) -> float:
+    """``f(*args)``, a step of a closed-form bound at n, refused through
+    :func:`_refusal` where it raises an ArithmeticError: sqrt(n) of an int
+    n beyond the float range (after which every use of n as a float
+    succeeds), or a power that overflows."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        raise _refusal(formula_id, "is not finite", f"{type(exc).__name__}: {exc}", n) from exc
 
 
 def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
@@ -366,14 +385,15 @@ def gg_bound(n: int, params: GeneralizedGammaParams, h: TestFunction) -> BoundBr
     n = _require_int(n, "n")
     _require_test_function(h)
     d, p = params.d, params.p
-    stein = h.norm_h_prime / math.sqrt(n) * (2.0 + (3.0 + 6.0 * p / d) ** 0.75)
+    rootn = _closed_form("gg", n, math.sqrt, n)
+    stein = h.norm_h_prime / rootn * (2.0 + (3.0 + 6.0 * p / d) ** 0.75)
     if d == 1.0 and p == 1.0:
         return BoundBreakdown(stein, 0.0, 0.0, "gg")
     factor = gg_mse_factor(n, d, p)
     tail = 8.0 * h.norm_h * factor
-    edge = 2.0 ** (2.0 - p) if p < 2.0 else 1.5 ** (p - 2.0)
+    edge = 2.0 ** (2.0 - p) if p < 2.0 else _closed_form("gg", n, pow, 1.5, p - 2.0)
     taylor = factor * h.norm_h_prime * math.sqrt(n * d * p) * abs(p - 1.0) / 2.0 * edge
-    return BoundBreakdown(stein, tail, taylor, "gg")
+    return _finite(BoundBreakdown(stein, tail, taylor, "gg"), n)
 
 
 def exp_canonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
@@ -390,9 +410,10 @@ def exp_canonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     n = _require_int(n, "n", 3, " for the exp-canonical bound")
     _require_test_function(h)
     ratio = (n + 2) / ((n - 1) * (n - 2))
-    stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
+    rootn = _closed_form("exp-canonical", n, math.sqrt, n)
+    stein = EXP_STEIN_CONST * h.norm_h_prime / rootn
     tail = 8.0 * h.norm_h * ratio
-    taylor = 8.0 * h.norm_h_prime * math.sqrt(n) * ratio
+    taylor = 8.0 * h.norm_h_prime * rootn * ratio
     return BoundBreakdown(stein, tail, taylor, "exp-canonical")
 
 
@@ -404,7 +425,7 @@ def exp_noncanonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     """
     n = _require_int(n, "n")
     _require_test_function(h)
-    stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
+    stein = EXP_STEIN_CONST * h.norm_h_prime / _closed_form("exp-noncanonical", n, math.sqrt, n)
     return BoundBreakdown(stein, 0.0, 0.0, "exp-noncanonical")
 
 
@@ -419,7 +440,7 @@ def ar_bound_exp_noncanonical(n: int, h: TestFunction) -> float:
     """
     n = _require_int(n, "n")
     _require_test_function(h)
-    rootn = math.sqrt(n)
+    rootn = _closed_form("ar-exp-noncanonical", n, math.sqrt, n)
     return (
         EXP_STEIN_CONST * h.norm_h_prime / rootn
         + 8.0 * h.norm_h / n

@@ -17,11 +17,10 @@ Six built-ins are declared by the law of T, sign * Gamma(a, scale c theta^r):
 exp-canonical, exp-noncanonical, normal-variance and gg state k, A, T, S,
 support and (a, c, r, sign), Laplace and Weibull are their copies, and
 :func:`_gamma_law_model` fills k', A', i, D^{-1}, sup|D''|, the third moment,
-the MSE and the sampler.  Two forms stay stated: exp-canonical's MSE,
-:func:`mse_exp_canonical`, the acceptance tests' reference with its own
-refusal of n < 3, and normal-variance's third moment, a quadrature of about
-80 ms a call.  Its closed form waits on ROADMAP item 1, the mend of
-`Rounds` in benchmarks/run.py and its 10 % peak_rss_mb bound: on seed 3
+the MSE and the sampler.  Two forms stay stated: exp-canonical's MSE, which
+exists only for n >= 3, and normal-variance's third moment, a quadrature
+of about 80 ms a call.  Its closed form waits on ROADMAP item 1, the mend
+of `Rounds` in benchmarks/run.py and its 10 % peak_rss_mb bound: on seed 3
 the closed form took the certify workload from 65 to 2 998 rounds and its
 peak RSS from 47.1 to 332.6 MiB.
 
@@ -62,7 +61,6 @@ __all__ = [
     "laplace_scale_model",
     "make_model",
     "mle",
-    "mse_exp_canonical",
     "normal_mean_model",
     "normal_variance_model",
     "sup_abs_d_second",
@@ -390,11 +388,18 @@ def mle(m: ExpFamilyModel, sample) -> float:
     except ArithmeticError:
         theta = math.nan
     if not m.contains_theta(theta):
-        raise DomainError(
-            f"mean T = {tbar!r} has no MLE inside the parameter space {m.param_space} of "
-            f"model {m.name!r}"
-        )
+        raise _no_mle(m, tbar)
     return theta
+
+
+def _no_mle(m: ExpFamilyModel, tbar: float, where: str = "") -> DomainError:
+    """The refusal of a mean T whose MLE is outside the open parameter
+    space, by :func:`mle` and, naming the trial in ``where``, by the
+    simulation harness."""
+    return DomainError(
+        f"{where}mean T = {tbar!r} has no MLE inside the parameter space {m.param_space} of "
+        f"model {m.name!r}"
+    )
 
 
 def sup_abs_d_second(m: ExpFamilyModel, theta0: float, epsilon: float) -> float:
@@ -479,17 +484,6 @@ def _holder_gg(theta: float, d: float, p: float) -> float:
     return theta ** (3.0 * p) * a**0.75 * (6.0 + 3.0 * a) ** 0.75
 
 
-def mse_exp_canonical(n: int, theta0: float) -> float:
-    """E[(theta_hat - theta0)^2] for the canonical exponential model.
-
-    The MLE 1/mean(X) has closed-form mean squared error
-    (n+2) theta0^2 / ((n-1)(n-2)); the second moment only exists for n >= 3.
-    """
-    n = _require_int(n, "n", 3, " for the canonical exponential MSE")
-    theta0 = _require_real(theta0, "theta0")
-    return (n + 2) * theta0**2 / ((n - 1) * (n - 2))
-
-
 def gg_mse_factor(n: int, d: float, p: float) -> float:
     """The theta-free factor of the generalized-gamma MSE.
 
@@ -504,18 +498,25 @@ def gg_mse_factor(n: int, d: float, p: float) -> float:
     relative accuracy for nd/p up to 1e9 and beyond, where 1 - 2 t1 + t2
     with t1, t2 near 1 would lose it to cancellation.  Multiplied by
     theta^2 this is the MSE of the GG scale MLE.  DomainError where the
-    factor is not finite: 1/z overflows for nd/p below about 5.6e-309.
+    factor is not finite or its arithmetic fails: 1/z overflows for nd/p
+    below about 5.6e-309 and divides by zero where z underflows to 0, an
+    expm1 overflows where 1/p is large against z, and an int n beyond the
+    float range has no z.
     """
     n = _require_int(n, "n")
     d = _require_real(d, "generalized gamma shape d")
     p = _require_real(p, "generalized gamma shape p")
-    z = n * d / p
-    # z and both shifts are positive, so the unchecked core serves.
-    g1 = _log_gamma_excess(z, 1.0 / p)
-    g2 = _log_gamma_excess(z, 2.0 / p)
-    factor = math.expm1(g2) - 2.0 * math.expm1(g1)
+    z = math.inf  # stays inf where n * d overflows
+    try:
+        z = n * d / p
+        # z and both shifts are positive, so the unchecked core serves.
+        g1 = _log_gamma_excess(z, 1.0 / p)
+        g2 = _log_gamma_excess(z, 2.0 / p)
+        factor = math.expm1(g2) - 2.0 * math.expm1(g1)
+    except ArithmeticError:
+        factor = math.inf
     if not math.isfinite(factor):
-        raise DomainError(f"the generalized gamma MSE factor is not finite at n*d/p = {z!r}")
+        raise DomainError(f"the generalized gamma MSE factor is not finite at n={n}, n*d/p = {z!r}")
     return factor
 
 
@@ -540,7 +541,7 @@ def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, 
     Each form repeats the float operations of the family's former own: a r is
     a_num (r / a_den), d for gg; m3(1) is EXP_THIRD_ABS_MOMENT; a power of
     theta is a division where r < 0; at r = -1, k' is a constant and D^{-1}
-    one division; and the sampler negates only where sign = -1.
+    one division; and the sampler divides its draws by sign n, exact in IEEE.
     """
     a, ar = a_num / a_den, a_num * (r / a_den)
     k1c, d2c = sign * r / c, abs(ar * c * (r - 1.0))  # = k' theta^(r+1), |D''| theta^(2-r)
@@ -552,7 +553,7 @@ def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, 
 
     def sample_tbar(t0, n, rng, size):
         draws = rng.gamma(n * a_num / a_den, c * t0**r if r > 0.0 else c / t0 ** (-r), size)
-        return (draws if sign > 0.0 else -draws) / n
+        return draws / (sign * n)
 
     return ExpFamilyModel(**(dict(
         name=name, param_space=_POS, third_moment=third_moment, sample_tbar=sample_tbar,
@@ -572,12 +573,13 @@ def exp_canonical_model() -> ExpFamilyModel:
 
     Canonical: k(theta) = theta, A = -log theta, and T(x) = -x is
     -Gamma(1, scale 1/theta), so D(theta) = -1/theta and the MLE is
-    1 / sample mean.  Its MSE is stated: :func:`mse_exp_canonical`.
+    1 / sample mean, whose MSE, stated here, exists only for n >= 3.
     """
     return _gamma_law_model(
         "exp-canonical", a_num=1.0, a_den=1.0, c=1.0, r=-1.0, sign=-1.0, support=_POS,
         k=identity, A=lambda th: -np.log(th), T=lambda x: -x, S=lambda x: 0.0,
-        mse=mse_exp_canonical,
+        mse=lambda n, t0: (_require_int(n, "n", 3, " for the canonical exponential MSE") + 2)
+        * t0**2 / ((n - 1) * (n - 2)),
     )
 
 

@@ -44,7 +44,7 @@ from .bounds import (
     expfam_bound,
     reference_test_function,
 )
-from .models import ExpFamilyModel, _d, _require_theta, fisher_info, make_model
+from .models import ExpFamilyModel, _d, _no_mle, _require_theta, fisher_info, make_model
 from .moments import mse_closed_form
 from .special import _exact_row_sums
 
@@ -169,7 +169,10 @@ def iter_mle_chunks(
     stream by :func:`sample_model`, solves D(theta_hat) = mean T by the
     model's closed-form ``d_inverse``, and verifies the defining identity
     |D(theta_hat) - mean T| <= 1e-10 * max(1, |mean T|) per trial; a NaN
-    or infinite theta_hat fails it, naming the first failing trial.
+    or infinite theta_hat fails it, naming the first failing trial.  Where
+    that trial's theta_hat is finite but outside the open parameter space
+    (a mean T that underflowed to 0 on an edge of the space, say), it is
+    refused with DomainError as :func:`mlebounds.models.mle` refuses it.
     Memory and time per chunk do not depend on n.
 
     The arguments are checked when the first chunk is asked for: theta0
@@ -198,6 +201,9 @@ def iter_mle_chunks(
         held = np.abs(gap, out=gap) <= np.multiply(limit, 1e-10, out=limit)
         if not held.all():
             bad = int(np.argmin(held))
+            theta = float(theta_hat[bad])
+            if math.isfinite(theta) and not m.contains_theta(theta):
+                raise _no_mle(m, float(tbar[bad]), f"trial {start + bad}: ")
             raise ConsistencyError(
                 f"MLE identity violated at trial {start + bad}: "
                 f"|D(theta_hat) - mean T| = {float(gap[bad])!r}"

@@ -209,9 +209,9 @@ def _exact_row_sums(block) -> list[float]:
     2^(m - 53) sigma; the two take 2 (53 - m) bits off (80 for 4096 columns,
     clearing every element within 2^27 of the largest).  A row's two pass
     sums and its non-zero remainders hold its exact sum, which ``math.fsum``
-    rounds once.  Rows that are all zero, non-finite or huge (max|x| >=
-    2^900) go to ``math.fsum`` itself, which keeps its value, its sign of
-    zero and its exceptions.  Both passes work in place on q and r.
+    rounds once.  A block with a row all zero, non-finite or huge (max|x| >=
+    2^900) goes to ``math.fsum`` row by row, which keeps each value, its
+    sign of zero and its exceptions.  Both passes work in place on q and r.
     """
     x = np.asarray(block, dtype=float)
     if not x.size:
@@ -219,10 +219,8 @@ def _exact_row_sums(block) -> list[float]:
     q = np.abs(x)
     # max propagates NaN, so NaN rows reach math.fsum too.
     tops = q.max(axis=1).tolist()
-    fast = [0.0 < top < _EXACT_SUM_LIMIT for top in tops]
-    if not all(fast):
-        sums = iter(_exact_row_sums(x[fast]))
-        return [next(sums) if ok else math.fsum(row.tolist()) for ok, row in zip(fast, x)]
+    if not all(0.0 < top < _EXACT_SUM_LIMIT for top in tops):
+        return [math.fsum(row.tolist()) for row in x]
     m = (x.shape[1] + 1).bit_length()
     sigma = math.ldexp(1.0, m + math.frexp(max(tops))[1])
     np.add(x, sigma, out=q)

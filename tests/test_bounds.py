@@ -39,7 +39,6 @@ from mlebounds import (
     laplace_scale_model,
     make_model,
     mse_closed_form,
-    mse_exp_canonical,
     normal_mean_model,
     normal_variance_model,
     reference_test_function,
@@ -180,7 +179,7 @@ def canonical_exp_inputs(n: int, theta0: float) -> BoundInputs:
         fisher=1.0 / theta0**2,
         q_prime_abs=1.0 / theta0**2,
         third_moment=EXP_THIRD_ABS_MOMENT / theta0**3,
-        mse=mse_exp_canonical(n, theta0),
+        mse=mse_closed_form(exp_canonical_model(), n, theta0),
         sup_q_second=16.0 / theta0**3,
         q_is_identity=False,
         h=H,
@@ -312,7 +311,7 @@ class TestExpFamBound:
         m = exp_canonical_model()
         for n in (3, 10, 100):
             for theta0 in (0.5, 1.0, 2.0):
-                bd = expfam_bound(m, theta0, n, theta0 / 2, H, mse=mse_exp_canonical(n, theta0))
+                bd = expfam_bound(m, theta0, n, theta0 / 2, H, mse=mse_closed_form(m, n, theta0))
                 closed = exp_canonical_bound(n, H)
                 assert bd.total == pytest.approx(closed.total, rel=1e-12)
 
@@ -366,6 +365,36 @@ class TestGGBound:
             for n in (10, 100, 1000, 10_000, 100_000)
         ]
         assert max(vals) < 2.0 * min(vals)
+
+
+def _gg(n, d, p):
+    return gg_bound(n, GeneralizedGammaParams(1.0, d, p), H)
+
+
+# Closed-form bounds with no value in floating point.  Each returned an
+# infinite total or raised a bare ArithmeticError; each is refused as
+# theorem_bound refuses, naming the formula and n.
+@pytest.mark.parametrize("formula, call, n, cause", [
+    ("gg", lambda: _gg(10, 1e-308, 1.0), 10, None),  # 6p/d overflows the Stein term
+    ("gg", lambda: _gg(10, 2.0, 1e300), 10, OverflowError),  # (3/2)^(p - 2) overflows
+    *[(formula, lambda f=f: f(2**1024), 2**1024, OverflowError) for formula, f in (
+        ("gg", lambda n: _gg(n, 2.0, 1.5)),
+        ("exp-canonical", lambda n: exp_canonical_bound(n, H)),
+        ("exp-noncanonical", lambda n: exp_noncanonical_bound(n, H)),
+        ("ar-exp-noncanonical", lambda n: ar_bound_exp_noncanonical(n, H)),
+    )],
+], ids=["gg-stein", "gg-taylor", "gg-n", "exp-canonical-n", "exp-noncanonical-n",
+        "ar-exp-noncanonical-n"])
+def test_closed_forms_refuse_arithmetic_they_cannot_finish(formula, call, n, cause):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value).startswith(
+        f"n={n}: the {formula} bound is not finite in floating point ("
+    )
+    if cause is None:
+        assert info.value.__cause__ is None and "inf" in str(info.value)
+    else:
+        assert isinstance(info.value.__cause__, cause)
 
 
 class TestExpCanonicalBound:
@@ -425,7 +454,7 @@ class TestARBoundCanonical:
     def test_equals_expfam_for_canonical_exp(self):
         m = exp_canonical_model()
         n, theta0 = 50, 1.5
-        mse = mse_exp_canonical(n, theta0)
+        mse = mse_closed_form(m, n, theta0)
         ar = ar_bound_canonical_expfam(m, theta0, n, theta0 / 2, H, mse)
         new = expfam_bound(m, theta0, n, theta0 / 2, H, mse)
         assert ar.total == new.total
@@ -550,7 +579,8 @@ class TestIntegerArguments:
             lambda n: gg_bound(n, GeneralizedGammaParams(1.3, 2.0, 1.5), H),
             lambda n: theorem_bound(canonical_exp_inputs(n, 1.3)),
             lambda n: expfam_bound(
-                exp_canonical_model(), 1.3, n, 0.65, H, mse_exp_canonical(n, 1.3)
+                exp_canonical_model(), 1.3, n, 0.65, H,
+                mse_closed_form(exp_canonical_model(), n, 1.3),
             ),
         ],
     )

@@ -40,13 +40,6 @@ class TestBoundCommand:
         assert "n must be" in err
         assert out == ""
 
-    def test_non_finite_gg_factor_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "bound", "--formula", "gg", "--d", "1e-320",
-                                 "--p", "1", "--n", "10")
-        assert code == 2
-        assert "n*d/p" in err
-        assert out == ""
-
     def test_expfam_requires_model(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--formula", "expfam", "--n", "10")
         assert code == 2
@@ -166,6 +159,39 @@ def test_theta0_where_the_derived_fisher_failed_is_evaluated(capsys, argv):
         assert json.loads(out)["total"] == 0.3205779635405446
 
 
+# An n beyond the float range, about 1.8e308.
+BIG_N = "1" + "0" * 400
+
+# Closed-form bounds with no value in floating point, each refused naming
+# the formula and n.  All but the first exited 0 printing an infinite
+# total, or exited 3 with a bare ArithmeticError.
+NOT_FINITE_CLOSED_FORMS = [
+    # 1/(n d/p) overflows in the gg MSE factor.
+    ("bound --formula gg --d 1e-320 --p 1 --n 10",
+     "the generalized gamma MSE factor is not finite at n=10, n*d/p = 1e-319"),
+    # The gg Stein term's 6p/d overflows: this printed "total": Infinity.
+    ("bound --formula gg --d 1e-308 --p 1 --n 10 --format json",
+     "n=10: the gg bound is not finite in floating point (its terms are inf, "),
+    # (3/2)^(p - 2) overflows in the gg Taylor term.
+    ("bound --formula gg --d 2 --p 1e300 --n 10",
+     "n=10: the gg bound is not finite in floating point (OverflowError: "),
+    *[(f"bound --formula {formula} --n {BIG_N}",
+       f"n={BIG_N}: the {formula.split()[0]} bound is not finite in floating point "
+       "(OverflowError: int too large to convert to float)")
+      for formula in ("gg --d 2 --p 1.5", "exp-canonical", "exp-noncanonical",
+                      "ar-exp-noncanonical")],
+]
+
+
+@pytest.mark.parametrize("argv, message", NOT_FINITE_CLOSED_FORMS,
+                         ids=["gg-factor", "gg-stein", "gg-taylor", "gg-n", "exp-canonical-n",
+                              "exp-noncanonical-n", "ar-exp-noncanonical-n"])
+def test_closed_form_bound_that_is_not_finite_is_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
 def test_gg_theorem_where_the_stein_term_is_nan_is_refused(capsys):
     # i^{3/2}/|D'|^3 overflows and the Holder moment underflows to 0, so the
     # Stein term is NaN, and the theorem refuses it naming theta0 and n.
@@ -210,6 +236,17 @@ class TestSimulateCommand:
                                "--theta0", "2", "--n", "10", "--trials", "0")
         assert code == 2
         assert "trials" in err
+
+    def test_an_mle_on_the_edge_of_the_space_exits_2(self, capsys):
+        # 425 of chunk 0's Gamma(0.003) sums underflow to 0, whose MLE 0 is
+        # outside (0, inf); this exited 3 as an identity violation, NaN.
+        code, out, err = run_cli(capsys, "simulate", "--model", "gg", "--d", "0.001", "--p", "1",
+                                 "--theta0", "1", "--n", "3", "--trials", "1000")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: trial 18: mean T = 0.0 has no MLE inside the parameter space (0.0, inf) "
+            "of model 'gg(d=0.001, p=1.0)'\n"
+        )
 
     def test_runtime_failure_exit_code(self, capsys, monkeypatch):
         import mlebounds.cli as cli_mod

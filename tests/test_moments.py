@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from mlebounds import (
     laplace_scale_model,
     make_model,
     mse_closed_form,
-    mse_exp_canonical,
     mse_monte_carlo,
     normal_mean_model,
     normal_variance_model,
@@ -174,18 +174,27 @@ class TestHolderBound:
 
 
 class TestMseExpCanonical:
+    """The stated MSE (n+2) theta^2/((n-1)(n-2)) of exp-canonical's MLE."""
+
+    def mse(self, n, theta0):
+        return mse_closed_form(exp_canonical_model(), n, theta0)
+
     def test_small_n_values(self):
-        assert mse_exp_canonical(10, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-        assert mse_exp_canonical(3, 2.0) == pytest.approx(10.0, rel=1e-14)
+        assert self.mse(10, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert self.mse(3, 2.0) == pytest.approx(10.0, rel=1e-14)
 
     def test_requires_n_at_least_three(self):
-        for n in (0, 1, 2):
-            with pytest.raises(DomainError):
-                mse_exp_canonical(n, 1.0)
+        with pytest.raises(DomainError, match="^n must be an integer >= 1, got 0$"):
+            self.mse(0, 1.0)
+        for n in (1, 2):
+            with pytest.raises(DomainError, match=(
+                f"^n must be an integer >= 3 for the canonical exponential MSE, got {n}$"
+            )):
+                self.mse(n, 1.0)
 
     def test_matches_monte_carlo(self):
         est = mse_monte_carlo(exp_canonical_model(), 1.0, 50, trials=100_000, seed=17)
-        analytic = mse_exp_canonical(50, 1.0)
+        analytic = self.mse(50, 1.0)
         assert abs(est.value - analytic) <= 3.0 * est.standard_error
 
     def test_asymptotic_efficiency(self):
@@ -193,7 +202,14 @@ class TestMseExpCanonical:
         theta0 = 1.7
         info = fisher_info(exp_canonical_model(), theta0)
         for n in (100, 1000, 10000, 100000):
-            assert abs(n * mse_exp_canonical(n, theta0) * info - 1.0) <= 10.0 / n
+            assert abs(n * self.mse(n, theta0) * info - 1.0) <= 10.0 / n
+
+    def test_the_stated_float_operations(self):
+        # The form is (n + 2) theta0^2 / ((n - 1)(n - 2)) in these float
+        # operations, from n = 3 to 1e9, so its values do not move.
+        for n in (3, 4, 10, 977, 10**6, 94_906_267, 10**9):
+            for theta0 in (1e-3, 0.37, 1.0, 2.5, 1e3):
+                assert self.mse(n, theta0) == (n + 2) * theta0**2 / ((n - 1) * (n - 2))
 
 
 class TestMseGG:
@@ -233,12 +249,26 @@ class TestMseGG:
                 want = float(1 - 2 * t1 + t2)
             assert gg_mse_factor(n, d, p) == pytest.approx(want, rel=1e-12), (n, d, p)
 
-    def test_non_finite_factor_is_refused(self):
+    @pytest.mark.parametrize("via, n, d, p, z", [
         # Below n d/p of about 5.6e-309, 1/z overflows and the factor is NaN.
-        with pytest.raises(DomainError, match=r"n\*d/p = 1e-319"):
-            gg_mse_factor(10, 1e-320, 1.0)
-        with pytest.raises(DomainError, match=r"n\*d/p"):
-            mse_closed_form(generalized_gamma_model(1e-310, 1.0), 10, 1.0)
+        ("factor", 10, 1e-320, 1.0, "1e-319"),
+        ("model", 10, 1e-310, 1.0, "9.99999999999997e-310"),
+        # Each of these raised a bare ArithmeticError: an expm1 overflows,
+        ("factor", 10, 1.0, 1e-300, "9.999999999999999e+300"),
+        # 1/z divides by zero where z underflows to 0,
+        ("factor", 1, 5e-324, 10.0, "0.0"),
+        # and an int n beyond the float range has no z.
+        ("factor", 2**1024, 2.0, 1.5, "inf"),
+        ("model", 2**1024, 2.0, 1.5, "inf"),
+    ], ids=["1/z-overflows", "1/z-overflows-model", "expm1-overflows", "z-underflows",
+            "n-beyond-floats", "n-beyond-floats-model"])
+    def test_non_finite_factor_is_refused(self, via, n, d, p, z):
+        message = f"the generalized gamma MSE factor is not finite at n={n}, n*d/p = {z}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            if via == "factor":
+                gg_mse_factor(n, d, p)
+            else:
+                mse_closed_form(generalized_gamma_model(d, p), n, 1.0)
 
     def test_bounds_stay_valid_at_n_1e9(self):
         # A rounded z + 1/p once made the factor negative here.
@@ -362,7 +392,6 @@ class TestIntegerArguments:
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda n: mse_exp_canonical(n, 1.7),
             lambda n: gg_mse_factor(n, 2.0, 1.5),
             lambda n: mse_closed_form(exp_canonical_model(), n, 1.7),
             lambda n: mse_closed_form(generalized_gamma_model(d=2.0, p=1.5), n, 1.7),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,22 @@ class TestSufficientStatisticSampler:
                 mse_monte_carlo(m, 2.0, 10, 8192, 1)
             else:
                 run_simulation(config)
+
+    @pytest.mark.parametrize("harness", ["run_simulation", "mse_monte_carlo"])
+    def test_an_mle_on_the_edge_of_the_space_is_refused(self, harness):
+        # gg(0.001, 1) at n = 3: a Gamma(0.003) sum underflows to 0 first at
+        # trial 18, and its MLE 0 lies outside (0, inf).  The harness refuses
+        # it in mle's words; it raised ConsistencyError, D(0) being NaN.
+        params = {"d": 0.001, "p": 1.0}
+        message = (
+            "trial 18: mean T = 0.0 has no MLE inside the parameter space (0.0, inf) "
+            "of model 'gg(d=0.001, p=1.0)'"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            if harness == "mse_monte_carlo":
+                mse_monte_carlo(make_model("gg", **params), 1.0, 3, 1000, 0)
+            else:
+                run_simulation(SimulationConfig("gg", 1.0, 3, 1000, 0, H, params))
 
     def test_overflowing_inverse_fails_the_identity_check(self):
         # Weibull(1e-3) at n = 10: d_inverse = t^1000 overflows at trial 25,

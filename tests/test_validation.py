@@ -37,7 +37,6 @@ from mlebounds import (
     gg_mse_factor,
     invert_d,
     mse_closed_form,
-    mse_exp_canonical,
     mse_monte_carlo,
     reference_test_function,
     result_rows_to_json,
@@ -114,7 +113,6 @@ REAL_ARGS = [
     ("invert_d.target", lambda v: invert_d(M, v), -0.5),
     ("sup_abs_d_second.theta0", lambda v: sup_abs_d_second(M, v, 0.5), 1.5),
     ("sup_abs_d_second.epsilon", lambda v: sup_abs_d_second(M, 1.5, v), 0.5),
-    ("mse_exp_canonical.theta0", lambda v: mse_exp_canonical(10, v), 1.5),
     ("gg_mse_factor.d", lambda v: gg_mse_factor(10, v, 1.5), 2.0),
     ("gg_mse_factor.p", lambda v: gg_mse_factor(10, 2.0, v), 1.5),
     ("TestFunction.norm_h", lambda v: HFunc("paper", H.h, v, H.norm_h_prime), 0.75),
@@ -146,7 +144,6 @@ REAL_ARGS = [
 # (argument, call with the value in that argument, a valid Python int)
 INT_ARGS = [
     ("gg_mse_factor.n", lambda v: gg_mse_factor(v, 2.0, 1.5), 10),
-    ("mse_exp_canonical.n", lambda v: mse_exp_canonical(v, 1.5), 10),
     ("BoundInputs.n", lambda v: _inputs(n=v), 10),
     ("expfam_bound.n", lambda v: expfam_bound(M, 1.5, v, 0.5, H, 0.1), 10),
     ("gg_bound.n", lambda v: gg_bound(v, GeneralizedGammaParams(1.0, 2.0, 1.5), H), 10),
@@ -247,7 +244,7 @@ def test_test_function_argument_rejects_anything_else(arg, call, bad):
 # scalar check went through the errors helpers.
 FORMER_FAULTS = [
     ("TestFunction(norm_h=True)", lambda: HFunc("paper", H.h, True, H.norm_h_prime)),
-    ("mse_exp_canonical(10, True)", lambda: mse_exp_canonical(10, True)),
+    ("mse_closed_form(m, 10, True)", lambda: mse_closed_form(M, 10, True)),
     ("gg_mse_factor(10, True, 1.0)", lambda: gg_mse_factor(10, True, 1.0)),
     ("d_value(m, '2')", lambda: d_value(M, "2")),
     ("sup_abs_d_second(m, 1.0, 'x')", lambda: sup_abs_d_second(M, 1.0, "x")),
