@@ -250,6 +250,38 @@ def test_gamma_law_builtins_match_their_law(model_id, params, a, c, r, sign):
         assert abs(draws.var() - var) <= 5.0 * se_var, (theta0, n)
 
 
+class _FixedGamma:
+    """A generator whose ``gamma`` records its law and returns fixed draws:
+    zero, the smallest subnormal and normal, ordinary values and the largest
+    float."""
+
+    DRAWS = np.array([0.0, 5e-324, 2.2250738585072014e-308, 0.3, 1.0, 7.5, 1e300,
+                      1.7976931348623157e308])
+
+    def gamma(self, shape, scale, size):
+        self.law = (shape, scale, size)
+        return self.DRAWS.copy()
+
+
+@pytest.mark.parametrize("model_id,params,a,c,r,sign", GAMMA_LAWS,
+                         ids=[f"{law[0]}{law[1] or ''}" for law in GAMMA_LAWS])
+def test_gamma_law_sampler_divides_the_sum_by_sign_n(model_id, params, a, c, r, sign):
+    # mean T is the Gamma(n a, c theta^r) sum over sign * n: bit for bit the
+    # negated sum over n where sign = -1, signed zeros included, since IEEE
+    # division is sign-symmetric.
+    m = make_model(model_id, **params)
+    draws = _FixedGamma.DRAWS
+    for theta0, n in ((0.7, 1), (1.3, 3), (2.5, 1000), (0.01, 10**9), (40.0, 2**60 + 1)):
+        rng = _FixedGamma()
+        got = m.sample_tbar(theta0, n, rng, draws.size)
+        want = (draws if sign > 0.0 else -draws) / n
+        assert got.tobytes() == want.tobytes(), (theta0, n)
+        assert np.all(np.signbit(got) == (sign < 0.0)), (theta0, n)
+        shape, scale, size = rng.law
+        assert (shape, scale, size) == (pytest.approx(n * a, rel=1e-15),
+                                        pytest.approx(c * theta0**r, rel=1e-15), draws.size)
+
+
 class TestMLE:
     def test_exp_canonical_reciprocal_mean(self):
         assert mle(exp_canonical_model(), [0.5, 1.5]) == pytest.approx(1.0, rel=1e-14)

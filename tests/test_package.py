@@ -47,6 +47,18 @@ def test_package_exports_exactly_the_modules_all():
     assert sorted(declared - exported) == []
 
 
+def test_exp_canonical_mse_has_one_public_spelling():
+    # The formula is the mse field of exp_canonical_model, reached through
+    # mse_closed_form; the former helper mse_exp_canonical is not exported.
+    from mlebounds import models
+
+    assert "mse_exp_canonical" not in models.__all__
+    assert not hasattr(models, "mse_exp_canonical")
+    assert not hasattr(mlebounds, "mse_exp_canonical")
+    m = mlebounds.exp_canonical_model()
+    assert mlebounds.mse_closed_form(m, 10, 1.0) == 12 * 1.0**2 / (9 * 8)
+
+
 def test_package_star_imports_exactly_the_public_modules():
     # Each module's __all__ is the only export list; the package keeps none.
     tree = ast.parse((SRC / "mlebounds" / "__init__.py").read_text())
