@@ -294,17 +294,6 @@ def _finite(bd: BoundBreakdown, n: int, theta0: float | None = None) -> BoundBre
     return bd
 
 
-def _closed_form(formula_id: str, n: int, f: Callable, *args) -> float:
-    """``f(*args)``, a step of a closed-form bound at n, refused through
-    :func:`_refusal` where it raises an ArithmeticError: sqrt(n) of an int
-    n beyond the float range (after which every use of n as a float
-    succeeds), or a power that overflows."""
-    try:
-        return f(*args)
-    except ArithmeticError as exc:
-        raise _refusal(formula_id, "is not finite", f"{type(exc).__name__}: {exc}", n) from exc
-
-
 def _model_bound(formula_id: str, m: ExpFamilyModel, theta0: float, n: int,
                  epsilon: float, h: TestFunction, mse: float) -> BoundBreakdown:
     """:func:`theorem_bound` on the :class:`BoundInputs` of a model,
@@ -380,18 +369,22 @@ def gg_bound(n: int, params: GeneralizedGammaParams, h: TestFunction) -> BoundBr
         + M(n,d,p) 1{d != 1 or p != 1}
           [ 8||h|| + ||h'|| sqrt(ndp) |p-1|/2 (2^{2-p} if p<2 else (3/2)^{p-2}) ]
 
-    where M is the theta-free MSE factor.
+    where M is the theta-free MSE factor.  A term that is not finite, or a
+    (3/2)^{p-2} that overflows, is refused with DomainError naming n.
     """
     n = _require_int(n, "n")
     _require_test_function(h)
     d, p = params.d, params.p
-    rootn = _closed_form("gg", n, math.sqrt, n)
+    rootn = math.sqrt(n)
     stein = h.norm_h_prime / rootn * (2.0 + (3.0 + 6.0 * p / d) ** 0.75)
     if d == 1.0 and p == 1.0:
         return BoundBreakdown(stein, 0.0, 0.0, "gg")
     factor = gg_mse_factor(n, d, p)
     tail = 8.0 * h.norm_h * factor
-    edge = 2.0 ** (2.0 - p) if p < 2.0 else _closed_form("gg", n, pow, 1.5, p - 2.0)
+    try:
+        edge = 2.0 ** (2.0 - p) if p < 2.0 else 1.5 ** (p - 2.0)
+    except OverflowError as exc:
+        raise _refusal("gg", "is not finite", f"{type(exc).__name__}: {exc}", n) from exc
     taylor = factor * h.norm_h_prime * math.sqrt(n * d * p) * abs(p - 1.0) / 2.0 * edge
     return _finite(BoundBreakdown(stein, tail, taylor, "gg"), n)
 
@@ -410,7 +403,7 @@ def exp_canonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     n = _require_int(n, "n", 3, " for the exp-canonical bound")
     _require_test_function(h)
     ratio = (n + 2) / ((n - 1) * (n - 2))
-    rootn = _closed_form("exp-canonical", n, math.sqrt, n)
+    rootn = math.sqrt(n)
     stein = EXP_STEIN_CONST * h.norm_h_prime / rootn
     tail = 8.0 * h.norm_h * ratio
     taylor = 8.0 * h.norm_h_prime * rootn * ratio
@@ -425,7 +418,7 @@ def exp_noncanonical_bound(n: int, h: TestFunction) -> BoundBreakdown:
     """
     n = _require_int(n, "n")
     _require_test_function(h)
-    stein = EXP_STEIN_CONST * h.norm_h_prime / _closed_form("exp-noncanonical", n, math.sqrt, n)
+    stein = EXP_STEIN_CONST * h.norm_h_prime / math.sqrt(n)
     return BoundBreakdown(stein, 0.0, 0.0, "exp-noncanonical")
 
 
@@ -440,7 +433,7 @@ def ar_bound_exp_noncanonical(n: int, h: TestFunction) -> float:
     """
     n = _require_int(n, "n")
     _require_test_function(h)
-    rootn = _closed_form("ar-exp-noncanonical", n, math.sqrt, n)
+    rootn = math.sqrt(n)
     return (
         EXP_STEIN_CONST * h.norm_h_prime / rootn
         + 8.0 * h.norm_h / n

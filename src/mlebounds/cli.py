@@ -4,8 +4,10 @@ Exit codes: 0 on success, 2 for argument/precondition errors (one-line
 diagnostic on stderr), 3 for runtime failures.  Output formats: a human
 table (default), CSV, or JSON; CSV and JSON serialize floats in shortest
 round-trip form.  A call builds the one model it names with
-:func:`~mlebounds.models.make_model`, which evaluates nothing: whether D
-is the identity and whether the model is canonical are declared on it.
+:func:`~mlebounds.models.make_model`, whose constructor computes only the
+model's constants from its shapes (gg's ln Gamma(d/p), normal-mean's
+sigma^2) and refuses shapes on which they fail: whether D is the identity
+and whether the model is canonical are declared on it, not evaluated.
 """
 
 from __future__ import annotations

@@ -9,17 +9,21 @@ ends are adjacent floats, so it always ends and has no failure of its own.
 Every scalar argument of a public function or dataclass goes through one of
 the two helpers at the end, and no other module checks a scalar by hand:
 :func:`_require_int` for counts, sizes and seeds (any ``numbers.Integral``
-in a range), :func:`_require_real` for real parameters (any finite
-``numbers.Real`` of kind ``"positive"``, ``"non-negative"`` or
-``"finite"``).  Both accept numpy scalars and return the Python number,
-which callers use, so a numpy scalar gives the Python result; ``bool``,
-strings and other non-numbers raise DomainError.  Arrays (samples, the
-values of a test function) are checked by the code that owns them.
+in a range; a count a float holds), :func:`_require_real` for real
+parameters (any finite ``numbers.Real`` of kind ``"positive"``,
+``"non-negative"`` or ``"finite"``).  Both accept numpy scalars and return
+the Python number, which callers use, so a numpy scalar gives the Python
+result; ``bool``, strings and other non-numbers raise DomainError.  Arrays
+(samples, values of a test function) are checked by the code owning them.
 """
 
 import math
 import numbers
 import operator
+import sys
+
+# Every count (n, trials, size) is used as a float, so none may pass this.
+_COUNT_MAX = int(sys.float_info.max)
 
 __all__ = [
     "ConsistencyError",
@@ -54,17 +58,20 @@ def _require_int(
 ) -> int:
     """``value`` as a Python int in [minimum, maximum], or DomainError.
 
-    Accepts any ``numbers.Integral``, numpy integers included, and rejects
-    ``bool``.  The caller must use the returned int: arithmetic on a numpy
-    integer rounds differently from Python's exact integers.
+    Without a ``maximum`` it is a count, refused above the largest float
+    before any arithmetic uses it.  Accepts any ``numbers.Integral``, numpy
+    integers included, and rejects ``bool``.  The caller must use the
+    returned int: a numpy integer rounds differently from Python's ints.
     """
     # The exact-type test skips the much slower ABC check for a plain int.
     if type(value) is int or (
         isinstance(value, numbers.Integral) and not isinstance(value, bool)
     ):
         v = operator.index(value)
-        if minimum <= v and (maximum is None or v <= maximum):
+        if minimum <= v <= (_COUNT_MAX if maximum is None else maximum):
             return v
+        if maximum is None and v > _COUNT_MAX:
+            context = f" that a float can hold (at most {sys.float_info.max!r}){context}"
     allowed = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
     raise DomainError(f"{name} must be an integer {allowed}{context}, got {value!r}")
 

@@ -187,6 +187,14 @@ def _require_theta(m: ExpFamilyModel, theta: float, name: str = "theta") -> floa
     return v
 
 
+def _bad_shape(shapes: str, exc: ArithmeticError) -> DomainError:
+    """The refusal, by a built-in's constructor, of checked ``shapes`` from
+    which it cannot compute its constants in floating point."""
+    return DomainError(
+        f"{shapes}: the model's constants fail in floating point ({type(exc).__name__}: {exc})"
+    )
+
+
 def _not_evaluable(m: ExpFamilyModel, t0: float, exc: ArithmeticError) -> DomainError:
     """The refusal of a theta0 inside the parameter space at which the
     model's closed forms fail in floating point: an overflow, an underflow
@@ -499,16 +507,14 @@ def gg_mse_factor(n: int, d: float, p: float) -> float:
     with t1, t2 near 1 would lose it to cancellation.  Multiplied by
     theta^2 this is the MSE of the GG scale MLE.  DomainError where the
     factor is not finite or its arithmetic fails: 1/z overflows for nd/p
-    below about 5.6e-309 and divides by zero where z underflows to 0, an
-    expm1 overflows where 1/p is large against z, and an int n beyond the
-    float range has no z.
+    below about 5.6e-309 and divides by zero where z underflows to 0, and
+    an expm1 overflows where 1/p is large against z.
     """
     n = _require_int(n, "n")
     d = _require_real(d, "generalized gamma shape d")
     p = _require_real(p, "generalized gamma shape p")
-    z = math.inf  # stays inf where n * d overflows
+    z = n * d / p  # inf, without raising, where n * d overflows
     try:
-        z = n * d / p
         # z and both shifts are positive, so the unchecked core serves.
         g1 = _log_gamma_excess(z, 1.0 / p)
         g2 = _log_gamma_excess(z, 2.0 / p)
@@ -611,12 +617,18 @@ def laplace_scale_model() -> ExpFamilyModel:
 def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
     """Normal location family with known standard deviation sigma.
 
-    D is the identity and the MLE is the sample mean.
+    D is the identity and the MLE is the sample mean.  A sigma whose
+    sigma^2 or sigma^3 overflows, or whose sigma^2 is not a normal float
+    (so 1/sigma^2 is not finite), raises DomainError.
     """
     sigma = _require_real(sigma, "sigma")
-    s2 = sigma**2
+    try:
+        s2, third = sigma**2, NORMAL_THIRD_ABS_MOMENT * sigma**3
+        if s2 < 2.0**-1022:  # 1/s2 would overflow or lose digits
+            raise FloatingPointError(f"sigma**2 = {s2!r} is not a normal float")
+    except ArithmeticError as exc:
+        raise _bad_shape(f"normal-mean shape sigma={sigma!r}", exc) from exc
     log_norm = math.log(sigma * math.sqrt(2.0 * math.pi))
-    third = NORMAL_THIRD_ABS_MOMENT * sigma**3
     inv_s2 = 1.0 / s2  # k' and i
     return ExpFamilyModel(
         name=f"normal-mean(sigma={sigma})",
@@ -666,11 +678,19 @@ def generalized_gamma_model(d: float, p: float) -> ExpFamilyModel:
 
     T(x) = x^p is Gamma(d/p, scale theta^p), D(theta) = (d/p) theta^p, and
     the MLE is ((p/(n d)) sum x_i^p)^(1/p).  The bounds use the paper's
-    Holder bound on E|T - D|^3, ``bound_moment``.
+    Holder bound on E|T - D|^3, ``bound_moment``.  Shapes whose d/p is 0
+    or inf in floating point, or whose ln Gamma(d/p) overflows, raise
+    DomainError.
     """
     dv = _require_real(d, "generalized gamma shape d")
     pv = _require_real(p, "generalized gamma shape p")
-    log_gamma_a = math.lgamma(dv / pv)
+    try:
+        a = dv / pv  # lgamma raises ValueError at 0 and returns inf at inf
+        if not 0.0 < a < math.inf:
+            raise FloatingPointError(f"d/p = {a!r}")
+        log_gamma_a = math.lgamma(a)
+    except ArithmeticError as exc:
+        raise _bad_shape(f"generalized gamma shapes d={dv!r}, p={pv!r}", exc) from exc
     return _gamma_law_model(
         f"gg(d={dv}, p={pv})", a_num=dv, a_den=pv, c=1.0, r=pv, sign=1.0,
         k=lambda th: -th ** (-pv), A=lambda th: dv * np.log(th),

@@ -62,13 +62,24 @@ def mse_closed_form(m: ExpFamilyModel, n: int, theta0: float) -> float:
     Every built-in has one: the identity-D families are unbiased sample
     means with known variances, the canonical exponential and generalized
     gamma have the gamma-ratio forms.  A theta0 at which the form fails in
-    floating point raises DomainError.
+    floating point raises DomainError naming theta0; a form whose integer
+    arithmetic on n leaves the float range (exp-canonical's (n - 1)(n - 2)
+    past n of about 1.3e154) raises it naming n as well.
     """
     n = _require_int(n, "n")
     t0 = _require_theta(m, theta0, "theta0")
     if m.mse is None:
         raise DomainError(f"model {m.name!r} has no closed-form MSE; use mse_monte_carlo")
-    return _evaluated(m, t0, m.mse, n, t0)
+    try:
+        return _evaluated(m, t0, m.mse, n, t0)
+    except DomainError as exc:
+        cause = exc.__cause__
+        # theta0 is a float, so an error of int arithmetic ("int too large
+        # to convert to float") is the failure of n, not of theta0.
+        if not str(cause).startswith("int"):
+            raise
+        raise DomainError(f"theta0={t0!r}, n={n}: the MSE of model {m.name!r} is not finite in "
+                          f"floating point ({type(cause).__name__}: {cause})") from cause
 
 
 def expected_h_of_z(h) -> float:

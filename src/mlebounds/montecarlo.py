@@ -212,11 +212,13 @@ def iter_mle_chunks(
 
 
 def _chunk_sums(chunks: Iterator[np.ndarray], terms) -> list[float]:
-    """The exactly rounded sum over every trial of each array that
-    ``terms(theta_hats)`` returns for a chunk.  A chunk's arrays are stacked
-    into one block and summed by one extraction, ``_exact_row_sums``, which
-    equals ``math.fsum`` of each array bit for bit; the chunk sums are then
-    combined by ``math.fsum`` in chunk order."""
+    """The sum over every trial of each array that ``terms(theta_hats)``
+    returns for a chunk.  A chunk's arrays are stacked into one block and
+    summed by one extraction, ``_exact_row_sums``, which equals
+    ``math.fsum`` of each array bit for bit; the chunk sums are then merged
+    by ``math.fsum`` in chunk order.  So each chunk's sum is rounded once
+    and their merge once more: the total need not be the exactly rounded
+    sum over every trial, though it is bit-reproducible."""
     per_chunk = [_exact_row_sums(np.array(terms(theta_hats))) for theta_hats in chunks]
     return [math.fsum(sums) for sums in zip(*per_chunk)]
 
@@ -247,9 +249,9 @@ def mse_monte_carlo(
     """Empirical MSE of the MLE: the mean of (theta_hat - theta0)^2 over
     seeded trials, with its standard error.
 
-    Sampling and the exactly rounded sums are those of
-    :func:`run_simulation`, so the result is bit-reproducible for a fixed
-    seed.
+    Sampling and the sums (each chunk's exactly rounded, merged by
+    ``math.fsum`` in chunk order) are those of :func:`run_simulation`, so
+    the result is bit-reproducible for a fixed seed.
     """
     # iter_mle_chunks checks the rest; these two are used here as well.
     trials = _require_int(trials, "trials", 1000)

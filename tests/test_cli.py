@@ -9,6 +9,7 @@ import pytest
 
 from mlebounds import cli
 from mlebounds.cli import build_parser, main
+from test_bounds import count_refusal
 
 HP = 3.0 * math.sqrt(6.0) / 32.0
 
@@ -163,8 +164,8 @@ def test_theta0_where_the_derived_fisher_failed_is_evaluated(capsys, argv):
 BIG_N = "1" + "0" * 400
 
 # Closed-form bounds with no value in floating point, each refused naming
-# the formula and n.  All but the first exited 0 printing an infinite
-# total, or exited 3 with a bare ArithmeticError.
+# n, and the formula where its arithmetic fails.  All but the first exited
+# 0 printing an infinite total, or exited 3 with a bare ArithmeticError.
 NOT_FINITE_CLOSED_FORMS = [
     # 1/(n d/p) overflows in the gg MSE factor.
     ("bound --formula gg --d 1e-320 --p 1 --n 10",
@@ -175,11 +176,11 @@ NOT_FINITE_CLOSED_FORMS = [
     # (3/2)^(p - 2) overflows in the gg Taylor term.
     ("bound --formula gg --d 2 --p 1e300 --n 10",
      "n=10: the gg bound is not finite in floating point (OverflowError: "),
-    *[(f"bound --formula {formula} --n {BIG_N}",
-       f"n={BIG_N}: the {formula.split()[0]} bound is not finite in floating point "
-       "(OverflowError: int too large to convert to float)")
-      for formula in ("gg --d 2 --p 1.5", "exp-canonical", "exp-noncanonical",
-                      "ar-exp-noncanonical")],
+    # An n beyond the float range is refused by the one check of every count.
+    *[(f"bound --formula {formula} --n {BIG_N}", count_refusal(BIG_N, minimum, context) + "\n")
+      for formula, minimum, context in (
+          ("gg --d 2 --p 1.5", 1, ""), ("exp-canonical", 3, " for the exp-canonical bound"),
+          ("exp-noncanonical", 1, ""), ("ar-exp-noncanonical", 1, ""))],
 ]
 
 
@@ -190,6 +191,51 @@ def test_closed_form_bound_that_is_not_finite_is_refused(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+
+
+# A count beyond the float range is refused by the count check for every
+# command.  simulate exited 3 with a bare OverflowError; table1 sampled
+# chunk after chunk without end.
+@pytest.mark.parametrize("argv, name", [
+    (f"bound --formula expfam --model exp-noncanonical --theta0 1 --n {BIG_N}", "n"),
+    (f"bound --formula theorem --model gg --d 2 --p 1.5 --theta0 1 --n {BIG_N}", "n"),
+    (f"simulate --model exp-noncanonical --theta0 1 --trials 1000 --n {BIG_N}", "n"),
+    (f"simulate --model exp-noncanonical --theta0 1 --n 10 --trials {BIG_N}", "trials"),
+    (f"table1 --trials {BIG_N}", "trials"),
+], ids=["expfam-n", "theorem-n", "simulate-n", "simulate-trials", "table1-trials"])
+def test_count_beyond_the_float_range_is_refused(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} must be an integer >= ")
+    assert err.endswith(f"that a float can hold (at most 1.7976931348623157e+308), got {BIG_N}\n")
+
+
+# Shapes from which a constructor cannot compute the model's constants
+# exited 3 with a bare error; the constructor now refuses them naming the
+# shapes.
+@pytest.mark.parametrize("shapes, named", [
+    ("--model gg --d 5e-324 --p 10", "generalized gamma shapes d=5e-324, p=10.0"),
+    ("--model gg --d 1e308 --p 1", "generalized gamma shapes d=1e+308, p=1.0"),
+    ("--model normal-mean --sigma 1e200", "normal-mean shape sigma=1e+200"),
+    ("--model normal-mean --sigma 1e-200", "normal-mean shape sigma=1e-200"),
+], ids=["gg-d-over-p-underflows", "gg-lgamma-overflows", "sigma-squared-overflows",
+        "sigma-squared-underflows"])
+@pytest.mark.parametrize("command", ["bound --formula expfam", "simulate --trials 1000"])
+def test_shapes_whose_constants_fail_are_refused(capsys, command, shapes, named):
+    code, out, err = run_cli(capsys, *f"{command} {shapes} --theta0 1 --n 10".split())
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named}: the model's constants fail in floating point (")
+
+
+def test_mse_that_fails_at_a_large_n_names_it(capsys):
+    # (n - 1)(n - 2) leaves the float range in exp-canonical's MSE, at an
+    # ordinary theta0; the refusal blamed theta0 alone.
+    n = 10**200
+    code, out, err = run_cli(capsys, "bound", "--formula", "expfam", "--model",
+                             "exp-canonical", "--theta0", "1", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert err == (f"error: theta0=1.0, n={n}: the MSE of model 'exp-canonical' is not finite "
+                   "in floating point (OverflowError: int too large to convert to float)\n")
 
 
 def test_gg_theorem_where_the_stein_term_is_nan_is_refused(capsys):

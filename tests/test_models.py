@@ -354,12 +354,20 @@ class TestMLE:
             xs = rng.exponential(scale, size=30)
             assert mle(rate, xs) == pytest.approx(1.0 / np.mean(xs), rel=1e-10)
 
-    @pytest.mark.parametrize("fisher", [lambda th: 0.0, lambda th: math.nan])
-    def test_invert_d_needs_a_monotone_d(self, fisher):
-        # With i = 0, D' = i/k' is 0; with a NaN it is not finite.  Either
-        # way the root finder has no direction and must say so.
-        flat = dataclasses.replace(exp_noncanonical_model(), name="flat", fisher=fisher)
-        with pytest.raises(DomainError, match="flat"):
+    @pytest.mark.parametrize("fields, match", [
+        ({"fisher": lambda th: 0.0}, "flat"),
+        ({"fisher": lambda th: math.nan}, "flat"),
+        # i = 2^-1022 and k' = 2^60 are normal floats, but D' = i/k' at the
+        # starting point 1.0 underflows to 0.0.
+        ({"fisher": lambda th: 2.0**-1022, "k1": lambda th: 2.0**60},
+         r"^D'\(1\.0\) = 0\.0 for model 'flat'; D is not monotone$"),
+    ], ids=["fisher0", "fisher1", "d-prime-underflows"])
+    def test_invert_d_needs_a_monotone_d(self, fields, match):
+        # With i = 0, D' = i/k' is 0; with a NaN it is not finite; and D'
+        # may underflow to 0 from normal i and k'.  Each way the root finder
+        # has no direction and must say so.
+        flat = dataclasses.replace(exp_noncanonical_model(), name="flat", **fields)
+        with pytest.raises(DomainError, match=match):
             invert_d(flat, 1.0)
 
     def test_defining_identity_across_builtins(self):
@@ -850,6 +858,33 @@ class TestShapeValidation:
             with pytest.raises(DomainError):
                 normal_mean_model(bad)
         assert normal_variance_model(-2.5).name == "normal-variance(mu=-2.5)"
+
+    # Shapes on which the constructor cannot compute the model's constants.
+    # Each raised a bare ValueError or ArithmeticError, and the CLI exited 3.
+    @pytest.mark.parametrize("build, family, shapes, message", [
+        # d/p underflows to 0, where ln Gamma has a pole.
+        (generalized_gamma_model, "gg", {"d": 5e-324, "p": 10.0},
+         "generalized gamma shapes d=5e-324, p=10.0: the model's constants fail in "
+         "floating point (FloatingPointError: d/p = 0.0)"),
+        # ln Gamma(d/p) overflows.
+        (generalized_gamma_model, "gg", {"d": 1e308, "p": 1.0},
+         "generalized gamma shapes d=1e+308, p=1.0: the model's constants fail in "
+         "floating point (OverflowError: math range error)"),
+        # sigma^2 overflows.
+        (normal_mean_model, "normal-mean", {"sigma": 1e200},
+         "normal-mean shape sigma=1e+200: the model's constants fail in floating point "
+         "(OverflowError: "),
+        # sigma^2 underflows to 0, and 1/sigma^2 divided by zero.
+        (normal_mean_model, "normal-mean", {"sigma": 1e-200},
+         "normal-mean shape sigma=1e-200: the model's constants fail in floating point "
+         "(FloatingPointError: sigma**2 = 0.0 is not a normal float)"),
+    ], ids=["gg-d-over-p-underflows", "gg-lgamma-overflows", "sigma-squared-overflows",
+            "sigma-squared-underflows"])
+    def test_shapes_whose_constants_fail_are_refused(self, build, family, shapes, message):
+        for call in (lambda: build(**shapes), lambda: make_model(family, **shapes)):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}") as info:
+                call()
+            assert isinstance(info.value.__cause__, ArithmeticError)
 
 
 class TestGGClosures:

@@ -39,6 +39,7 @@ from mlebounds import (
 )
 from mlebounds.models import _quadrature_third_moment
 from mlebounds.montecarlo import iter_mle_chunks
+from test_bounds import count_refusal
 
 
 def quad_third_moment(m, theta0, law):
@@ -204,12 +205,29 @@ class TestMseExpCanonical:
         for n in (100, 1000, 10000, 100000):
             assert abs(n * self.mse(n, theta0) * info - 1.0) <= 10.0 / n
 
+    def test_a_failure_of_n_names_n(self):
+        # Past n of about 1.3e154, (n - 1)(n - 2) is an int that no float
+        # holds, at any theta0: this was refused as a failure at theta0 = 1.
+        n = 10**200
+        message = (f"theta0=1.0, n={n}: the MSE of model 'exp-canonical' is not finite in "
+                   "floating point (OverflowError: int too large to convert to float)")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$") as info:
+            self.mse(n, 1.0)
+        assert isinstance(info.value.__cause__, OverflowError)
+        # Where the product is a float, the MSE is the stated form.
+        n = 2**511
+        assert self.mse(n, 1.0) == (n + 2) * 1.0**2 / ((n - 1) * (n - 2))
+
     def test_the_stated_float_operations(self):
         # The form is (n + 2) theta0^2 / ((n - 1)(n - 2)) in these float
         # operations, from n = 3 to 1e9, so its values do not move.
         for n in (3, 4, 10, 977, 10**6, 94_906_267, 10**9):
             for theta0 in (1e-3, 0.37, 1.0, 2.5, 1e3):
                 assert self.mse(n, theta0) == (n + 2) * theta0**2 / ((n - 1) * (n - 2))
+
+
+def _factor_not_finite(n, z):
+    return f"the generalized gamma MSE factor is not finite at n={n}, n*d/p = {z}"
 
 
 class TestMseGG:
@@ -249,21 +267,20 @@ class TestMseGG:
                 want = float(1 - 2 * t1 + t2)
             assert gg_mse_factor(n, d, p) == pytest.approx(want, rel=1e-12), (n, d, p)
 
-    @pytest.mark.parametrize("via, n, d, p, z", [
+    @pytest.mark.parametrize("via, n, d, p, message", [
         # Below n d/p of about 5.6e-309, 1/z overflows and the factor is NaN.
-        ("factor", 10, 1e-320, 1.0, "1e-319"),
-        ("model", 10, 1e-310, 1.0, "9.99999999999997e-310"),
+        ("factor", 10, 1e-320, 1.0, _factor_not_finite(10, "1e-319")),
+        ("model", 10, 1e-310, 1.0, _factor_not_finite(10, "9.99999999999997e-310")),
         # Each of these raised a bare ArithmeticError: an expm1 overflows,
-        ("factor", 10, 1.0, 1e-300, "9.999999999999999e+300"),
+        ("factor", 10, 1.0, 1e-300, _factor_not_finite(10, "9.999999999999999e+300")),
         # 1/z divides by zero where z underflows to 0,
-        ("factor", 1, 5e-324, 10.0, "0.0"),
-        # and an int n beyond the float range has no z.
-        ("factor", 2**1024, 2.0, 1.5, "inf"),
-        ("model", 2**1024, 2.0, 1.5, "inf"),
+        ("factor", 1, 5e-324, 10.0, _factor_not_finite(1, "0.0")),
+        # and an int n beyond the float range, which the count check refuses.
+        ("factor", 2**1024, 2.0, 1.5, count_refusal(2**1024)),
+        ("model", 2**1024, 2.0, 1.5, count_refusal(2**1024)),
     ], ids=["1/z-overflows", "1/z-overflows-model", "expm1-overflows", "z-underflows",
             "n-beyond-floats", "n-beyond-floats-model"])
-    def test_non_finite_factor_is_refused(self, via, n, d, p, z):
-        message = f"the generalized gamma MSE factor is not finite at n={n}, n*d/p = {z}"
+    def test_non_finite_factor_is_refused(self, via, n, d, p, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             if via == "factor":
                 gg_mse_factor(n, d, p)
@@ -424,6 +441,17 @@ def test_theta_outside_the_parameter_space_is_rejected(model_id, params, theta0)
         third_abs_moment(m, theta0)
     with pytest.raises(DomainError, match="theta0"):
         mse_closed_form(m, 10, theta0)
+
+
+@pytest.mark.parametrize("model_id, params", [case[:2] for case in OUTSIDE],
+                         ids=[case[0] for case in OUTSIDE])
+def test_n_beyond_the_float_range_is_refused_by_the_count_check(model_id, params):
+    # The identity-D MSEs blamed theta0, and exp-canonical's form failed on
+    # converting n: every MSE now sees the count check's refusal first.
+    m = make_model(model_id, **params)
+    message = count_refusal(10**400)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        mse_closed_form(m, 10**400, 1.0)
 
 
 # Every optional closed-form field of ExpFamilyModel.

@@ -75,6 +75,17 @@ class TestSampleModel:
         with pytest.raises(DomainError, match="theta0"):
             sample_model(exp_noncanonical_model(), -1.0, rng(), None, 5)
 
+    @pytest.mark.parametrize("n, size, name", [(10**400, 5, "n"), (5, 10**400, "size")],
+                             ids=["n", "size"])
+    def test_a_count_beyond_the_float_range_is_refused(self, n, size, name):
+        # These raised a bare OverflowError (n) and a bare ValueError from
+        # numpy (size); the count check refuses each, naming it, before any
+        # draw.
+        message = (f"^{name} must be an integer >= {0 if name == 'size' else 1} that a float "
+                   r"can hold \(at most 1\.7976931348623157e\+308\), got 10{400}$")
+        with pytest.raises(DomainError, match=message):
+            sample_model(exp_noncanonical_model(), 2.0, rng(), size, n)
+
     def test_the_harness_draws_each_chunk_through_it(self, monkeypatch):
         # The benchmark's sampling layer wraps montecarlo.sample_model, so
         # every chunk must be drawn by a call to that module-level name.
