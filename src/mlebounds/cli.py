@@ -6,7 +6,7 @@ table (default), CSV, or JSON; CSV and JSON serialize floats in shortest
 round-trip form.  A call builds the one model it names with
 :func:`~mlebounds.models.make_model`, whose constructor computes only the
 model's constants from its shapes (gg's ln Gamma(d/p), normal-mean's
-sigma^2) and refuses shapes on which they fail: whether D is the identity
+sigma^2 and sigma^3) and refuses shapes on which they fail: whether D is the identity
 and whether the model is canonical are declared on it, not evaluated.
 """
 

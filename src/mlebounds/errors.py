@@ -3,8 +3,7 @@
 Public functions never raise bare ValueError/RuntimeError; they raise one of
 the classes below so callers (and the CLI exit-code mapping) can tell a bad
 argument (DomainError) from a numerical failure (QuadratureError,
-ConsistencyError).  The generic MLE inversion bisects until its bracket
-ends are adjacent floats, so it always ends and has no failure of its own.
+ConsistencyError).
 
 Every scalar argument of a public function or dataclass goes through one of
 the two helpers at the end, and no other module checks a scalar by hand:

@@ -57,7 +57,6 @@ __all__ = [
     "generalized_gamma_model",
     "gg_mse_factor",
     "identity",
-    "invert_d",
     "laplace_scale_model",
     "make_model",
     "mle",
@@ -127,11 +126,12 @@ class ExpFamilyModel:
       model's one sampler, which the simulation harness draws through by
       :func:`mlebounds.montecarlo.sample_model`.
 
-    A model without them takes the one generic path, bisection on D for
-    the MLE.  Every bound refuses it without ``third_moment`` or
-    ``bound_moment``, and without ``sup_d_second`` unless D is the
-    identity; it has no closed-form MSE, sampler or simulation.  Asking
-    for any of these raises DomainError.
+    A model without ``d_inverse`` has no MLE: :func:`mle` and the
+    simulation harness refuse it.  Every bound refuses a model without
+    ``third_moment`` or ``bound_moment``, and without ``sup_d_second``
+    unless D is the identity; without ``mse`` or ``sample_tbar`` it has no
+    closed-form MSE, sampler or simulation.  Asking for any of these raises
+    DomainError.
 
     A model declares that D is the identity by ``d_inverse=identity`` (D^{-1}
     is the identity exactly when D is), and that it is canonical by
@@ -289,96 +289,18 @@ def _fisher_and_d_prime(m: ExpFamilyModel, t: float) -> tuple[float, float]:
     return i, _evaluated(m, t, lambda: i / k1)
 
 
-def invert_d(m: ExpFamilyModel, target: float) -> float:
-    """Solve D(theta) = target on the parameter space.
-
-    Generic path: bracket the root by geometric expansion, then bisect
-    until the bracket's ends are adjacent floats, whatever the size of the
-    target.  D' = i/k' keeps one sign on the parameter space, so the
-    direction in which D moves is read off the sign of D' at the starting
-    point.  The bracket grows by doubling steps toward an infinite end, and
-    halves the gap to a finite one, until it holds the root.  Built-in
-    models normally bypass this via their closed-form ``d_inverse``.
-
-    Raises DomainError when the target is not attained by D on the space,
-    or when D' at the starting point is zero or refused.  The search
-    ends unattained where its candidate reaches the end of the space or of
-    the float range, or where k' or D there is not finite or raises an
-    ArithmeticError: past that point D = A'/k' is no longer D (once k'
-    overflows, A'/k' evaluates to 0 and would bracket a false root).
-    """
-    y = _require_real(target, "invert_d target", "finite")
-    lo_b, hi_b = m.param_space
-
-    # Starting point strictly inside the space.
-    if math.isfinite(lo_b) and math.isfinite(hi_b):
-        x0 = 0.5 * (lo_b + hi_b)
-    elif math.isfinite(lo_b):
-        x0 = lo_b + 1.0
-    elif math.isfinite(hi_b):
-        x0 = hi_b - 1.0
-    else:
-        x0 = 0.0
-
-    dp0 = d_prime(m, x0)
-    if dp0 == 0.0:
-        raise DomainError(f"D'({x0!r}) = 0.0 for model {m.name!r}; D is not monotone")
-    sign = math.copysign(1.0, dp0)
-
-    def g(th: float) -> float:
-        return sign * (float(_d(m, th)) - y)
-
-    g0 = g(x0)
-    if g0 == 0.0:
-        return x0
-    # g increases with theta: step toward the lower end when g0 > 0, else
-    # the upper, until g takes the sign of the direction (or is zero).
-    direction, end = (-1.0, lo_b) if g0 > 0.0 else (1.0, hi_b)
-    finite_end = math.isfinite(end)
-    gap = end - x0 if finite_end else direction
-    while True:
-        if finite_end:
-            gap *= 0.5
-            cand = end - gap
-        else:
-            gap *= 2.0
-            cand = x0 + gap
-        try:
-            inside = m.contains_theta(cand) and math.isfinite(m.k1(cand))
-            dc = float(_d(m, cand)) if inside else math.nan
-        except ArithmeticError:
-            dc = math.nan
-        if not math.isfinite(dc):
-            raise DomainError(
-                f"target {y!r} is not attained by D on the parameter space of {m.name!r}"
-            )
-        if direction * sign * (dc - y) >= 0.0:
-            break
-    lo, hi = (cand, x0) if g0 > 0.0 else (x0, cand)
-
-    # g(lo) <= 0 <= g(hi), and each step halves the bracket.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-
-
 def mle(m: ExpFamilyModel, sample) -> float:
-    """Maximum likelihood estimate from an i.i.d. sample.
+    """Maximum likelihood estimate from an i.i.d. sample: the model's
+    closed-form ``d_inverse`` at the sample mean of T.
 
-    Computes the sample mean of T and inverts D at it: by the model's
-    closed-form ``d_inverse`` when it has one, else by :func:`invert_d`.
-    A copy of a model with ``d_inverse=None`` takes the generic path.
-
-    Both paths refuse, with DomainError, an MLE they cannot return: a mean
-    T that is not finite (T overflowed), or one whose inverse raises an
-    ArithmeticError or lies outside the open parameter space (a mean T
-    that underflowed to 0 on an edge of the space, say).
+    A model without ``d_inverse`` is refused with DomainError, and so is an
+    MLE that cannot be returned: a mean T that is not finite (T overflowed),
+    or one whose inverse raises an ArithmeticError or lies outside the open
+    parameter space (a mean T that underflowed to 0 on an edge of the
+    space, say).
     """
+    if m.d_inverse is None:
+        raise DomainError(f"model {m.name!r} has no MLE: it states no closed-form d_inverse")
     xs = np.asarray(sample, dtype=float)
     if xs.size == 0:
         raise DomainError("sample must be non-empty")
@@ -389,8 +311,6 @@ def mle(m: ExpFamilyModel, sample) -> float:
         )
     with np.errstate(over="ignore"):  # an overflow gives inf, which is refused
         tbar = float(np.mean(m.T(xs)))
-    if m.d_inverse is None:
-        return invert_d(m, tbar)
     try:
         theta = float(m.d_inverse(tbar)) if math.isfinite(tbar) else math.nan
     except ArithmeticError:
@@ -618,14 +538,17 @@ def normal_mean_model(sigma: float = 1.0) -> ExpFamilyModel:
     """Normal location family with known standard deviation sigma.
 
     D is the identity and the MLE is the sample mean.  A sigma whose
-    sigma^2 or sigma^3 overflows, or whose sigma^2 is not a normal float
-    (so 1/sigma^2 is not finite), raises DomainError.
+    sigma^2 or sigma^3 overflows, or whose sigma^2 or third moment
+    E|T - D|^3 = 2 sqrt(2/pi) sigma^3 is not a normal float (so 1/sigma^2
+    is not finite, or every bound would refuse the moment), raises
+    DomainError.
     """
     sigma = _require_real(sigma, "sigma")
     try:
         s2, third = sigma**2, NORMAL_THIRD_ABS_MOMENT * sigma**3
-        if s2 < 2.0**-1022:  # 1/s2 would overflow or lose digits
-            raise FloatingPointError(f"sigma**2 = {s2!r} is not a normal float")
+        for what, value in (("sigma**2", s2), ("E|T - D|^3", third)):
+            if value < 2.0**-1022:
+                raise FloatingPointError(f"{what} = {value!r} is not a normal float")
     except ArithmeticError as exc:
         raise _bad_shape(f"normal-mean shape sigma={sigma!r}", exc) from exc
     log_norm = math.log(sigma * math.sqrt(2.0 * math.pi))

@@ -44,7 +44,16 @@ from .bounds import (
     expfam_bound,
     reference_test_function,
 )
-from .models import ExpFamilyModel, _d, _no_mle, _require_theta, fisher_info, make_model
+from .models import (
+    ExpFamilyModel,
+    _d,
+    _no_mle,
+    _require_theta,
+    d_prime,
+    d_value,
+    fisher_info,
+    make_model,
+)
 from .moments import mse_closed_form
 from .special import _exact_row_sums
 
@@ -223,6 +232,25 @@ def _chunk_sums(chunks: Iterator[np.ndarray], terms) -> list[float]:
     return [math.fsum(sums) for sums in zip(*per_chunk)]
 
 
+def _require_resolved(m: ExpFamilyModel, theta0: float, n: int, trials: int) -> None:
+    """Refuse a config whose standardized MLE sqrt(n i)(theta_hat - theta0)
+    lies on a float grid too coarse for the estimate.  Near theta0 its step
+    is sqrt(n i(theta0)) max(ulp(theta0), ulp(D(theta0)) / |D'(theta0)|),
+    the larger of theta_hat's own spacing and that of mean T carried
+    through D^{-1}; past a tenth of 1/sqrt(trials), the standard error of a
+    standardized mean, the estimate measures rounding."""
+    step = math.sqrt(n * fisher_info(m, theta0)) * max(
+        math.ulp(theta0), math.ulp(d_value(m, theta0)) / abs(d_prime(m, theta0))
+    )
+    limit = 0.1 / math.sqrt(trials)
+    if step > limit:
+        raise DomainError(
+            f"theta0={theta0!r}, n={n}: the standardized MLE's float grid step {step!r} "
+            f"exceeds 0.1/sqrt(trials) = {limit!r}, a tenth of the standard error of a "
+            "standardized mean, so a Monte Carlo estimate there would measure rounding"
+        )
+
+
 def _mean_and_se(total: float, total_sq: float, trials: int) -> tuple[float, float]:
     """Sample mean and its standard error from the sums of x and x^2."""
     var = max(0.0, (total_sq - total * total / trials) / (trials - 1)) if trials > 1 else 0.0
@@ -249,13 +277,17 @@ def mse_monte_carlo(
     """Empirical MSE of the MLE: the mean of (theta_hat - theta0)^2 over
     seeded trials, with its standard error.
 
-    Sampling and the sums (each chunk's exactly rounded, merged by
-    ``math.fsum`` in chunk order) are those of :func:`run_simulation`, so
-    the result is bit-reproducible for a fixed seed.
+    Sampling, the sums (each chunk's exactly rounded, merged by
+    ``math.fsum`` in chunk order) and the refusal of a float grid coarser
+    than the noise are those of :func:`run_simulation`, so the result is
+    bit-reproducible for a fixed seed.
     """
-    # iter_mle_chunks checks the rest; these two are used here as well.
+    # iter_mle_chunks checks them again; each is used here as well.
     trials = _require_int(trials, "trials", 1000)
     seed = _require_int(seed, "seed", 0, maximum=_SEED_MAX)
+    theta0 = _require_theta(m, theta0, "theta0")
+    n = _require_int(n, "n")
+    _require_resolved(m, theta0, n, trials)
 
     def terms(theta_hats):
         sq = theta_hats - theta0
@@ -299,7 +331,9 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Run one seeded simulation and return its result row.
 
     Deterministic: the same config always produces the same result (up to
-    the wall-time field), independent of chunk scheduling.
+    the wall-time field), independent of chunk scheduling.  A config whose
+    standardized MLE lies on a float grid coarser than 0.1/sqrt(trials) is
+    refused with DomainError, naming theta0 and n, before any sampling.
     """
     start_time = time.perf_counter()
     m = make_model(config.model_id, **config.model_params)
@@ -316,6 +350,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
     # Bounds first: a config they refuse fails before any sampling.
     bound_new, bound_ar = _attach_bounds(config, m)
+    _require_resolved(m, theta0, n, trials)
     sum_h, sum_h2, sum_u, sum_u2 = _chunk_sums(
         iter_mle_chunks(m, theta0, n, trials, config.seed), terms
     )

@@ -218,8 +218,11 @@ def test_count_beyond_the_float_range_is_refused(capsys, argv, name):
     ("--model gg --d 1e308 --p 1", "generalized gamma shapes d=1e+308, p=1.0"),
     ("--model normal-mean --sigma 1e200", "normal-mean shape sigma=1e+200"),
     ("--model normal-mean --sigma 1e-200", "normal-mean shape sigma=1e-200"),
+    # sigma^3 underflows to 0, or to a subnormal: every bound blamed theta0.
+    ("--model normal-mean --sigma 1e-110", "normal-mean shape sigma=1e-110"),
+    ("--model normal-mean --sigma 2e-103", "normal-mean shape sigma=2e-103"),
 ], ids=["gg-d-over-p-underflows", "gg-lgamma-overflows", "sigma-squared-overflows",
-        "sigma-squared-underflows"])
+        "sigma-squared-underflows", "sigma-cubed-underflows", "sigma-cubed-subnormal"])
 @pytest.mark.parametrize("command", ["bound --formula expfam", "simulate --trials 1000"])
 def test_shapes_whose_constants_fail_are_refused(capsys, command, shapes, named):
     code, out, err = run_cli(capsys, *f"{command} {shapes} --theta0 1 --n 10".split())
@@ -293,6 +296,15 @@ class TestSimulateCommand:
             "error: trial 18: mean T = 0.0 has no MLE inside the parameter space (0.0, inf) "
             "of model 'gg(d=0.001, p=1.0)'\n"
         )
+
+    def test_a_float_grid_coarser_than_the_noise_exits_2(self, capsys):
+        # The standardized MLE moves in steps of 20 at theta0 = 1e16: this
+        # printed an empirical distance of 0.121 with a standard error of 0.0.
+        code, out, err = run_cli(capsys, "simulate", "--model", "normal-mean", "--sigma", "1",
+                                 "--theta0", "1e16", "--n", "100", "--trials", "10000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta0=1e+16, n=100: the standardized MLE's float grid "
+                              "step 20.0 exceeds 0.1/sqrt(trials) = 0.001, ")
 
     def test_runtime_failure_exit_code(self, capsys, monkeypatch):
         import mlebounds.cli as cli_mod

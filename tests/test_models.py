@@ -28,7 +28,6 @@ from mlebounds import (
     gg_mse_factor,
     identity,
     integrate_interval,
-    invert_d,
     laplace_scale_model,
     make_model,
     mle,
@@ -316,35 +315,25 @@ class TestMLE:
             np.mean(np.abs(xs)), rel=1e-14
         )
 
-    def test_generic_root_finder_matches_closed_form(self):
-        rng = np.random.default_rng(11)
-        for m in (exp_canonical_model(), exp_noncanonical_model()):
-            for _ in range(100):
-                xs = rng.exponential(1.7, size=rng.integers(3, 40))
-                closed = mle(m, xs)
-                generic = mle(dataclasses.replace(m, d_inverse=None), xs)
-                assert generic == pytest.approx(closed, rel=1e-10)
-
-    def test_generic_root_finder_gg(self):
-        rng = np.random.default_rng(3)
-        m = generalized_gamma_model(d=2.0, p=1.5)
-        for _ in range(20):
-            xs = rng.gamma(2.0, 1.0, size=25) ** (1.0 / 1.5)
-            assert mle(dataclasses.replace(m, d_inverse=None), xs) == pytest.approx(
-                mle(m, xs), rel=1e-10
-            )
+    @pytest.mark.parametrize("m", [m for m, _ in all_builtin_cases()], ids=lambda m: m.name)
+    def test_a_model_without_d_inverse_is_refused(self, m):
+        # D^{-1} is taken in closed form only: a copy without it has no MLE,
+        # whatever its sample.
+        undeclared = dataclasses.replace(m, d_inverse=None)
+        with pytest.raises(DomainError, match=r"has no MLE: it states no closed-form d_inverse$"):
+            mle(undeclared, [1.0, 2.0])
 
     def test_decreasing_d_needs_no_declaration(self):
         # The exponential with rate theta written with T(x) = x: k = -theta
-        # and the canonical model's A = -log theta, so D = 1/theta falls.
-        # The generic root finder reads that direction off D'.
+        # and the canonical model's A = -log theta, so D = 1/theta falls,
+        # and D' = i/k' carries that sign.
         rate = dataclasses.replace(
             exp_canonical_model(),
             name="exp-rate",
             k=lambda th: -th,
             k1=lambda th: -1.0 + 0.0 * th,
             T=lambda x: x,
-            d_inverse=None,
+            d_inverse=lambda t: 1.0 / t,
             sample_tbar=None,
         )
         assert d_value(rate, 2.0) == 0.5
@@ -353,22 +342,6 @@ class TestMLE:
         for scale in (0.05, 0.7, 1.0, 3.0, 40.0):
             xs = rng.exponential(scale, size=30)
             assert mle(rate, xs) == pytest.approx(1.0 / np.mean(xs), rel=1e-10)
-
-    @pytest.mark.parametrize("fields, match", [
-        ({"fisher": lambda th: 0.0}, "flat"),
-        ({"fisher": lambda th: math.nan}, "flat"),
-        # i = 2^-1022 and k' = 2^60 are normal floats, but D' = i/k' at the
-        # starting point 1.0 underflows to 0.0.
-        ({"fisher": lambda th: 2.0**-1022, "k1": lambda th: 2.0**60},
-         r"^D'\(1\.0\) = 0\.0 for model 'flat'; D is not monotone$"),
-    ], ids=["fisher0", "fisher1", "d-prime-underflows"])
-    def test_invert_d_needs_a_monotone_d(self, fields, match):
-        # With i = 0, D' = i/k' is 0; with a NaN it is not finite; and D'
-        # may underflow to 0 from normal i and k'.  Each way the root finder
-        # has no direction and must say so.
-        flat = dataclasses.replace(exp_noncanonical_model(), name="flat", **fields)
-        with pytest.raises(DomainError, match=match):
-            invert_d(flat, 1.0)
 
     def test_defining_identity_across_builtins(self):
         # |D(theta_hat) - mean T| <= 1e-10 on seeded samples, for every
@@ -416,83 +389,30 @@ class TestMLE:
         ids=["exp-canonical-5e-324", "exp-canonical-1e-310", "weibull-1e-170", "gg-1e200",
              "exp-noncanonical-1e308", "gg-d_inverse-overflows"],
     )
-    @pytest.mark.parametrize("path", ["closed", "generic"])
-    def test_an_mle_outside_the_parameter_space_is_refused(self, m, sample, path):
-        # Both paths refuse rather than return inf or 0 for a sample inside
-        # the support, and an overflow in mean T warns nowhere.
+    def test_an_mle_outside_the_parameter_space_is_refused(self, m, sample):
+        # mle refuses rather than return inf or 0 for a sample inside the
+        # support, and an overflow in mean T warns nowhere.
         match = f"mean T = .* has no MLE inside the parameter space .* {re.escape(repr(m.name))}"
-        if path == "generic":
-            m, match = dataclasses.replace(m, d_inverse=None), None
         with pytest.raises(DomainError, match=match):
             mle(m, sample)
-
-    def test_invert_d_matches_closed_form_both_sides(self):
-        # The generic inverse starts at 1 on (0, inf) and at 0 on the real
-        # line, then searches toward one end; every family's thetas lie on
-        # both sides of that start, so both directions are exercised.
-        for m, thetas in all_builtin_cases():
-            generic = dataclasses.replace(m, d_inverse=None)
-            for theta in thetas:
-                target = float(d_value(m, theta))
-                assert invert_d(generic, target) == pytest.approx(
-                    m.d_inverse(target), rel=1e-12
-                ), (m.name, theta)
 
     @pytest.mark.parametrize(
         "m",
         [m for m, _ in all_builtin_cases()] + [generalized_gamma_model(d=0.5, p=3.0)],
         ids=lambda m: m.name,
     )
-    def test_invert_d_is_accurate_at_every_scale(self, m):
-        # Bisection runs to adjacent floats, so the generic inverse meets the
-        # closed form to 1e-15 relative from theta = 1e-6 to 1e6; a stop on
-        # |D(x) - y| <= 1e-12 max(1, |y|) returned 1.5e-4 for gg(0.5, 3) at
-        # theta = 1e-5.
-        generic = dataclasses.replace(m, d_inverse=None)
+    def test_d_inverse_round_trips_d_value_at_every_scale(self, m):
+        # Each closed-form inverse returns theta from D(theta) to 1e-15
+        # relative from theta = 1e-6 to 1e6.
         for theta in np.geomspace(1e-6, 1e6, 61):
-            target = d_value(m, float(theta))
-            want = m.d_inverse(target)
-            assert abs(invert_d(generic, target) - want) <= 1e-15 * abs(want), (m.name, theta)
-
-    def test_invert_d_out_of_range(self):
-        # D of the canonical exponential maps onto (-inf, 0); positive
-        # targets are unreachable.
-        with pytest.raises(DomainError):
-            invert_d(exp_canonical_model(), 1.0)
-
-    # D(theta) = (1/theta) / (1/theta^2) on (0, inf), searched from 1.
-    GENERIC_EXP = dataclasses.replace(exp_noncanonical_model(), d_inverse=None)
-
-    @pytest.mark.parametrize("target", [1e-70, 1e61])
-    def test_invert_d_finds_roots_far_from_the_start(self, target):
-        # More than 199 halvings (1e-70) or doublings (1e61) from the start.
-        root = invert_d(self.GENERIC_EXP, target)
-        assert abs(root - target) <= math.ulp(target)
-        below = math.nextafter(root, 0.0)
-        above = math.nextafter(root, math.inf)
-        assert d_value(self.GENERIC_EXP, below) <= target <= d_value(self.GENERIC_EXP, above)
-
-    @pytest.mark.parametrize("target", [1e-200, 1e-300, 1e300])
-    def test_invert_d_refuses_where_d_cannot_be_evaluated(self, target):
-        # Below theta = 7.46e-155, 1/theta^2 overflows and A'/k' reads 0,
-        # which would bracket a false root near there for 1e-200; above
-        # about 1.3e154, theta**2 raises OverflowError.
-        with pytest.raises(DomainError, match="not attained"):
-            invert_d(self.GENERIC_EXP, target)
-
-    def test_a_zero_of_d_on_the_way_is_passed(self):
-        # D(theta) = theta - 2 is 0 at the walk's first candidate, 2; the
-        # walk goes on past it, and a target of 0 is met there exactly.
-        shifted = dataclasses.replace(
-            normal_mean_model(), name="shifted", A1=lambda th: th - 2.0, d_inverse=None
-        )
-        assert invert_d(shifted, 0.0) == 2.0
-        assert invert_d(shifted, 5.0) == pytest.approx(7.0, rel=1e-15)
+            theta = float(theta)
+            got = m.d_inverse(d_value(m, theta))
+            assert abs(got - theta) <= 1e-15 * theta, (m.name, theta)
 
 
 class TestBoundedParameterSpace:
-    """The generic inverse starts at the midpoint of a bounded space and at
-    hi - 1 on one bounded above; each model declares what it is."""
+    """Custom models on a bounded space and on one bounded above, each with
+    its closed-form D^{-1}; each model declares what it is."""
 
     # Bernoulli with its mean p on (0, 1): D(p) = p.
     BERNOULLI = dataclasses.replace(
@@ -507,7 +427,7 @@ class TestBoundedParameterSpace:
         d_inverse=identity,
     )
     # The exponential with natural parameter eta = -rate on (-inf, 0):
-    # D(eta) = -1/eta.
+    # D(eta) = -1/eta, so D^{-1}(t) = -1/t.
     EXP_NATURAL = dataclasses.replace(
         exp_noncanonical_model(),
         name="exp-natural",
@@ -517,30 +437,31 @@ class TestBoundedParameterSpace:
         A1=lambda eta: -1.0 / eta,
         fisher=lambda eta: 1.0 / eta / eta,
         param_space=(-math.inf, 0.0),
-        d_inverse=None,
+        d_inverse=lambda t: -1.0 / t,
     )
 
     @pytest.mark.parametrize(
         "m, identity, canonical, targets",
         [
-            # 1e-300, and for exp-natural 1e-200 and 1e300, lie more than
-            # 199 halvings or doublings from the start.
             (BERNOULLI, True, False, [1e-300, 1e-9, 0.05, 0.3, 0.5, 0.77, 1.0 - 1e-9]),
             (EXP_NATURAL, False, True, [1e-200, 1e-6, 0.4, 1.0, 2.0, 1e3, 1e300]),
         ],
         ids=["bernoulli-mean", "exp-natural"],
     )
-    def test_invert_d_and_flags(self, m, identity, canonical, targets):
+    def test_mle_and_flags(self, m, identity, canonical, targets):
+        # A one-point sample has mean T = y, so mle solves D(theta) = y.
         assert (m.is_identity, m.is_canonical) == (identity, canonical)
         for y in targets:
-            root = invert_d(m, y)
+            root = mle(m, [y])
             assert m.contains_theta(root)
             assert d_value(m, root) == pytest.approx(y, rel=1e-15, abs=0.0), (m.name, y)
 
     def test_targets_outside_the_range_of_d_are_refused(self):
-        for m, y in ((self.BERNOULLI, 1.5), (self.BERNOULLI, -0.1), (self.EXP_NATURAL, -1.0)):
-            with pytest.raises(DomainError, match="not attained"):
-                invert_d(m, y)
+        # D of the Bernoulli model maps onto (0, 1), whose end 1 is not
+        # attained either; exp-natural's -1/t is -inf at a subnormal t.
+        for m, y in ((self.BERNOULLI, 1.5), (self.BERNOULLI, 1.0), (self.EXP_NATURAL, 5e-324)):
+            with pytest.raises(DomainError, match="has no MLE inside the parameter space"):
+                mle(m, [y])
 
     def test_the_declared_identity_gets_its_bound(self):
         # D' = i/k' = 1, so the declaration holds and the bound is its Stein
@@ -878,8 +799,13 @@ class TestShapeValidation:
         (normal_mean_model, "normal-mean", {"sigma": 1e-200},
          "normal-mean shape sigma=1e-200: the model's constants fail in floating point "
          "(FloatingPointError: sigma**2 = 0.0 is not a normal float)"),
+        # sigma^2 is normal, but the third moment 2 sqrt(2/pi) sigma^3 is
+        # subnormal, and every bound refused it naming theta0.
+        (normal_mean_model, "normal-mean", {"sigma": 2e-103},
+         "normal-mean shape sigma=2e-103: the model's constants fail in floating point "
+         "(FloatingPointError: E|T - D|^3 = 1.276615297284585e-308 is not a normal float)"),
     ], ids=["gg-d-over-p-underflows", "gg-lgamma-overflows", "sigma-squared-overflows",
-            "sigma-squared-underflows"])
+            "sigma-squared-underflows", "sigma-cubed-subnormal"])
     def test_shapes_whose_constants_fail_are_refused(self, build, family, shapes, message):
         for call in (lambda: build(**shapes), lambda: make_model(family, **shapes)):
             with pytest.raises(DomainError, match=f"^{re.escape(message)}") as info:

@@ -472,6 +472,55 @@ class TestRunSimulation:
             assert abs(d_value(m, theta_hat) - float(np.mean(m.T(xs)))) <= 1e-10
 
 
+class TestFloatGrid:
+    """A Monte Carlo output is refused where the standardized MLE's float
+    grid step at theta0 exceeds 0.1/sqrt(trials): there the estimate
+    measures rounding (at theta0 = 1e16 the run printed an empirical
+    distance of 0.121 with a standard error of 0.0, and the MSE 0.0 +- 0.0
+    against the closed form 0.01)."""
+
+    NORMAL = ("normal-mean", {"sigma": 1.0})
+
+    @staticmethod
+    def _harnesses(model_id, params, theta0, n, trials):
+        return {
+            "run_simulation": lambda: run_simulation(
+                SimulationConfig(model_id, theta0, n, trials, 1, H, params)),
+            "mse_monte_carlo": lambda: mse_monte_carlo(
+                make_model(model_id, **params), theta0, n, trials, 1),
+        }
+
+    @pytest.mark.parametrize("harness", ["run_simulation", "mse_monte_carlo"])
+    @pytest.mark.parametrize("model_id, params, theta0, n, step", [
+        (*NORMAL, 1e16, 100, 20.0),
+        (*NORMAL, 1e15, 100, 1.25),
+        ("exp-noncanonical", {}, 1.0, 10**32, 2.220446049250313),
+        # D^{-1}(t) = t^100 spreads mean T's grid 100-fold: theta_hat's own
+        # spacing alone would give a step of 7.0e-5.
+        ("gg", {"d": 0.01, "p": 0.01}, 1.0, 10**27, 0.007021666937153403),
+    ], ids=["normal-mean-1e16", "normal-mean-1e15", "exp-noncanonical-n-1e32", "gg-d-inverse"])
+    def test_a_grid_coarser_than_the_noise_is_refused_before_sampling(
+        self, monkeypatch, harness, model_id, params, theta0, n, step
+    ):
+        def sample(*args):
+            raise AssertionError("sampled before the float grid was checked")
+
+        monkeypatch.setattr(montecarlo, "iter_mle_chunks", sample)
+        run = self._harnesses(model_id, params, theta0, n, 10_000)[harness]
+        message = (f"theta0={theta0!r}, n={n}: the standardized MLE's float grid step {step!r} "
+                   "exceeds 0.1/sqrt(trials) = 0.001, ")
+        with pytest.raises(DomainError, match="^" + re.escape(message)):
+            run()
+
+    @pytest.mark.parametrize("harness", ["run_simulation", "mse_monte_carlo"])
+    def test_the_limit_is_a_tenth_of_the_standard_error(self, harness):
+        # At n = 100 and sigma = 1 the step is 10 ulp(theta0): 2.4e-3 at
+        # 2^40 and 4.9e-3 at 2^41, against 0.1/sqrt(1000) = 3.2e-3.
+        self._harnesses(*self.NORMAL, 2.0**40, 100, 1000)[harness]()
+        with pytest.raises(DomainError, match="float grid step 0.0048828125 exceeds"):
+            self._harnesses(*self.NORMAL, 2.0**41, 100, 1000)[harness]()
+
+
 class TestTable:
     def test_structure_and_determinism(self):
         rows = table1(trials=1000, seed=31)

@@ -218,6 +218,29 @@ def test_the_runtime_needs_only_numpy():
     assert '"formula": "expfam"' in done.stdout
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--formula", "exp-noncanonical", "--n", "10"], 0),
+    (["bound", "--formula", "exp-noncanonical", "--n", "0"], 2),
+], ids=["bound", "n-zero"])
+def test_the_console_entry_point_exits_with_mains_code(argv, code):
+    # python -m runs cli.entrypoint, which passes main's return to sys.exit.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mlebounds.cli", *argv],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert "exp-noncanonical" in done.stdout
+    else:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: n must be an integer >= 1")
+
+
 def _readme_section(heading: str) -> str:
     """The text under the README's ``## heading``."""
     return README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]

@@ -35,7 +35,6 @@ from mlebounds import (
     fisher_info,
     gg_bound,
     gg_mse_factor,
-    invert_d,
     mse_closed_form,
     mse_monte_carlo,
     reference_test_function,
@@ -110,7 +109,6 @@ REAL_ARGS = [
     ("d_prime.theta", lambda v: d_prime(M, v), 1.5),
     ("fisher_info.theta", lambda v: fisher_info(M, v), 1.5),
     ("density.theta", lambda v: density(M, 0.75, v), 1.5),
-    ("invert_d.target", lambda v: invert_d(M, v), -0.5),
     ("sup_abs_d_second.theta0", lambda v: sup_abs_d_second(M, v, 0.5), 1.5),
     ("sup_abs_d_second.epsilon", lambda v: sup_abs_d_second(M, 1.5, v), 0.5),
     ("gg_mse_factor.d", lambda v: gg_mse_factor(10, v, 1.5), 2.0),
