@@ -409,6 +409,29 @@ class TestMLE:
             got = m.d_inverse(d_value(m, theta))
             assert abs(got - theta) <= 1e-15 * theta, (m.name, theta)
 
+    @pytest.mark.parametrize(
+        "m",
+        [m for m, _ in all_builtin_cases()] + [generalized_gamma_model(d=0.5, p=3.0)],
+        ids=lambda m: m.name,
+    )
+    def test_d_value_round_trips_d_inverse_at_every_scale(self, m):
+        # The MLE's defining identity D(theta_hat) = mean T, to 4e-15
+        # relative for every mean T in D's range over theta = 1e-6 to 1e6.
+        # The worst case, 2.5e-15 for gg(0.5, 3), is D = (d/p) theta^p
+        # carrying the inverse's rounding p-fold.
+        for theta in np.geomspace(1e-6, 1e6, 61):
+            t = float(d_value(m, float(theta)))
+            got = float(d_value(m, m.d_inverse(t)))
+            assert abs(got - t) <= 4e-15 * abs(t), (m.name, t)
+
+    @pytest.mark.parametrize("y", [1e-300, 1e-200, 1e-70, 1e61, 1e300])
+    def test_a_one_point_sample_at_any_scale_is_its_own_mle(self, y):
+        # exp-noncanonical's D is the identity, so the MLE of [y] is y
+        # exactly.  The closed form never evaluates D = A'/k', which fails
+        # in floating point at 1e-300, 1e-200 and 1e300.
+        m = exp_noncanonical_model()
+        assert mle(m, [y]) == y
+
 
 class TestBoundedParameterSpace:
     """Custom models on a bounded space and on one bounded above, each with
