@@ -87,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb = add_parser("bound", help="evaluate one bound formula")
     pb.add_argument("--formula", choices=FORMULAS, required=True)
     pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("--epsilon-frac", type=float, default=0.5,
-                    help="epsilon as a fraction of |theta0| (default 0.5; 1 at theta0 = 0)")
     add_model_flags(pb)
     add_common(pb)
     pb.set_defaults(func=cmd_bound)
@@ -163,14 +161,13 @@ def cmd_bound(args) -> int:
     elif formula == "gg":
         d = _require(args.d, "--d", "the gg formula")
         p = _require(args.p, "--p", "the gg formula")
-        theta = args.theta0 if args.theta0 is not None else 1.0
-        params = GeneralizedGammaParams(theta=theta, d=d, p=p)
+        params = GeneralizedGammaParams(theta=1.0, d=d, p=p)  # the bound is theta-free
         fields = _terms(gg_bound(n, params, h), n)
     else:
         model_id = _require(args.model, "--model", f"the {formula} formula")
         theta0 = _require(args.theta0, "--theta0", f"the {formula} formula")
         m = make_model(model_id, **_model_params(args))
-        epsilon = _default_epsilon(theta0, args.epsilon_frac)
+        epsilon = _default_epsilon(theta0)
         mse = mse_closed_form(m, n, theta0)
         if formula == "ar-canonical":
             bd = ar_bound_canonical_expfam(m, theta0, n, epsilon, h, mse)

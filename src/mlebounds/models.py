@@ -19,10 +19,8 @@ support and (a, c, r, sign), Laplace and Weibull are their copies, and
 :func:`_gamma_law_model` fills k', A', i, D^{-1}, sup|D''|, the third moment,
 the MSE and the sampler.  Two forms stay stated: exp-canonical's MSE, which
 exists only for n >= 3, and normal-variance's third moment, a quadrature
-of about 80 ms a call.  Its closed form waits on ROADMAP item 1, the mend
-of `Rounds` in benchmarks/run.py and its 10 % peak_rss_mb bound: on seed 3
-the closed form took the certify workload from 65 to 2 998 rounds and its
-peak RSS from 47.1 to 332.6 MiB.
+of about 80 ms a call whose closed form waits on ROADMAP item 1 (see
+:func:`normal_variance_model`).
 
 Models are immutable after construction and all operations are pure, so
 instances can be shared freely across threads or processes.
@@ -466,8 +464,8 @@ def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, 
     r > 0, the GG(theta, a r, r) MLE's.
     Each form repeats the float operations of the family's former own: a r is
     a_num (r / a_den), d for gg; m3(1) is EXP_THIRD_ABS_MOMENT; a power of
-    theta is a division where r < 0; at r = -1, k' is a constant and D^{-1}
-    one division; and the sampler divides its draws by sign n, exact in IEEE.
+    theta is a division where r < 0; at r = -1, D^{-1} is one division; and
+    the sampler divides its draws by sign n, exact in IEEE.
     """
     a, ar = a_num / a_den, a_num * (r / a_den)
     k1c, d2c = sign * r / c, abs(ar * c * (r - 1.0))  # = k' theta^(r+1), |D''| theta^(2-r)
@@ -483,7 +481,7 @@ def _gamma_law_model(name: str, a_num: float, a_den: float, c: float, r: float, 
 
     return ExpFamilyModel(**(dict(
         name=name, param_space=_POS, third_moment=third_moment, sample_tbar=sample_tbar,
-        k1=(lambda th: k1c) if r == -1.0 else (lambda th: k1c / th ** (r + 1.0)),
+        k1=lambda th: k1c / th ** (r + 1.0),
         A1=lambda th: ar / th, fisher=lambda th: ar * r / th / th,
         d_inverse=identity if is_id else (lambda t: sign * a * c / t) if r == -1.0
         else (lambda t: (a_den * t / (sign * c * a_num)) ** (1.0 / r)),

@@ -299,12 +299,12 @@ def mse_monte_carlo(
     return MonteCarloEstimate(value=mean, standard_error=standard_error, trials=trials, seed=seed)
 
 
-def _default_epsilon(theta0: float, fraction: float) -> float:
-    """epsilon = fraction * |theta0|, or 1 where that is 0 for a nonzero
-    fraction: at theta0 = 0, which only identity-D models admit and where
-    epsilon is inert, or at a theta0 so small that the product underflows."""
-    epsilon = fraction * abs(theta0)
-    return 1.0 if epsilon == 0.0 and fraction != 0.0 else epsilon
+def _default_epsilon(theta0: float) -> float:
+    """The paper's epsilon = |theta0|/2, or 1 where that is 0: at theta0 = 0,
+    which only identity-D models admit and where epsilon is inert, or at a
+    theta0 so small that the half underflows."""
+    epsilon = 0.5 * abs(theta0)
+    return 1.0 if epsilon == 0.0 else epsilon
 
 
 def _attach_bounds(config: SimulationConfig, m: ExpFamilyModel) -> tuple[float, float | None]:
@@ -323,7 +323,7 @@ def _attach_bounds(config: SimulationConfig, m: ExpFamilyModel) -> tuple[float, 
         new = exp_canonical_bound(n, h).total
         return new, new
     mse = mse_closed_form(m, n, theta0)
-    new = expfam_bound(m, theta0, n, _default_epsilon(theta0, 0.5), h, mse).total
+    new = expfam_bound(m, theta0, n, _default_epsilon(theta0), h, mse).total
     return new, (new if m.is_canonical else None)
 
 

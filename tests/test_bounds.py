@@ -33,6 +33,7 @@ from mlebounds import (
     exp_noncanonical_model,
     expfam_bound,
     fisher_info,
+    gamma_third_abs_moment,
     generalized_gamma_model,
     gg_bound,
     identity,
@@ -340,6 +341,20 @@ class TestExpFamBound:
             assert bd.stein_term == pytest.approx(closed.stein_term, rel=1e-10)
             assert bd.tail_term == pytest.approx(closed.tail_term, rel=1e-10, abs=1e-15)
             assert bd.taylor_term == pytest.approx(closed.taylor_term, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_normal_variance_closed_form_moment_keeps_the_bound(self, mu):
+        # ROADMAP item 2's deferred switch replaces the quadrature third
+        # moment by 8 m3(1/2) t0^3; every normal-variance bound must then
+        # move by at most 1e-13 relative (4.1e-14 at worst here).
+        m = normal_variance_model(mu)
+        closed = dataclasses.replace(
+            m, third_moment=lambda t0: 8.0 * gamma_third_abs_moment(0.5) * t0**3)
+        for theta0 in (0.3, 4.2):
+            for n in (3, 1000):
+                mse = mse_closed_form(m, n, theta0)
+                assert expfam_bound(closed, theta0, n, theta0 / 2, H, mse).total == pytest.approx(
+                    expfam_bound(m, theta0, n, theta0 / 2, H, mse).total, rel=1e-13, abs=0.0)
 
 
 class TestGGBound:

@@ -82,28 +82,35 @@ class TestBoundCommand:
         assert code == 0
         assert out == "formula      ar-exp-noncanonical\nn            10\ntotal        11.8885\n"
 
-    @pytest.mark.parametrize("theta0", ["0", "-0", "5e-324"])
-    @pytest.mark.parametrize("formula", ["expfam", "theorem", "ar-canonical"])
-    def test_theta0_zero_uses_the_simulation_epsilon(self, capsys, formula, theta0):
+    @pytest.mark.parametrize("formula, model, theta0", [
         # Only identity-D models admit theta0 = 0, and epsilon is inert for
         # them; bound and simulate both take epsilon = 1 there, and where
         # 0.5 |theta0| underflows to 0.
-        code, out, err = run_cli(capsys, "bound", "--formula", formula, "--model",
-                                 "normal-mean", "--theta0", theta0, "--n", "10",
-                                 "--format", "json")
+        *[pytest.param(formula, "normal-mean", theta0, id=f"{formula}-{theta0}")
+          for theta0 in ("0", "-0", "5e-324") for formula in ("expfam", "theorem", "ar-canonical")],
+        *[pytest.param("expfam", model, theta0, id=model.split()[0]) for model, theta0 in (
+            ("laplace", "1.7"), ("normal-mean --sigma 2", "-0.4"), ("normal-variance", "1.7"),
+            ("weibull --alpha 2", "1.7"), ("gg --d 2 --p 1.5", "1.7"))],
+    ])
+    def test_theta0_zero_uses_the_simulation_epsilon(self, capsys, formula, model, theta0):
+        # One epsilon rule, |theta0|/2 or 1 where that is 0, for bound and simulate.
+        args = ["--model", *model.split(), "--theta0", theta0, "--n", "10", "--format", "json"]
+        code, out, err = run_cli(capsys, "bound", "--formula", formula, *args)
         assert (code, err) == (0, "")
-        _, sim, _ = run_cli(capsys, "simulate", "--model", "normal-mean", "--theta0", theta0,
-                            "--n", "10", "--trials", "1000", "--format", "json")
+        _, sim, _ = run_cli(capsys, "simulate", *args, "--trials", "1000")
         assert json.loads(out)["total"] == json.loads(sim)[0]["new_bound"]
-        assert json.loads(out)["total"] == 0.26111913608973497
+        if model == "normal-mean":
+            assert json.loads(out)["total"] == 0.26111913608973497
 
-    def test_zero_epsilon_fraction_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "bound", "--formula", "expfam", "--model",
-                                 "exp-canonical", "--theta0", "1", "--n", "10",
-                                 "--epsilon-frac", "0")
-        assert code == 2
-        assert out == ""
-        assert "epsilon" in err
+    @pytest.mark.parametrize("theta0", ["-1", "0", "nan", "2"])
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    def test_gg_formula_ignores_theta0(self, capsys, fmt, theta0):
+        # gg_bound reads only d and p, so --theta0 is neither read nor refused.
+        argv = ["bound", "--formula", "gg", "--d", "2", "--p", "1.5", "--n", "10",
+                "--format", fmt]
+        code, without, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv, "--theta0", theta0) == (0, without, "")
 
 
 # theta0 inside the parameter space at which a closed form fails in floating
@@ -410,6 +417,13 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--model", "exp-noncanonical", "--theta0", "2", "--n", "10",
                   "--chunk-size", "8"])
+        assert exc.value.code == 2
+
+    def test_epsilon_fraction_is_not_a_flag(self):
+        # bound takes the paper's epsilon = |theta0|/2, as simulate does.
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--formula", "expfam", "--model", "exp-canonical", "--theta0", "1",
+                  "--n", "10", "--epsilon-frac", "0.5"])
         assert exc.value.code == 2
 
     def test_h_is_not_a_flag(self):
