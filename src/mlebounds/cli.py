@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 
@@ -30,7 +31,7 @@ from .bounds import (
     reference_test_function,
 )
 from .errors import DomainError
-from .models import GeneralizedGammaParams, make_model
+from .models import MODEL_FAMILIES, GeneralizedGammaParams, make_model
 from .moments import mse_closed_form
 from .montecarlo import (
     SimulationConfig,
@@ -44,17 +45,14 @@ from .montecarlo import (
     table1,
 )
 
-FORMULAS = (
-    "theorem",
-    "expfam",
-    "gg",
-    "exp-canonical",
-    "exp-noncanonical",
-    "ar-exp-noncanonical",
-    "ar-canonical",
-)
+FORMULAS = {  # each formula and the model it bounds, or None where --model names it
+    "theorem": None, "expfam": None, "gg": "gg", "exp-canonical": "exp-canonical",
+    "exp-noncanonical": "exp-noncanonical", "ar-exp-noncanonical": "exp-noncanonical",
+    "ar-canonical": None,
+}
 
-_MODEL_PARAM_FLAGS = ("d", "p", "alpha", "sigma", "mu")
+_MODEL_PARAM_FLAGS = tuple(dict.fromkeys(  # the constructors' shapes, in registry order
+    name for build in MODEL_FAMILIES.values() for name in inspect.signature(build).parameters))
 
 
 @functools.cache
@@ -151,6 +149,17 @@ def cmd_bound(args) -> int:
     h = reference_test_function()
     n = args.n
     formula = args.formula
+    model_id = FORMULAS[formula]
+    if model_id is None:
+        model_id = _require(args.model, "--model", f"the {formula} formula")
+        theta0 = _require(args.theta0, "--theta0", f"the {formula} formula")
+    elif args.model not in (None, model_id):
+        raise DomainError(f"the {formula} formula bounds the model {model_id!r}, "
+                          f"not --model {args.model!r}")
+    elif formula == "gg":
+        d = _require(args.d, "--d", "the gg formula")
+        p = _require(args.p, "--p", "the gg formula")
+    m = make_model(model_id, **_model_params(args))
 
     if formula == "exp-canonical":
         fields = _terms(exp_canonical_bound(n, h), n)
@@ -159,14 +168,9 @@ def cmd_bound(args) -> int:
     elif formula == "ar-exp-noncanonical":
         fields = {"formula": formula, "n": n, "total": ar_bound_exp_noncanonical(n, h)}
     elif formula == "gg":
-        d = _require(args.d, "--d", "the gg formula")
-        p = _require(args.p, "--p", "the gg formula")
         params = GeneralizedGammaParams(theta=1.0, d=d, p=p)  # the bound is theta-free
         fields = _terms(gg_bound(n, params, h), n)
     else:
-        model_id = _require(args.model, "--model", f"the {formula} formula")
-        theta0 = _require(args.theta0, "--theta0", f"the {formula} formula")
-        m = make_model(model_id, **_model_params(args))
         epsilon = _default_epsilon(theta0)
         mse = mse_closed_form(m, n, theta0)
         if formula == "ar-canonical":

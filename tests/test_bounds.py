@@ -52,6 +52,7 @@ from mlebounds.bounds import TestFunction as HFunc
 from mlebounds.bounds import _model_bound
 from mlebounds.models import _quadrature_third_moment
 from mlebounds.cli import main as cli_main
+from refusals import count_refusal
 
 H = reference_test_function()
 HP = H.norm_h_prime  # 3 sqrt(6) / 32
@@ -384,12 +385,6 @@ class TestGGBound:
 
 def _gg(n, d, p):
     return gg_bound(n, GeneralizedGammaParams(1.0, d, p), H)
-
-
-def count_refusal(n, minimum=1, context=""):
-    """The count check's refusal of an int n that no float can hold."""
-    return (f"n must be an integer >= {minimum} that a float can hold "
-            f"(at most 1.7976931348623157e+308){context}, got {n}")
 
 
 # Closed-form bounds with no value in floating point.  Each returned an

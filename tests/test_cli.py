@@ -9,7 +9,7 @@ import pytest
 
 from mlebounds import cli
 from mlebounds.cli import build_parser, main
-from test_bounds import count_refusal
+from refusals import count_refusal
 
 HP = 3.0 * math.sqrt(6.0) / 32.0
 
@@ -111,6 +111,67 @@ class TestBoundCommand:
         code, without, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert run_cli(capsys, *argv, "--theta0", theta0) == (0, without, "")
+
+
+# A closed-form formula bounds one model, built from the shape flags as
+# --model's is.  Each of these exited 0 printing the bound of the formula's
+# own model; each is refused naming that model.
+@pytest.mark.parametrize("argv, message", [
+    ("bound --formula exp-canonical --model gg --d 2 --p 1.5 --theta0 0.8 --n 10",
+     "the exp-canonical formula bounds the model 'exp-canonical', not --model 'gg'"),
+    ("bound --formula gg --model laplace --d 2 --p 1.5 --n 10",
+     "the gg formula bounds the model 'gg', not --model 'laplace'"),
+    ("bound --formula exp-noncanonical --sigma 3 --n 10",
+     "model 'exp-noncanonical' takes the parameters [], got ['sigma']"),
+    ("bound --formula gg --d 2 --p 1.5 --alpha 3 --n 10",
+     "model 'gg' takes the parameters ['d', 'p'], got ['alpha', 'd', 'p']"),
+], ids=["foreign-model", "gg-foreign-model", "foreign-shape", "gg-foreign-shape"])
+def test_closed_form_refuses_a_model_it_does_not_bound(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, model", [
+    ("bound --formula gg --d 2 --p 1.5 --n 10", "gg"),
+    ("bound --formula exp-canonical --n 10", "exp-canonical"),
+    ("bound --formula exp-noncanonical --n 10", "exp-noncanonical"),
+    ("bound --formula ar-exp-noncanonical --n 10", "exp-noncanonical"),
+], ids=["gg", "exp-canonical", "exp-noncanonical", "ar-exp-noncanonical"])
+@pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+def test_closed_form_given_its_own_model_prints_the_same(capsys, fmt, argv, model):
+    argv = [*argv.split(), "--format", fmt]
+    code, without, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *argv, "--model", model) == (0, without, "")
+
+
+@pytest.mark.parametrize("shapes", ["--d 1e308 --p 1", "--d 5e-324 --p 10", "--d 1e300 --p 1e-10"],
+                         ids=["lgamma-overflows", "d-over-p-underflows", "d-over-p-overflows"])
+def test_gg_formula_refuses_the_shapes_its_model_refuses(capsys, shapes):
+    # At d = 1e308, p = 1 ln Gamma(d/p) overflows: the gg formula printed
+    # 0.982745 at n = 1 while --formula expfam --model gg refused the shapes.
+    code, out, err = run_cli(capsys, *f"bound --formula gg {shapes} --n 1".split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: generalized gamma shapes d=")
+    expfam = f"bound --formula expfam --model gg {shapes} --theta0 1 --n 1"
+    assert run_cli(capsys, *expfam.split()) == (code, out, err)
+
+
+def test_ar_canonical_refuses_a_normal_mean_that_is_not_canonical(capsys):
+    # Canonicity is declared (k=models.identity), not sampled: sigma = 1
+    # declares it, sigma = 2 does not.
+    argv = "bound --formula ar-canonical --model normal-mean --sigma 2 --theta0 0.5 --n 100"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert "not canonical" in err
+
+
+def test_theta0_where_a_factor_of_the_theorem_underflows_is_refused(capsys):
+    # |q'|^3 = |D'|^3 underflows to a subnormal there, so the bound printed
+    # was 1.93788 against 1.95549 at every ordinary theta0.
+    argv = "bound --formula expfam --model exp-canonical --theta0 6.494e53 --n 10"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theta0=6.494e+53, n=10: the expfam bound has lost digits ")
 
 
 # theta0 inside the parameter space at which a closed form fails in floating
@@ -334,6 +395,14 @@ class TestSimulateCommand:
         row = json.loads(out)[0]
         assert row["ar_bound"] is None
         assert row["new_bound"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --model gg --d 2 --p 1.5 --theta0 1.5 --n 10 --trials 5000", "table1 --trials 1000"])
+def test_csv_header_is_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "n,empirical_distance,standard_error,new_bound,ar_bound,seed,trials"
 
 
 class TestTableCommand:

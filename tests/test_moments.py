@@ -39,7 +39,7 @@ from mlebounds import (
 )
 from mlebounds.models import _quadrature_third_moment
 from mlebounds.montecarlo import iter_mle_chunks
-from test_bounds import count_refusal
+from refusals import count_refusal
 
 
 def quad_third_moment(m, theta0, law):
