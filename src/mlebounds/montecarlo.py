@@ -17,8 +17,9 @@ each chunk drawing from its own counter-based Philox stream derived by
 hashing (seed, chunk_index) through numpy's SeedSequence spawn keys, so the
 random stream depends on the seed alone and the first k * 4096 trials of a
 run do not depend on ``trials``.  A chunk's accumulators are stacked into
-one block and summed by one exact extraction, which equals ``math.fsum`` of
-each accumulator bit for bit, and the chunk sums are combined by
+one block and summed by one error-free extraction pass, whose rounding is
+certified to equal ``math.fsum`` of each accumulator bit for bit (a row it
+cannot certify goes to ``math.fsum``), and the chunk sums are combined by
 ``math.fsum`` in chunk order, so the result is bit-identical for a fixed
 config regardless of how chunks might be scheduled, and a call holds one
 chunk's arrays at a time, whatever ``trials`` is.
@@ -220,15 +221,32 @@ def iter_mle_chunks(
         yield theta_hat
 
 
-def _chunk_sums(chunks: Iterator[np.ndarray], terms) -> list[float]:
+def _chunk_sums(chunks: Iterator[np.ndarray], terms, refuse=None) -> list[float]:
     """The sum over every trial of each array that ``terms(theta_hats)``
     returns for a chunk.  A chunk's arrays are stacked into one block and
-    summed by one extraction, ``_exact_row_sums``, which equals
-    ``math.fsum`` of each array bit for bit; the chunk sums are then merged
-    by ``math.fsum`` in chunk order.  So each chunk's sum is rounded once
-    and their merge once more: the total need not be the exactly rounded
-    sum over every trial, though it is bit-reproducible."""
-    per_chunk = [_exact_row_sums(np.array(terms(theta_hats))) for theta_hats in chunks]
+    summed by ``_exact_row_sums`` in one certified extraction pass, which
+    equals ``math.fsum`` of each array bit for bit; the chunk sums are then
+    merged by ``math.fsum`` in chunk order.  So each chunk's sum is rounded
+    once and their merge once more: the total need not be the exactly
+    rounded sum over every trial, though it is bit-reproducible.  Given
+    ``refuse``, a chunk whose sums are not all finite (or whose fsum meets
+    +inf and -inf and raises ValueError) goes to ``refuse(block,
+    first_trial)``, which raises."""
+
+    def sums_of(index, theta_hats):
+        # A function, so that one chunk's block is freed before the next.
+        block = np.array(terms(theta_hats))
+        try:
+            sums = _exact_row_sums(block)
+        except ValueError:  # math.fsum met +inf and -inf in one row
+            if refuse is None:
+                raise
+            sums = [math.nan]
+        if refuse is not None and not all(map(math.isfinite, sums)):
+            refuse(block, index * _CHUNK)
+        return sums
+
+    per_chunk = [sums_of(index, theta_hats) for index, theta_hats in enumerate(chunks)]
     return [math.fsum(sums) for sums in zip(*per_chunk)]
 
 
@@ -253,7 +271,7 @@ def _require_resolved(m: ExpFamilyModel, theta0: float, n: int, trials: int) -> 
 
 def _mean_and_se(total: float, total_sq: float, trials: int) -> tuple[float, float]:
     """Sample mean and its standard error from the sums of x and x^2."""
-    var = max(0.0, (total_sq - total * total / trials) / (trials - 1)) if trials > 1 else 0.0
+    var = max(0.0, (total_sq - total * total / trials) / (trials - 1))
     return total / trials, math.sqrt(var / trials)
 
 
@@ -331,13 +349,15 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Run one seeded simulation and return its result row.
 
     Deterministic: the same config always produces the same result (up to
-    the wall-time field), independent of chunk scheduling.  A config whose
-    standardized MLE lies on a float grid coarser than 0.1/sqrt(trials) is
-    refused with DomainError, naming theta0 and n, before any sampling.
+    the wall-time field), independent of chunk scheduling.  Refused with
+    DomainError before any sampling: fewer than 2 trials, and a standardized
+    MLE on a float grid coarser than 0.1/sqrt(trials), naming theta0 and n;
+    and on meeting an h that is not finite, naming the trial and its u.
     """
     start_time = time.perf_counter()
+    trials = _require_int(config.trials, "trials", 2, " (one trial's mean has no standard error)")
     m = make_model(config.model_id, **config.model_params)
-    theta0, n, trials = config.theta0, config.n, config.trials
+    theta0, n = config.theta0, config.n
     h_fn = config.h.h
     expected = config.h.expected_h
     scale = math.sqrt(n * fisher_info(m, theta0))
@@ -348,11 +368,22 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         hv = np.asarray(h_fn(u), dtype=float)
         return hv, hv * hv, u, u * u
 
+    def refuse(block, start):
+        # A non-finite sum has a non-finite term: math.fsum raises
+        # OverflowError, not returns inf, on finite terms.
+        bad = int(np.argmin(np.isfinite(block).all(axis=0)))
+        hv, hv2, u, _ = block[:, bad].tolist()
+        raise DomainError(
+            f"test function {config.h.name!r} at trial {start + bad}: h(u) = {hv!r} and "
+            f"h(u)^2 = {hv2!r} at the standardized MLE u = {u!r}; a Monte Carlo mean "
+            "needs both finite at every trial"
+        )
+
     # Bounds first: a config they refuse fails before any sampling.
     bound_new, bound_ar = _attach_bounds(config, m)
     _require_resolved(m, theta0, n, trials)
     sum_h, sum_h2, sum_u, sum_u2 = _chunk_sums(
-        iter_mle_chunks(m, theta0, n, trials, config.seed), terms
+        iter_mle_chunks(m, theta0, n, trials, config.seed), terms, refuse
     )
     mean_h, standard_error = _mean_and_se(sum_h, sum_h2, trials)
     return SimulationResult(

@@ -192,47 +192,46 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-v / _SQRT_2)
 
 
-# Rows at or above this magnitude go to math.fsum, so that sigma below
-# stays far from overflow.
 _EXACT_SUM_LIMIT = 2.0**900
 
 
 def _exact_row_sums(block) -> list[float]:
     """``math.fsum`` of each row of a 2-d float64 array, bit for bit.
 
-    Vectorized error-free extraction (Rump, Ogita and Oishi 2008,
-    "ExtractVector") over the whole block at once: with 2^m >= width + 2
-    and sigma = 2^m 2^e above 2^m max|x| of the block, q = (sigma + r) -
-    sigma and r - q are both exact, and every q is a multiple of 2^-53 sigma
-    at most sigma / 2^m in magnitude, so each row sum of q is exact in any
-    order.  A pass leaves |r| <= 2^-53 sigma, so the second pass's sigma is
-    2^(m - 53) sigma; the two take 2 (53 - m) bits off (80 for 4096 columns,
-    clearing every element within 2^27 of the largest).  A row's two pass
-    sums and its non-zero remainders hold its exact sum, which ``math.fsum``
-    rounds once.  A block with a row all zero, non-finite or huge (max|x| >=
-    2^900) goes to ``math.fsum`` row by row, which keeps each value, its
-    sign of zero and its exceptions.  Both passes work in place on q and r.
+    One error-free extraction (Rump, Ogita and Oishi 2008, "ExtractVector")
+    over the block: for 2^m >= width w + 2 and sigma = 2^m 2^e > 2^m max|x|,
+    q = (sigma + x) - sigma and r = x - q are exact, a row's sum of q,
+    a, is exact, and |r| <= 2^-53 sigma, so s, numpy's sum of the row's
+    r in any order, is off by at most gamma_(w-1) w 2^-53 sigma < err / 2 =
+    2^(2m - 106) sigma.  With c = a + s rounded and e its exact error
+    (TwoSum), the row's exact sum is c + e + d, |d| < err / 2.  Rounding is
+    monotone and half a spacing is a float, so when e + err and e - err
+    round to inside c's rounding interval, the row's sum rounds to c.  A row
+    failing that, or with c = 0, goes to ``math.fsum``, as does a block with
+    a row all zero, non-finite, huge (max|x| >= 2^900, lest sigma overflow)
+    or tiny (max|x| < 2^-900, lest err underflow); fsum keeps each value,
+    its sign of zero and its exceptions.
     """
     x = np.asarray(block, dtype=float)
-    if not x.size:
-        return [0.0] * len(x)
     q = np.abs(x)
     # max propagates NaN, so NaN rows reach math.fsum too.
-    tops = q.max(axis=1).tolist()
-    if not all(0.0 < top < _EXACT_SUM_LIMIT for top in tops):
+    tops = q.max(axis=1, initial=0.0).tolist()
+    if not tops or not all(1.0 / _EXACT_SUM_LIMIT <= top < _EXACT_SUM_LIMIT for top in tops):
         return [math.fsum(row.tolist()) for row in x]
     m = (x.shape[1] + 1).bit_length()
     sigma = math.ldexp(1.0, m + math.frexp(max(tops))[1])
     np.add(x, sigma, out=q)
     q -= sigma
-    first = q.sum(axis=1).tolist()
-    r = x - q
-    sigma = math.ldexp(sigma, m - 53)
-    np.add(r, sigma, out=q)
-    q -= sigma
-    second = q.sum(axis=1).tolist()
-    r -= q
-    return [math.fsum([a, b, *rest[rest != 0.0].tolist()]) for a, b, rest in zip(first, second, r)]
+    sums = q.sum(axis=1).tolist()
+    np.subtract(x, q, out=q)
+    err = math.ldexp(sigma, 2 * m - 105)
+    for i, (a, s) in enumerate(zip(sums, q.sum(axis=1).tolist())):
+        c = a + s
+        e = (a - (c - (c - a))) + (s - (c - a))  # TwoSum: a + s = c + e exactly
+        up, down = math.nextafter(c, math.inf) - c, math.nextafter(c, -math.inf) - c
+        certified = c and 2.0 * (e + err) < up and 2.0 * (e - err) > down
+        sums[i] = c if certified else math.fsum(x[i].tolist())
+    return sums
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:

@@ -278,6 +278,16 @@ def test_count_beyond_the_float_range_is_refused(capsys, argv, name):
     assert err.endswith(f"that a float can hold (at most 1.7976931348623157e+308), got {BIG_N}\n")
 
 
+def test_one_trial_is_refused(capsys):
+    # A one-trial mean has no standard error; simulate printed 0.0 for it.
+    argv = "simulate --model exp-noncanonical --theta0 2 --n 10 --trials 1"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: trials must be an integer >= 2 (one trial's mean has no standard error), got 1\n"
+    )
+
+
 # Shapes from which a constructor cannot compute the model's constants
 # exited 3 with a bare error; the constructor now refuses them naming the
 # shapes.

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mlebounds import (
     d_value,
     exp_noncanonical_model,
     expected_h_of_z,
+    fisher_info,
     make_model,
     mle,
     mse_closed_form,
@@ -29,9 +31,10 @@ from mlebounds import (
     sample_model,
     table1,
 )
-from mlebounds import bounds, montecarlo
+from mlebounds import bounds, montecarlo, special
 from mlebounds.bounds import TestFunction as HFunc
 from mlebounds.montecarlo import _chunk_rng, iter_mle_chunks
+from mlebounds.special import _exact_row_sums
 
 H = reference_test_function()
 
@@ -155,6 +158,30 @@ class TestSufficientStatisticSampler:
             montecarlo, "_exact_row_sums", lambda block: [math.fsum(row.tolist()) for row in block]
         )
         assert outputs() == got
+
+    def test_harness_blocks_are_certified_and_equal_fsum(self, monkeypatch):
+        # The (h, h^2, u, u^2) blocks of 210 seeded chunks, 15 per family at
+        # n = 3 and at n = 8, the last of each run partial: each row sum of
+        # the one-pass reduction is math.fsum's by float.hex, and its
+        # rounding certificate leaves at most one row in 100 to math.fsum.
+        fallbacks = []
+        counting = SimpleNamespace(**vars(math))
+        counting.fsum = lambda values: fallbacks.append(1) or math.fsum(values)
+        monkeypatch.setattr(special, "math", counting)
+        rows = 0
+        for model_id, params, theta0 in FAMILIES:
+            m = make_model(model_id, **params)
+            for n in (3, 8):
+                scale = math.sqrt(n * fisher_info(m, theta0))
+                for theta_hats in iter_mle_chunks(m, theta0, n, 14 * 4096 + 1808, 40 + n):
+                    u = (theta_hats - theta0) * scale
+                    hv = H.h(u)
+                    block = np.array((hv, hv * hv, u, u * u))
+                    want = [math.fsum(row.tolist()).hex() for row in block]
+                    assert [s.hex() for s in _exact_row_sums(block)] == want
+                    rows += len(block)
+        assert rows == 7 * 2 * 15 * 4
+        assert len(fallbacks) <= rows // 100
 
     def test_model_without_sampler_rejected(self):
         m = dataclasses.replace(exp_noncanonical_model(), sample_tbar=None)
@@ -363,6 +390,48 @@ class TestRunSimulation:
         monkeypatch.setattr(montecarlo, "iter_mle_chunks", sample)
         config = SimulationConfig("exp-canonical", 1.0, 2, 2_000_000, 0, H)
         with pytest.raises(DomainError, match="n must be an integer >= 3"):
+            run_simulation(config)
+
+    def test_one_trial_is_refused_before_sampling(self, monkeypatch):
+        # A one-trial mean has no standard error; it was reported as 0.0.
+        def sample(*args):
+            raise AssertionError("sampled a one-trial run")
+
+        monkeypatch.setattr(montecarlo, "iter_mle_chunks", sample)
+        config = SimulationConfig("exp-noncanonical", 2.0, 10, 1, 0, H)
+        message = "trials must be an integer >= 2 (one trial's mean has no standard error), got 1"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            run_simulation(config)
+
+    @pytest.mark.parametrize("far, seed", [("nan", 1), ("inf", 1), ("-inf", 1), ("both", 10)])
+    def test_a_test_function_not_finite_at_a_trial_is_refused(self, far, seed):
+        # A TestFunction is checked on [-50, 50] only.  Beyond it this h is
+        # NaN or infinite; with "both" it is +inf up to 100 and -inf past
+        # it, which seed 10 meets in one chunk, where math.fsum raises
+        # ValueError.  It was averaged in: mean_h = nan with a standard
+        # error of 0.0, or mean_h = inf.  The run names h, the first trial
+        # whose standardized MLE u leaves [-50, 50], and that u.
+        def h(x):
+            x = np.asarray(x, dtype=float)
+            beyond = np.where(x > 100.0, -math.inf, math.inf) if far == "both" else float(far)
+            return np.where(np.abs(x) <= 50.0, 1.0 / (x * x + 2.0), beyond)
+
+        m = make_model("exp-canonical")
+        scale = math.sqrt(3 * fisher_info(m, 1.0))
+        chunks = [(t - 1.0) * scale for t in iter_mle_chunks(m, 1.0, 3, 100_000, seed)]
+        first = next(u for u in chunks if np.any(np.abs(u) > 50.0))
+        if far == "both":
+            with pytest.raises(ValueError):
+                math.fsum(h(first).tolist())
+        u = np.concatenate(chunks)
+        bad = int(np.argmax(np.abs(u) > 50.0))
+        message = (
+            f"test function 'tail' at trial {bad}: h(u) = {float(h(u[bad]))!r} and h(u)^2 = "
+            f"{float(h(u[bad])) ** 2!r} at the standardized MLE u = {float(u[bad])!r}; "
+        )
+        tail = HFunc("tail", h, 0.5, 0.5)
+        config = SimulationConfig("exp-canonical", 1.0, 3, 100_000, seed, tail)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
             run_simulation(config)
 
     def test_empirical_distance_recomputable_from_sums(self):

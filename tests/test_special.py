@@ -2,6 +2,7 @@
 
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mlebounds import (
     std_normal_cdf,
     std_normal_pdf,
 )
+from mlebounds import special
 from mlebounds.special import _exact_row_sums
 
 
@@ -258,6 +260,115 @@ class TestExactRowSums:
         block[:, ::4] = np.ldexp(block[:, ::4], -gen.integers(30, 61, size=(4, 1024)))
         assert np.count_nonzero(np.abs(block) < 2.0**-27 * np.abs(block).max()) > block.size / 64
         assert_rows_same_as_fsum(block)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per row that ``_exact_row_sums`` leaves to math.fsum, its
+    rounding certificate not holding there."""
+    calls = []
+    counting = SimpleNamespace(**vars(math))
+    counting.fsum = lambda values: calls.append(1) or math.fsum(values)
+    monkeypatch.setattr(special, "math", counting)
+    return calls
+
+
+def assert_hex_same_as_fsum(block):
+    block = np.asarray(block, dtype=float)
+    want = [math.fsum(row.tolist()).hex() for row in block]
+    assert [s.hex() for s in _exact_row_sums(block)] == want
+
+
+def _err(block):
+    """The certificate's bound on the row sums' float error, 2^(2m - 105)
+    sigma, for sigma = 2^m 2^e above 2^m max|x|."""
+    m = (block.shape[1] + 1).bit_length()
+    return math.ldexp(1.0, 3 * m - 105 + math.frexp(np.abs(block).max())[1])
+
+
+def _row_summing_to(target, width, gen, scale):
+    """A row of ``width`` elements whose exact sum is target[0] + target[1]
+    up to the rounding of its second element; its other elements, of order
+    ``scale``, make numpy's float sum of the remainders inexact."""
+    rest = gen.normal(size=width - 2) * scale
+    return np.concatenate([[target[0], target[1] - math.fsum(rest.tolist())], rest])
+
+
+class TestRoundingCertificate:
+    """The one-pass reduction returns its float sum c only where a
+    certificate proves c is the rounded exact sum; elsewhere math.fsum."""
+
+    @pytest.mark.parametrize("k", [-800, -20, 0, 1, 60, 800])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sums_at_a_binade_boundary(self, fallbacks, k, sign):
+        # Exact sums 2^k + j 2^(k - 56): below 2^k the spacing halves, so
+        # the rounding interval of c = 2^k is lopsided, and j = -4 and 8
+        # are the midpoints on either side.
+        gen = np.random.default_rng(k + 2000)
+        edge = sign * 2.0**k
+        rows = [
+            _row_summing_to((edge, sign * j * 2.0 ** (k - 56)), 4096, gen, 2.0 ** (k - 30))
+            for j in range(-10, 11)
+        ]
+        block = np.stack(rows)
+        assert_hex_same_as_fsum(block)
+        assert {math.fsum(row.tolist()) for row in rows} >= {edge, math.nextafter(edge, 0.0)}
+        # Only the two midpoint rows are left to math.fsum.
+        assert len(fallbacks) == 2
+
+    def test_sums_within_err_of_a_midpoint_fall_back(self, fallbacks):
+        # Sums a quarter or half of err off a midpoint of 1's rounding
+        # interval, on both sides, and the midpoints themselves.
+        base = np.zeros((2, 4096))
+        base[:, 0] = 1.0
+        err = _err(base)
+        rows = []
+        for half in (2.0**-53, -(2.0**-54)):
+            for d in (0.0, err / 4, -err / 4, err / 2, -err / 2):
+                row = np.zeros(4096)
+                row[:4] = (1.0, half, d / 2, d / 2)
+                rows.append(row)
+        far = np.zeros(4096)
+        far[:2] = (1.0, 2.0**-55)
+        block = np.stack(rows + [far])
+        assert _err(block) == err
+        assert_hex_same_as_fsum(block)
+        assert len(fallbacks) == len(rows)
+
+    def test_exact_cancellation_to_signed_zeros(self, fallbacks):
+        x = np.random.default_rng(21).normal(size=2048)
+        cancel = np.concatenate([x, -x])
+        np.random.default_rng(22).shuffle(cancel)
+        block = np.stack([np.concatenate([x, x]), cancel, -cancel])
+        assert [math.fsum(row.tolist()) for row in block[1:]] == [0.0, 0.0]
+        assert_hex_same_as_fsum(block)
+        assert len(fallbacks) == 2
+        # A row of -0.0 sends its block to math.fsum whole, which gives the
+        # sign of zero that the running Python's fsum gives.
+        assert_hex_same_as_fsum(np.vstack([block, -np.zeros(4096)]))
+        assert_hex_same_as_fsum(-np.zeros((2, 7)))
+
+    @pytest.mark.parametrize("top", [2.0**-900, math.nextafter(2.0**-900, 0.0)])
+    def test_rows_at_and_just_below_the_floor(self, fallbacks, top):
+        x = np.random.default_rng(23).uniform(-1.0, 1.0, size=(3, 4096))
+        x /= np.abs(x).max(axis=1, keepdims=True)
+        x *= top
+        assert np.abs(x).max() == top
+        assert_hex_same_as_fsum(x)
+        assert len(fallbacks) == (0 if top == 2.0**-900 else 3)
+
+    @pytest.mark.parametrize("width", [1, 2, 4095, 4096])
+    def test_widths_and_views(self, fallbacks, width):
+        gen = np.random.default_rng(width + 24)
+        block = gen.normal(size=(4, width)) * np.array([[1e-8], [1.0], [1e8], [1e250]])
+        block[:, ::3] *= 1e-20
+        views = [block, block[::-1, ::-1], np.asfortranarray(block), block[::2], block[:, ::2]]
+        for view in views:
+            assert_hex_same_as_fsum(view)
+        assert not views[1].flags.c_contiguous
+        # Each view's largest row is certified; its other rows, 2^50 and
+        # more below it, are left to math.fsum.
+        assert len(fallbacks) == sum(len(view) - 1 for view in views)
 
 
 def _cdf_series(x: float) -> float:
